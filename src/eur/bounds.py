@@ -11,16 +11,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import _require_hermitian
 from .measurement import (
     ProjectiveObservable,
     complementarity,
     holevo_quantity,
     post_measurement_state,
 )
-from .states import memory_marginal, probe_marginal, vn_entropy
-
-HERMITICITY_ATOL = 1e-10
-NORM_ATOL = 1e-12
+from .states import from_pure, memory_marginal, probe_marginal, vn_entropy
 
 
 def conditional_entropy(rho: np.ndarray) -> float:
@@ -151,22 +149,22 @@ def robertson_bound(q_op: np.ndarray, r_op: np.ndarray, psi: np.ndarray):
     a normalized pure state, with DeltaX = sqrt(<X^2> - <X>^2). The first
     element is never below the second (up to roundoff).
     """
-    q_op = _hermitian_operator(q_op, "Q")
-    r_op = _hermitian_operator(r_op, "R")
+    q_op = _require_hermitian(q_op, "Q")
+    r_op = _require_hermitian(r_op, "R")
+    if q_op.shape != (2, 2) or r_op.shape != (2, 2):
+        raise ValueError(f"Q and R must be 2x2 operators, got shapes {q_op.shape} and {r_op.shape}")
     psi = np.asarray(psi, dtype=complex).reshape(-1)
     if psi.shape != (2,):
         raise ValueError(f"expected a single-qubit state vector, got shape {psi.shape}")
-    norm = float(np.linalg.norm(psi))
-    if abs(norm - 1.0) > NORM_ATOL:
-        raise ValueError(f"state vector has norm {norm:.12g}, expected 1")
+    rho = from_pure(psi)
 
     def spread(op):
-        mean = np.vdot(psi, op @ psi).real
-        second = np.vdot(psi, op @ (op @ psi)).real
+        mean = np.trace(rho @ op).real
+        second = np.trace(rho @ op @ op).real
         return math.sqrt(max(second - mean * mean, 0.0))
 
     commutator = q_op @ r_op - r_op @ q_op
-    rhs = 0.5 * abs(np.vdot(psi, commutator @ psi))
+    rhs = 0.5 * abs(np.trace(rho @ commutator))
     return spread(q_op) * spread(r_op), float(rhs)
 
 
@@ -178,13 +176,3 @@ def unruh_temperature(a: float) -> float:
     if not (math.isfinite(a) and a >= 0.0):
         raise ValueError(f"acceleration must be finite and >= 0, got {a}")
     return a / (2.0 * math.pi)
-
-
-def _hermitian_operator(op: np.ndarray, name: str) -> np.ndarray:
-    op = np.asarray(op, dtype=complex)
-    if op.shape != (2, 2):
-        raise ValueError(f"{name} must be a 2x2 operator, got shape {op.shape}")
-    deviation = float(np.max(np.abs(op - op.conj().T)))
-    if deviation > HERMITICITY_ATOL:
-        raise ValueError(f"{name} is not Hermitian: max |M - M^dag| = {deviation:.3e}")
-    return op

@@ -12,10 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import hermitian_eigensystem, partial_trace, tensor
+from .linalg import (
+    COMPLETENESS_ATOL,
+    EIGENVALUE_FLOOR,
+    KRAUS_WEIGHT_CUTOFF,
+    hermitian_eigensystem,
+    partial_trace,
+)
 
-COMPLETENESS_ATOL = 1e-10
-KRAUS_WEIGHT_CUTOFF = 1e-12
 R_MAX = math.pi / 4
 
 
@@ -43,14 +47,17 @@ class UnruhParams:
 def unruh_r(params: UnruhParams) -> float:
     """Mixing angle r in [0, pi/4] for a uniformly accelerated observer.
 
-    cos r = (1 + exp(-2 pi omega / a))^(-1/2). The formula divides by the
+    cos r = (1 + exp(-2 pi omega / a))^(-1/2), computed in the equivalent
+    form r = atan(exp(-pi omega / a)): it is bounded by atan(1) == pi/4
+    exactly, and keeps full relative precision at small r, where the
+    arccosine of a number next to 1 loses it. The formula divides by the
     acceleration, so a = 0 is defined by its limit r = 0 (the identity
     channel); a -> infinity approaches r = pi/4. Monotonically increasing
     in a and decreasing in omega.
     """
     if params.a == 0.0:
         return 0.0
-    return math.acos(1.0 / math.sqrt(1.0 + math.exp(-2.0 * math.pi * params.omega / params.a)))
+    return math.atan(math.exp(-math.pi * params.omega / params.a))
 
 
 def unruh_channel(r: float) -> list[np.ndarray]:
@@ -83,8 +90,8 @@ def amplitude_damping(gamma: float) -> list[np.ndarray]:
     return [e0, e1]
 
 
-def validate_kraus(channel: list[np.ndarray], atol: float = COMPLETENESS_ATOL) -> None:
-    """Raise ValueError unless sum_j K_j^dag K_j = I within `atol`."""
+def validate_kraus(channel: list[np.ndarray]) -> None:
+    """Raise ValueError unless sum_j K_j^dag K_j = I within COMPLETENESS_ATOL."""
     if not channel:
         raise ValueError("channel has no Kraus operators")
     total = np.zeros((2, 2), dtype=complex)
@@ -94,7 +101,7 @@ def validate_kraus(channel: list[np.ndarray], atol: float = COMPLETENESS_ATOL) -
             raise ValueError(f"Kraus operator has shape {k.shape}, expected (2, 2)")
         total += k.conj().T @ k
     deviation = float(np.max(np.abs(total - np.eye(2))))
-    if deviation > atol:
+    if deviation > COMPLETENESS_ATOL:
         raise ValueError(
             f"Kraus family is not trace preserving: max |sum K^dag K - I| = {deviation:.3e}"
         )
@@ -120,11 +127,9 @@ def apply_to_memory(channel: list[np.ndarray], rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {rho.shape}")
-    out = np.zeros((4, 4), dtype=complex)
-    for k in channel:
-        lifted = tensor(np.eye(2), k)
-        out += lifted @ rho @ lifted.conj().T
-    return out
+    rho = rho.reshape(2, 2, 2, 2)  # rho[i, b, j, c]: probe i, j; memory b, c
+    kraus = np.asarray(channel, dtype=complex)
+    return np.einsum("kab,ibjc,kdc->iajd", kraus, rho, kraus.conj()).reshape(4, 4)
 
 
 def choi(channel: list[np.ndarray]) -> np.ndarray:
@@ -133,39 +138,34 @@ def choi(channel: list[np.ndarray]) -> np.ndarray:
     tr C = 2 for a qubit channel; complete positivity shows up as C >= 0
     and trace preservation as tr_out C = I.
     """
-    c = np.zeros((4, 4), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            unit = np.zeros((2, 2), dtype=complex)
-            unit[i, j] = 1.0
-            c += tensor(unit, apply(channel, unit))
-    return c
+    phi = np.array([1, 0, 0, 1], dtype=complex)  # sum_i |ii>, so C = (I (x) E)(|phi><phi|)
+    return apply_to_memory(channel, np.outer(phi, phi))
 
 
-def kraus_from_choi(c: np.ndarray, cutoff: float = KRAUS_WEIGHT_CUTOFF) -> list[np.ndarray]:
+def kraus_from_choi(c: np.ndarray) -> list[np.ndarray]:
     """Extract a Kraus family from a Choi matrix by eigendecomposition.
 
-    Each eigenpair (lam, v) with lam > `cutoff` becomes an operator via
-    K[m, i] = sqrt(lam) * v[2*i + m] (input index i, output index m,
-    matching the `choi` convention). Kraus families are unique only up to
-    an isometric remixing, so two representations of the same channel
-    must be compared on their action, not operator by operator.
+    Each eigenpair (lam, v) with lam > KRAUS_WEIGHT_CUTOFF becomes an
+    operator via K[m, i] = sqrt(lam) * v[2*i + m] (input index i, output
+    index m, matching the `choi` convention). Kraus families are unique
+    only up to an isometric remixing, so two representations of the same
+    channel must be compared on their action, not operator by operator.
 
-    Raises ValueError for eigenvalues below -1e-10 (not completely
-    positive) and when the reconstructed family fails the completeness
-    check (input was not trace preserving).
+    Raises ValueError for eigenvalues below EIGENVALUE_FLOOR (not
+    completely positive) and when the reconstructed family fails the
+    completeness check (input was not trace preserving).
     """
     c = np.asarray(c, dtype=complex)
     if c.shape != (4, 4):
         raise ValueError(f"expected a 4x4 Choi matrix, got shape {c.shape}")
     eigenvalues, eigenvectors = hermitian_eigensystem(c)
-    if float(eigenvalues[0]) < -1e-10:
+    if float(eigenvalues[0]) < EIGENVALUE_FLOOR:
         raise ValueError(
             f"not completely positive: Choi eigenvalue {float(eigenvalues[0]):.3e}"
         )
     channel = []
     for lam, v in zip(eigenvalues, eigenvectors.T):
-        if lam > cutoff:
+        if lam > KRAUS_WEIGHT_CUTOFF:
             channel.append(math.sqrt(float(lam)) * v.reshape(2, 2).T)
     validate_kraus(channel)
     return channel

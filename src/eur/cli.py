@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import evaluate_eur
-from .channels import UnruhParams, apply_to_memory, unruh_channel, unruh_r
+from .channels import R_MAX, UnruhParams, apply_to_memory, unruh_channel, unruh_r
 from .measurement import pauli_observable
 from .states import bell_diagonal_p, x_state
 
@@ -25,7 +25,6 @@ EXIT_USAGE = 2
 EXIT_INVARIANT = 3
 EXIT_IO = 4
 
-R_MAX = math.pi / 4
 CSV_HEADER = "a,r,lhs,berta,holevo,delta"
 
 # Flag values the named presets expand to; explicit flags override them.
@@ -201,7 +200,7 @@ def parse_args(argv=None) -> SweepConfig:
     merged = dict(_BASE)
     if ns.preset is not None:
         merged.update(PRESETS[ns.preset])
-    for key in ("state", "p", "obs", "omega", "a_min", "a_max", "steps", "sweep_var", "out"):
+    for key in _BASE:
         value = getattr(ns, key)
         if value is not None:
             merged[key] = value
@@ -211,8 +210,7 @@ def parse_args(argv=None) -> SweepConfig:
             if merged["sweep_var"] == "r":
                 merged["a_max"] = R_MAX
             else:
-                if not (math.isfinite(merged["omega"]) and merged["omega"] > 0.0):
-                    raise ValueError(f"omega must be finite and > 0, got {merged['omega']}")
+                # a bad omega gives a bad a_max, but SweepConfig checks omega first
                 merged["a_max"] = 20.0 * merged["omega"] * 2.0 * math.pi
         axes = tuple(part.strip().lower() for part in str(merged["obs"]).split(","))
         return SweepConfig(

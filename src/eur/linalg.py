@@ -8,7 +8,15 @@ and B of dimension n, the composite basis index is n*i_A + i_B (numpy's
 
 import numpy as np
 
-HERMITICITY_ATOL = 1e-10
+# Every tolerance of the package, absolute, on quantities of order one.
+HERMITICITY_ATOL = 1e-10     # max |M - M^dag| of a matrix taken as Hermitian
+TRACE_ATOL = 1e-10           # |tr rho - 1| of a state taken as normalized
+NORM_ATOL = 1e-12            # | ||v|| - 1 | of a state vector taken as normalized
+EIGENVALUE_FLOOR = -1e-10    # eigenvalues down to here are roundoff around 0
+COMPLETENESS_ATOL = 1e-10    # max |sum K^dag K - I| of a trace-preserving channel
+KRAUS_WEIGHT_CUTOFF = 1e-12  # Choi eigenvalues at or below this give no Kraus operator
+ORTHONORMALITY_ATOL = 1e-12  # max |B^dag B - I| of an orthonormal basis
+PROBABILITY_FLOOR = 1e-12    # outcome probabilities at or below this count as 0
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -54,12 +62,24 @@ def partial_trace(m: np.ndarray, keep, dims) -> np.ndarray:
     return t.reshape(kept_dim, kept_dim)
 
 
-def hermitian_eigensystem(m: np.ndarray, atol: float = HERMITICITY_ATOL):
+def _require_hermitian(m: np.ndarray, name: str = "matrix") -> np.ndarray:
+    """Return `m` as a complex array, or raise ValueError unless it is a
+    square matrix within HERMITICITY_ATOL of its adjoint."""
+    m = np.asarray(m, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"expected {name} to be a square matrix, got shape {m.shape}")
+    deviation = float(np.max(np.abs(m - m.conj().T)))
+    if deviation > HERMITICITY_ATOL:
+        raise ValueError(f"{name} is not Hermitian: max |M - M^dag| = {deviation:.3e}")
+    return m
+
+
+def hermitian_eigensystem(m: np.ndarray):
     """Full eigensystem of a Hermitian matrix, eigenvalues ascending.
 
     The input is symmetrized as (M + M†)/2 before solving, so roundoff
     accumulated by upstream products cannot leak into the eigenbasis;
-    matrices further than `atol` from Hermitian are rejected outright.
+    matrices more than HERMITICITY_ATOL from Hermitian are rejected.
 
     Returns:
         (eigenvalues, eigenvectors): a real 1-D array in ascending order
@@ -67,11 +87,6 @@ def hermitian_eigensystem(m: np.ndarray, atol: float = HERMITICITY_ATOL):
         eigenvalue k. Within a degenerate eigenspace the basis choice is
         arbitrary and callers must not rely on it.
     """
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    deviation = float(np.max(np.abs(m - m.conj().T)))
-    if deviation > atol:
-        raise ValueError(f"matrix is not Hermitian: max |M - M^dag| = {deviation:.3e}")
+    m = _require_hermitian(m)
     eigenvalues, eigenvectors = np.linalg.eigh((m + m.conj().T) / 2.0)
     return eigenvalues, eigenvectors

@@ -9,11 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import partial_trace, tensor
+from .linalg import ORTHONORMALITY_ATOL, PROBABILITY_FLOOR, partial_trace
 from .states import memory_marginal, vn_entropy
-
-ORTHONORMALITY_ATOL = 1e-12
-PROBABILITY_FLOOR = 1e-12
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -71,11 +68,16 @@ def complementarity(q: ProjectiveObservable, r: ProjectiveObservable) -> float:
     return float(overlaps.max())
 
 
-def _as_two_qubit(rho: np.ndarray) -> np.ndarray:
+def _outcome_blocks(obs: ProjectiveObservable, rho: np.ndarray) -> list[np.ndarray]:
+    """The unnormalized blocks (P_i (x) I) rho (P_i (x) I), one per outcome i."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError(f"expected a 4x4 two-qubit state, got shape {rho.shape}")
-    return rho
+    rho = rho.reshape(2, 2, 2, 2)  # rho[b, j, c, l]: probe b, c; memory j, l
+    return [
+        np.einsum("ab,bjcl,cd->ajdl", p, rho, p).reshape(4, 4)
+        for p in map(obs.projector, (0, 1))
+    ]
 
 
 def post_measurement_state(obs: ProjectiveObservable, rho: np.ndarray) -> np.ndarray:
@@ -86,12 +88,7 @@ def post_measurement_state(obs: ProjectiveObservable, rho: np.ndarray) -> np.nda
     diagonal in the measurement basis, and idempotent for a fixed
     observable.
     """
-    rho = _as_two_qubit(rho)
-    out = np.zeros((4, 4), dtype=complex)
-    for i in (0, 1):
-        lifted = tensor(obs.projector(i), np.eye(2))
-        out += lifted @ rho @ lifted
-    return out
+    return sum(_outcome_blocks(obs, rho))
 
 
 def measurement_ensemble(obs: ProjectiveObservable, rho: np.ndarray):
@@ -103,11 +100,8 @@ def measurement_ensemble(obs: ProjectiveObservable, rho: np.ndarray):
     amplified into noise. The probability-weighted conditional states sum
     back to the memory marginal.
     """
-    rho = _as_two_qubit(rho)
     ensemble = []
-    for i in (0, 1):
-        lifted = tensor(obs.projector(i), np.eye(2))
-        unnormalized = lifted @ rho @ lifted
+    for unnormalized in _outcome_blocks(obs, rho):
         p = float(np.trace(unnormalized).real)
         if p <= PROBABILITY_FLOOR:
             ensemble.append((max(p, 0.0), None))
@@ -123,7 +117,6 @@ def holevo_quantity(obs: ProjectiveObservable, rho: np.ndarray) -> float:
     I(O;B) = S(rho_B) - sum_i p_i S(rho_B|i); zero-probability outcomes
     contribute nothing and are skipped.
     """
-    rho = _as_two_qubit(rho)
     result = vn_entropy(memory_marginal(rho))
     for p, conditional in measurement_ensemble(obs, rho):
         if conditional is not None:

@@ -8,11 +8,14 @@ are base-2 (bits).
 
 import numpy as np
 
-from .linalg import hermitian_eigensystem, partial_trace, tensor
-
-EIGENVALUE_FLOOR = -1e-10
-TRACE_ATOL = 1e-10
-NORM_ATOL = 1e-12
+from .linalg import (
+    EIGENVALUE_FLOOR,
+    NORM_ATOL,
+    TRACE_ATOL,
+    hermitian_eigensystem,
+    partial_trace,
+    tensor,
+)
 
 PAULI = {
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -29,24 +32,21 @@ _BELL = {
 }
 
 
-def validate_density_matrix(rho: np.ndarray, name: str = "state") -> np.ndarray:
+def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
     """Check Hermiticity, unit trace and positivity; return the array.
 
-    Raises ValueError naming the violated property. Eigenvalues are
-    allowed to dip to -1e-10 to absorb roundoff from upstream algebra.
+    Raises ValueError naming the violated property. Eigenvalues may dip
+    to EIGENVALUE_FLOOR to absorb roundoff from upstream algebra.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or rho.shape[0] not in (2, 4, 8):
-        raise ValueError(f"{name} must be a square matrix of dimension 2, 4 or 8, got shape {rho.shape}")
-    herm_dev = float(np.max(np.abs(rho - rho.conj().T)))
-    if herm_dev > TRACE_ATOL:
-        raise ValueError(f"{name} is not Hermitian: max |rho - rho^dag| = {herm_dev:.3e}")
+        raise ValueError(f"state must be a square matrix of dimension 2, 4 or 8, got shape {rho.shape}")
+    smallest = float(hermitian_eigensystem(rho)[0][0])
     tr = complex(np.trace(rho))
     if abs(tr - 1.0) > TRACE_ATOL:
-        raise ValueError(f"{name} has trace {tr:.12g}, expected 1")
-    smallest = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)[0])
+        raise ValueError(f"state has trace {tr:.12g}, expected 1")
     if smallest < EIGENVALUE_FLOOR:
-        raise ValueError(f"{name} has negative eigenvalue {smallest:.3e}")
+        raise ValueError(f"state has negative eigenvalue {smallest:.3e}")
     return rho
 
 
@@ -79,7 +79,7 @@ def bell_diagonal_state(r1: float, r2: float, r3: float) -> np.ndarray:
                 f"correlation vector ({r1}, {r2}, {r3}) lies outside the Bell "
                 f"tetrahedron: eigenvalue {w:.6g} of the |{label}> component is negative"
             )
-    rho = 0.25 * tensor(np.eye(2), np.eye(2))
+    rho = 0.25 * np.eye(4, dtype=complex)
     for coeff, axis in ((r1, "x"), (r2, "y"), (r3, "z")):
         rho = rho + 0.25 * coeff * tensor(PAULI[axis], PAULI[axis])
     return rho
@@ -131,9 +131,9 @@ def rindler_tripartite_state(r: float) -> np.ndarray:
 def vn_entropy(rho: np.ndarray) -> float:
     """Von Neumann entropy -tr(rho log2 rho) in bits.
 
-    Eigenvalues in [-1e-10, 0) are clamped to 0; anything more negative
-    means the input is not a state and is a hard error so upstream bugs
-    surface instead of being rounded away.
+    Eigenvalues in [EIGENVALUE_FLOOR, 0) are clamped to 0; anything more
+    negative means the input is not a state and is a hard error so
+    upstream bugs surface instead of being rounded away.
     """
     eigenvalues, _ = hermitian_eigensystem(rho)
     if float(eigenvalues[0]) < EIGENVALUE_FLOOR:

@@ -86,3 +86,8 @@ def apply_kraus(ops, rho):
     for k in ops:
         out += k @ rho @ k.conj().T
     return out
+
+
+def apply_kraus_to_memory(ops, rho):
+    """Reference action on the second (memory) qubit of a two-qubit state via kron(I, K)."""
+    return apply_kraus([np.kron(I2, k) for k in ops], rho)

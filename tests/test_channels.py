@@ -27,6 +27,7 @@ from helpers import (
     SZ,
     TOMO_INPUTS,
     apply_kraus,
+    apply_kraus_to_memory,
     proj,
     random_choi,
     random_cptp_kraus,
@@ -49,10 +50,20 @@ def test_unruh_r_at_zero_acceleration_is_zero():
     assert unruh_r(UnruhParams(a=0.0, omega=0.1)) == 0.0
 
 
-def test_unruh_r_saturates_at_high_acceleration():
-    r = unruh_r(UnruhParams(a=1e9, omega=0.1))
+@pytest.mark.parametrize("a", [1e9, 1e17, 1e300])
+def test_unruh_r_saturates_at_high_acceleration(a):
+    r = unruh_r(UnruhParams(a=a, omega=0.1))
     assert np.cos(r) == pytest.approx(1 / np.sqrt(2), abs=1e-9)
     assert r <= np.pi / 4
+
+
+@given(st.floats(1e-3, 40.0), st.floats(1e-6, 1e6))
+@settings(max_examples=100, deadline=None)
+def test_unruh_r_keeps_full_relative_precision(ratio, a):
+    # tan r = exp(-pi omega / a); the tail at large omega/a is where r is tiny
+    params = UnruhParams(a=a, omega=ratio * a)
+    expected = np.exp(-np.pi * params.omega / params.a)
+    assert np.tan(unruh_r(params)) == pytest.approx(expected, rel=1e-14)
 
 
 def test_unruh_r_known_ratio():
@@ -170,13 +181,14 @@ def test_apply_to_memory_on_maximal_entanglement_gives_half_choi(r):
     assert np.max(np.abs(out - expected_acceleration_choi(r) / 2)) < 1e-12
 
 
-@given(seeds, r_values)
+@given(seeds, r_values, st.booleans())
 @settings(max_examples=50, deadline=None)
-def test_apply_to_memory_is_local(seed, r):
+def test_apply_to_memory_is_local(seed, r, general):
     rng = np.random.default_rng(seed)
     rho = random_density_matrix(rng, 4)
-    ch = unruh_channel(r)
+    ch = random_cptp_kraus(rng) if general else unruh_channel(r)
     out = apply_to_memory(ch, rho)
+    assert np.max(np.abs(out - apply_kraus_to_memory(ch, rho))) < 1e-12
     # probe marginal untouched, memory marginal evolves under the channel
     assert np.max(np.abs(
         partial_trace(out, keep=[0], dims=[2, 2]) - partial_trace(rho, keep=[0], dims=[2, 2])

@@ -217,12 +217,18 @@ def test_emit_csv_overwrites_idempotently(tmp_path):
     assert out.read_text(encoding="ascii") == first
 
 
-def test_main_writes_file_and_returns_zero(tmp_path):
+@pytest.mark.parametrize("flags, last_r", [
+    (["--preset", "fig2"], math.acos((1.0 + math.exp(-2.0 * math.pi * 0.1 / (4.0 * math.pi))) ** -0.5)),
+    # omega/a far below 1e-16: r must land on pi/4, never one ulp past it
+    (["--a-min", "1e-300", "--a-max", "1e300"], math.pi / 4),
+], ids=["fig2", "extreme-a"])
+def test_main_writes_file_and_returns_zero(tmp_path, flags, last_r):
     out = tmp_path / "sweep.csv"
-    code = main(["sweep", "--preset", "fig2", "--steps", "5", "--out", str(out)])
+    code = main(["sweep", *flags, "--steps", "5", "--out", str(out)])
     assert code == EXIT_OK
     rows = read_rows(out)
     assert len(rows) == 5
+    assert rows[-1].r == pytest.approx(last_r, abs=1e-12)
     for row in rows:
         assert row_violation(row) is None
 
