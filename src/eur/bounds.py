@@ -4,6 +4,10 @@ All quantities are in bits. The measured uncertainty is the sum of the
 two post-measurement conditional entropies; it is bounded below both by
 log2(1/c) + S(A|B) and by the tighter variant that adds max(0, delta),
 where delta trades total correlations against the two Holevo quantities.
+
+Every state-dependent function takes one 4x4 state or a (..., 4, 4)
+stack of them, and returns a float for one state or an array of the
+stack's shape.
 """
 
 import math
@@ -11,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _require_hermitian
+from .linalg import _float_or_array, _require_hermitian
 from .measurement import (
     ProjectiveObservable,
     complementarity,
@@ -89,19 +93,24 @@ def holevo_bound(
 
     Never looser than `berta_bound`: the correction is clipped at zero.
     """
-    return berta_bound(q, r, rho) + max(0.0, delta(q, r, rho))
+    return _float_or_array(berta_bound(q, r, rho) + np.maximum(0.0, delta(q, r, rho)))
 
 
 @dataclass(frozen=True)
 class EurReport:
     """Every uncertainty quantity for one (Q, R, state) triple, in bits.
 
+    For one 4x4 state every field is a float. For a (..., 4, 4) stack of
+    states the state-dependent fields are arrays of the stack's shape,
+    element k belonging to state k; `mu_bound` and `c` depend only on
+    the observables and stay floats.
+
     Attributes:
         lhs: S(Q|B) + S(R|B), the measured uncertainty sum
         mu_bound: log2(1/c), the memoryless bound
         berta_bound: log2(1/c) + S(A|B)
         holevo_bound: berta_bound + max(0, delta); equals
-            berta_bound + max(0.0, delta) exactly, by construction
+            berta_bound + np.maximum(0.0, delta) exactly, by construction
         delta: I(A;B) - I(Q;B) - I(R;B), unclipped
         c: maximal squared eigenstate overlap of the two observables
         s_cond: conditional entropy S(A|B)
@@ -125,14 +134,14 @@ class EurReport:
 def evaluate_eur(
     q: ProjectiveObservable, r: ProjectiveObservable, rho: np.ndarray
 ) -> EurReport:
-    """Evaluate the uncertainty sum and every lower bound on one state."""
+    """Evaluate the uncertainty sum and every lower bound on one state or a stack."""
     berta = berta_bound(q, r, rho)
     d = delta(q, r, rho)
     return EurReport(
         lhs=uncertainty_lhs(q, r, rho),
         mu_bound=maassen_uffink_bound(q, r),
         berta_bound=berta,
-        holevo_bound=berta + max(0.0, d),
+        holevo_bound=_float_or_array(berta + np.maximum(0.0, d)),
         delta=d,
         c=complementarity(q, r),
         s_cond=conditional_entropy(rho),

@@ -1,7 +1,9 @@
 """Qubit channels in Kraus form, and the acceleration-induced noise channel.
 
 A channel is a list of 2x2 complex Kraus operators K_j satisfying the
-trace-preservation condition sum_j K_j^dag K_j = I. The Choi matrix uses
+trace-preservation condition sum_j K_j^dag K_j = I. A stack of channels,
+one per state of a stack, is an array of shape (K, ..., 2, 2): operator
+j of every channel sits at index j of the first axis. The Choi matrix uses
 the unnormalized convention C = sum_ij |i><j| (x) E(|i><j|) with the
 channel *input* index as the most significant subsystem, so tr C = 2 and
 tracing out the channel output leaves the identity.
@@ -90,46 +92,59 @@ def amplitude_damping(gamma: float) -> list[np.ndarray]:
     return [e0, e1]
 
 
-def validate_kraus(channel: list[np.ndarray]) -> None:
-    """Raise ValueError unless sum_j K_j^dag K_j = I within COMPLETENESS_ATOL."""
-    if not channel:
+def _kraus_stack(channel) -> np.ndarray:
+    """The Kraus operators as one complex array of shape (K, ..., 2, 2).
+
+    Raises ValueError for an empty family or for operators that are not 2x2.
+    """
+    try:
+        kraus = np.asarray(channel, dtype=complex)
+    except ValueError:  # operators of unequal shapes do not stack
+        shapes = [np.shape(k) for k in channel]
+        raise ValueError(f"Kraus operators have shapes {shapes}, expected (2, 2)") from None
+    if kraus.ndim > 0 and len(kraus) == 0:
         raise ValueError("channel has no Kraus operators")
-    total = np.zeros((2, 2), dtype=complex)
-    for k in channel:
-        k = np.asarray(k, dtype=complex)
-        if k.shape != (2, 2):
-            raise ValueError(f"Kraus operator has shape {k.shape}, expected (2, 2)")
-        total += k.conj().T @ k
-    deviation = float(np.max(np.abs(total - np.eye(2))))
+    if kraus.ndim < 3 or kraus.shape[-2:] != (2, 2):
+        raise ValueError(f"Kraus operator has shape {kraus.shape[1:]}, expected (2, 2)")
+    return kraus
+
+
+def validate_kraus(channel) -> None:
+    """Raise ValueError unless sum_j K_j^dag K_j = I within COMPLETENESS_ATOL."""
+    kraus = _kraus_stack(channel)
+    total = (kraus.conj().swapaxes(-1, -2) @ kraus).sum(axis=0)
+    deviation = float(abs(total - np.eye(2)).max())
     if deviation > COMPLETENESS_ATOL:
         raise ValueError(
             f"Kraus family is not trace preserving: max |sum K^dag K - I| = {deviation:.3e}"
         )
 
 
-def apply(channel: list[np.ndarray], rho: np.ndarray) -> np.ndarray:
+def apply(channel, rho: np.ndarray) -> np.ndarray:
     """Act with a Kraus channel on a single-qubit operator: sum_j K_j rho K_j^dag."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {rho.shape}")
-    out = np.zeros((2, 2), dtype=complex)
-    for k in channel:
-        out += k @ rho @ k.conj().T
-    return out
+    kraus = _kraus_stack(channel)
+    return (kraus @ rho @ kraus.conj().swapaxes(-1, -2)).sum(axis=0)
 
 
-def apply_to_memory(channel: list[np.ndarray], rho: np.ndarray) -> np.ndarray:
+def apply_to_memory(channel, rho: np.ndarray) -> np.ndarray:
     """Act with a channel on the memory (least significant) half of a two-qubit state.
 
     Returns sum_j (I (x) K_j) rho (I (x) K_j^dag); the probed qubit's
-    marginal is untouched.
+    marginal is untouched. Kraus operators of shape (K, ..., 2, 2) and
+    states of shape (..., 4, 4) broadcast against each other over the
+    stack axes, so one call evolves a stack of states, a stack of
+    channels, or both.
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
+    if rho.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {rho.shape}")
-    rho = rho.reshape(2, 2, 2, 2)  # rho[i, b, j, c]: probe i, j; memory b, c
-    kraus = np.asarray(channel, dtype=complex)
-    return np.einsum("kab,ibjc,kdc->iajd", kraus, rho, kraus.conj()).reshape(4, 4)
+    kraus = _kraus_stack(channel)
+    rho = rho.reshape(rho.shape[:-2] + (2, 2, 2, 2))  # rho[..., i, b, j, c]: probe i, j; memory b, c
+    out = np.einsum("k...ab,...ibjc,k...dc->...iajd", kraus, rho, kraus.conj())
+    return out.reshape(out.shape[:-4] + (4, 4))
 
 
 def choi(channel: list[np.ndarray]) -> np.ndarray:

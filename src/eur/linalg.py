@@ -4,7 +4,13 @@ Everything operates on plain numpy arrays. The tensor-product convention
 puts the left factor on the most significant index: for A of dimension m
 and B of dimension n, the composite basis index is n*i_A + i_B (numpy's
 ``kron`` ordering). Every other module relies on this convention.
+
+`partial_trace`, `_require_hermitian` and `hermitian_eigensystem` act on
+the last two axes and broadcast over any leading stack axes, so one call
+handles a single (d, d) matrix or a whole (..., d, d) stack.
 """
+
+import math
 
 import numpy as np
 
@@ -17,6 +23,10 @@ COMPLETENESS_ATOL = 1e-10    # max |sum K^dag K - I| of a trace-preserving chann
 KRAUS_WEIGHT_CUTOFF = 1e-12  # Choi eigenvalues at or below this give no Kraus operator
 ORTHONORMALITY_ATOL = 1e-12  # max |B^dag B - I| of an orthonormal basis
 PROBABILITY_FLOOR = 1e-12    # outcome probabilities at or below this count as 0
+NEGATIVE_PROBABILITY_FLOOR = -1e-12  # probability entries down to here are roundoff around 0
+PROBABILITY_SUM_ATOL = 1e-9  # |sum p - 1| of a probability vector taken as normalized
+BOUND_ORDER_ATOL = 1e-9      # slack allowed in lhs >= berta and lhs >= holevo
+BOUND_GAP_ATOL = 1e-12       # slack allowed in holevo >= berta
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -28,20 +38,21 @@ def partial_trace(m: np.ndarray, keep, dims) -> np.ndarray:
     """Trace out every subsystem not listed in `keep`.
 
     Args:
-        m: square matrix on a tensor-product space
+        m: square matrix on a tensor-product space, or a stack of them
+            with shape (..., d, d)
         keep: index or indices of the subsystems to retain (0 = most
             significant factor); the retained subsystems stay in their
             original order
         dims: dimension of each subsystem, most significant first
 
     Returns:
-        The reduced matrix on the kept subsystems. The full trace is
-        preserved.
+        The reduced matrix on the kept subsystems, with the same leading
+        stack axes as `m`. The full trace is preserved.
     """
     m = np.asarray(m, dtype=complex)
     dims = [int(d) for d in dims]
-    total = int(np.prod(dims))
-    if m.ndim != 2 or m.shape != (total, total):
+    total = math.prod(dims)
+    if m.shape[-2:] != (total, total):
         raise ValueError(
             f"matrix shape {m.shape} does not match subsystem dims {dims}"
         )
@@ -53,40 +64,51 @@ def partial_trace(m: np.ndarray, keep, dims) -> np.ndarray:
     if keep[0] < 0 or keep[-1] >= len(dims):
         raise ValueError(f"keep indices {keep} out of range for {len(dims)} subsystems")
 
-    t = m.reshape(dims + dims)
+    stack = m.shape[:-2]
+    t = m.reshape(stack + tuple(dims + dims))
+    offset = len(stack)
     n = len(dims)
     for idx in sorted(set(range(n)) - set(keep), reverse=True):
-        t = np.trace(t, axis1=idx, axis2=idx + n)
+        t = t.trace(axis1=offset + idx, axis2=offset + idx + n)
         n -= 1
-    kept_dim = int(np.prod([dims[k] for k in keep]))
-    return t.reshape(kept_dim, kept_dim)
+    kept_dim = math.prod(dims[k] for k in keep)
+    return t.reshape(stack + (kept_dim, kept_dim))
+
+
+def _float_or_array(x):
+    """`x` as a float when it holds one value (from one input matrix),
+    otherwise the array itself (from a stack)."""
+    return float(x) if np.ndim(x) == 0 else x
 
 
 def _require_hermitian(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Return `m` as a complex array, or raise ValueError unless it is a
-    square matrix within HERMITICITY_ATOL of its adjoint."""
+    square matrix, or a stack of them, within HERMITICITY_ATOL of its
+    adjoint everywhere."""
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected {name} to be a square matrix, got shape {m.shape}")
-    deviation = float(np.max(np.abs(m - m.conj().T)))
+    deviation = float(abs(m - m.conj().swapaxes(-1, -2)).max(initial=0.0))
     if deviation > HERMITICITY_ATOL:
         raise ValueError(f"{name} is not Hermitian: max |M - M^dag| = {deviation:.3e}")
     return m
 
 
 def hermitian_eigensystem(m: np.ndarray):
-    """Full eigensystem of a Hermitian matrix, eigenvalues ascending.
+    """Full eigensystem of a Hermitian matrix, or of each in a stack,
+    eigenvalues ascending.
 
     The input is symmetrized as (M + M†)/2 before solving, so roundoff
     accumulated by upstream products cannot leak into the eigenbasis;
     matrices more than HERMITICITY_ATOL from Hermitian are rejected.
 
     Returns:
-        (eigenvalues, eigenvectors): a real 1-D array in ascending order
-        and a unitary matrix whose k-th column is the eigenvector for
-        eigenvalue k. Within a degenerate eigenspace the basis choice is
-        arbitrary and callers must not rely on it.
+        (eigenvalues, eigenvectors): real eigenvalues in ascending order
+        along the last axis, and unitary matrices whose k-th column is the
+        eigenvector for eigenvalue k; both keep the leading stack axes of
+        `m`. Within a degenerate eigenspace the basis choice is arbitrary
+        and callers must not rely on it.
     """
     m = _require_hermitian(m)
-    eigenvalues, eigenvectors = np.linalg.eigh((m + m.conj().T) / 2.0)
+    eigenvalues, eigenvectors = np.linalg.eigh((m + m.conj().swapaxes(-1, -2)) / 2.0)
     return eigenvalues, eigenvectors

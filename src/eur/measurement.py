@@ -3,13 +3,16 @@
 Measurements only ever act on Alice's (most significant) qubit; the
 memory is conditioned, never measured. This asymmetry is baked into the
 API on purpose so subsystem-convention bugs cannot arise.
+
+`post_measurement_state` and `holevo_quantity` take one 4x4 state or a
+(..., 4, 4) stack; `holevo_quantity` returns a float or an array to match.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ORTHONORMALITY_ATOL, PROBABILITY_FLOOR, partial_trace
+from .linalg import ORTHONORMALITY_ATOL, PROBABILITY_FLOOR, _float_or_array, partial_trace
 from .states import memory_marginal, vn_entropy
 
 _SQRT2 = np.sqrt(2.0)
@@ -71,13 +74,31 @@ def complementarity(q: ProjectiveObservable, r: ProjectiveObservable) -> float:
 def _outcome_blocks(obs: ProjectiveObservable, rho: np.ndarray) -> list[np.ndarray]:
     """The unnormalized blocks (P_i (x) I) rho (P_i (x) I), one per outcome i."""
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
+    if rho.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 two-qubit state, got shape {rho.shape}")
-    rho = rho.reshape(2, 2, 2, 2)  # rho[b, j, c, l]: probe b, c; memory j, l
+    stack = rho.shape[:-2]
+    rho = rho.reshape(stack + (2, 2, 2, 2))  # rho[..., b, j, c, l]: probe b, c; memory j, l
     return [
-        np.einsum("ab,bjcl,cd->ajdl", p, rho, p).reshape(4, 4)
+        np.einsum("ab,...bjcl,cd->...ajdl", p, rho, p).reshape(stack + (4, 4))
         for p in map(obs.projector, (0, 1))
     ]
+
+
+def _conditioned(obs: ProjectiveObservable, rho: np.ndarray) -> list[tuple]:
+    """(p_i, rho_B|i, kept_i) for each outcome i, over the whole stack.
+
+    `kept` is False where p_i is at or below PROBABILITY_FLOOR. There the
+    normalizing division is suppressed rather than amplified into noise:
+    rho_B|i is the unnormalized, negligible memory block, a finite matrix
+    whose entropy a zero weight cancels exactly.
+    """
+    conditioned = []
+    for block in _outcome_blocks(obs, rho):
+        p = block.trace(axis1=-2, axis2=-1).real
+        kept = p > PROBABILITY_FLOOR
+        memory = partial_trace(block, keep=[1], dims=[2, 2])
+        conditioned.append((p, memory / np.where(kept, p, 1.0)[..., None, None], kept))
+    return conditioned
 
 
 def post_measurement_state(obs: ProjectiveObservable, rho: np.ndarray) -> np.ndarray:
@@ -92,7 +113,7 @@ def post_measurement_state(obs: ProjectiveObservable, rho: np.ndarray) -> np.nda
 
 
 def measurement_ensemble(obs: ProjectiveObservable, rho: np.ndarray):
-    """Outcome probabilities with the memory states conditioned on them.
+    """Outcome probabilities of one state with the memory states conditioned on them.
 
     Returns [(p_0, rho_B|0), (p_1, rho_B|1)]. An outcome whose probability
     is at or below PROBABILITY_FLOOR carries None in place of a
@@ -100,25 +121,21 @@ def measurement_ensemble(obs: ProjectiveObservable, rho: np.ndarray):
     amplified into noise. The probability-weighted conditional states sum
     back to the memory marginal.
     """
-    ensemble = []
-    for unnormalized in _outcome_blocks(obs, rho):
-        p = float(np.trace(unnormalized).real)
-        if p <= PROBABILITY_FLOOR:
-            ensemble.append((max(p, 0.0), None))
-        else:
-            conditional = partial_trace(unnormalized, keep=[1], dims=[2, 2]) / p
-            ensemble.append((p, conditional))
-    return ensemble
+    if np.shape(rho) != (4, 4):
+        raise ValueError(f"expected one 4x4 two-qubit state, got shape {np.shape(rho)}")
+    return [
+        (float(p), conditional) if kept else (max(float(p), 0.0), None)
+        for p, conditional, kept in _conditioned(obs, rho)
+    ]
 
 
-def holevo_quantity(obs: ProjectiveObservable, rho: np.ndarray) -> float:
+def holevo_quantity(obs: ProjectiveObservable, rho: np.ndarray):
     """Accessible information about the outcome stored in the memory, in bits.
 
     I(O;B) = S(rho_B) - sum_i p_i S(rho_B|i); zero-probability outcomes
-    contribute nothing and are skipped.
+    get weight 0 and so contribute exactly nothing.
     """
     result = vn_entropy(memory_marginal(rho))
-    for p, conditional in measurement_ensemble(obs, rho):
-        if conditional is not None:
-            result -= p * vn_entropy(conditional)
-    return result
+    for p, conditional, kept in _conditioned(obs, rho):
+        result = result - np.where(kept, p, 0.0) * vn_entropy(conditional)
+    return _float_or_array(result)

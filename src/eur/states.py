@@ -10,8 +10,11 @@ import numpy as np
 
 from .linalg import (
     EIGENVALUE_FLOOR,
+    NEGATIVE_PROBABILITY_FLOOR,
     NORM_ATOL,
+    PROBABILITY_SUM_ATOL,
     TRACE_ATOL,
+    _float_or_array,
     hermitian_eigensystem,
     partial_trace,
     tensor,
@@ -128,47 +131,51 @@ def rindler_tripartite_state(r: float) -> np.ndarray:
     return v
 
 
-def vn_entropy(rho: np.ndarray) -> float:
+def vn_entropy(rho: np.ndarray):
     """Von Neumann entropy -tr(rho log2 rho) in bits.
 
-    Eigenvalues in [EIGENVALUE_FLOOR, 0) are clamped to 0; anything more
-    negative means the input is not a state and is a hard error so
-    upstream bugs surface instead of being rounded away.
+    Takes one density matrix and returns a float, or a (..., d, d) stack
+    and returns an array of the stack's shape. Eigenvalues in
+    [EIGENVALUE_FLOOR, 0) are clamped to 0; anything more negative, in
+    any matrix of the stack, means the input is not a state and is a hard
+    error so upstream bugs surface instead of being rounded away.
     """
     eigenvalues, _ = hermitian_eigensystem(rho)
-    if float(eigenvalues[0]) < EIGENVALUE_FLOOR:
+    smallest = float(eigenvalues[..., 0].min(initial=0.0))
+    if smallest < EIGENVALUE_FLOOR:
         raise ValueError(
-            f"not a density matrix: eigenvalue {float(eigenvalues[0]):.3e} below tolerance"
+            f"not a density matrix: eigenvalue {smallest:.3e} below tolerance"
         )
-    clamped = np.clip(eigenvalues, 0.0, 1.0)
-    nonzero = clamped[clamped > 0.0]
-    return float(-np.sum(nonzero * np.log2(nonzero)))
+    clamped = eigenvalues.clip(0.0, 1.0)
+    logs = np.log2(clamped, out=np.zeros_like(clamped), where=clamped > 0.0)
+    return _float_or_array(-(clamped * logs).sum(axis=-1))
 
 
 def shannon_entropy(p) -> float:
     """Shannon entropy of a probability vector in bits, with 0 log 0 = 0.
 
-    Entries in [-1e-12, 0) are treated as 0 (measurement roundoff); more
-    negative entries and vectors not summing to 1 within 1e-9 are errors.
+    Entries in [NEGATIVE_PROBABILITY_FLOOR, 0) are treated as 0
+    (measurement roundoff); more negative entries and vectors not summing
+    to 1 within PROBABILITY_SUM_ATOL are errors.
     """
     p = np.asarray(p, dtype=float)
     if p.ndim != 1:
         raise ValueError(f"expected a probability vector, got shape {p.shape}")
-    if float(p.min(initial=0.0)) < -1e-12:
+    if float(p.min(initial=0.0)) < NEGATIVE_PROBABILITY_FLOOR:
         raise ValueError(f"negative probability {float(p.min()):.3e}")
     p = np.clip(p, 0.0, None)
     total = float(p.sum())
-    if abs(total - 1.0) > 1e-9:
+    if abs(total - 1.0) > PROBABILITY_SUM_ATOL:
         raise ValueError(f"probabilities sum to {total:.12g}, expected 1")
     nonzero = p[p > 0.0]
     return float(-np.sum(nonzero * np.log2(nonzero)))
 
 
 def memory_marginal(rho: np.ndarray) -> np.ndarray:
-    """Bob's reduced state tr_A(rho) of a two-qubit state."""
+    """Bob's reduced state tr_A(rho) of a two-qubit state or a stack of them."""
     return partial_trace(rho, keep=[1], dims=[2, 2])
 
 
 def probe_marginal(rho: np.ndarray) -> np.ndarray:
-    """Alice's reduced state tr_B(rho) of a two-qubit state."""
+    """Alice's reduced state tr_B(rho) of a two-qubit state or a stack of them."""
     return partial_trace(rho, keep=[0], dims=[2, 2])

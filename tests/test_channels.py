@@ -154,6 +154,10 @@ def test_apply_identity_channel_is_identity_map():
     assert np.allclose(apply([I2], rho), rho, atol=0.0)
     with pytest.raises(ValueError):
         apply([I2], np.eye(4))
+    with pytest.raises(ValueError, match="channel has no Kraus operators"):
+        apply([], rho)
+    with pytest.raises(ValueError, match=r"Kraus operator has shape \(3, 3\)"):
+        apply([np.eye(3)], rho)
 
 
 @given(seeds, r_values)
@@ -173,6 +177,16 @@ def test_apply_to_memory_identity_channel():
     assert np.allclose(apply_to_memory([I2], rho), rho, atol=0.0)
     with pytest.raises(ValueError):
         apply_to_memory([I2], np.eye(2))
+    with pytest.raises(ValueError, match="channel has no Kraus operators"):
+        apply_to_memory([], rho)
+    with pytest.raises(ValueError, match=r"Kraus operator has shape \(3, 3\)"):
+        apply_to_memory([np.eye(3)], rho)
+    with pytest.raises(ValueError, match="Kraus operators have shapes"):
+        apply_to_memory([I2, np.eye(3)], rho)
+    # one identity channel per state of a stack: Kraus shape (K, N, 2, 2)
+    stack = np.stack([rho, rho.T, np.eye(4) / 4])
+    identities = np.broadcast_to(I2, (1, 3, 2, 2))
+    assert np.allclose(apply_to_memory(identities, stack), stack, atol=0.0)
 
 
 @pytest.mark.parametrize("r", [0.0, 0.3, np.pi / 4])

@@ -243,12 +243,19 @@ def test_main_returns_io_error_for_unwritable_path(tmp_path, capsys):
 def test_main_reports_invariant_violations(tmp_path, monkeypatch, capsys):
     import eur.cli as cli_module
 
-    bad = [SweepRow(a=0.0, r=0.0, lhs=0.0, berta=1.0, holevo=1.0, delta=0.0)]
+    good = SweepRow(a=0.0, r=0.0, lhs=1.0, berta=0.5, holevo=0.6, delta=0.1)
+    bad = [
+        SweepRow(a=0.0, r=0.0, lhs=0.0, berta=1.0, holevo=1.0, delta=0.0),
+        good,
+        SweepRow(a=1.0, r=0.1, lhs=0.5, berta=0.1, holevo=0.9, delta=0.8),
+    ]
     monkeypatch.setattr(cli_module, "run_sweep", lambda cfg: bad)
     out = tmp_path / "never.csv"
     code = cli_module.main(["sweep", "--preset", "fig2", "--out", str(out)])
     assert code == EXIT_INVARIANT
-    assert "row 0" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "row 0" in err and "row 2" in err
+    assert "row 1" not in err
     assert not out.exists()
 
 

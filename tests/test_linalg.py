@@ -67,9 +67,12 @@ def test_partial_trace_of_maximally_entangled_state_is_maximally_mixed():
 def test_partial_trace_preserves_trace(seed):
     rng = np.random.default_rng(seed)
     m = random_complex(rng, (8, 8))
+    stack = random_complex(rng, (3, 8, 8))
     for keep in ([0], [1], [2], [0, 1], [0, 2], [1, 2], [0, 1, 2]):
         reduced = partial_trace(m, keep=keep, dims=[2, 2, 2])
         assert abs(np.trace(reduced) - np.trace(m)) < 1e-12
+        per_matrix = [partial_trace(s, keep=keep, dims=[2, 2, 2]) for s in stack]
+        assert np.array_equal(partial_trace(stack, keep=keep, dims=[2, 2, 2]), per_matrix)
 
 
 def test_partial_trace_composes_to_full_trace():
