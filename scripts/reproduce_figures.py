@@ -2,32 +2,38 @@
 """Run both preset sweeps and write fig1.csv / fig2.csv side by side.
 
 Thin wrapper over `eur sweep`; point any plotting tool at the CSVs.
+Exit codes are those of `eur sweep`.
 """
 
 import argparse
 import sys
 from pathlib import Path
 
+from eur.cli import EXIT_IO, EXIT_OK
 from eur.cli import main as eur_main
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", default=".", help="directory for the CSV files")
     parser.add_argument("--steps", type=int, default=101, help="grid points per sweep")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot create {outdir}: {exc}", file=sys.stderr)
+        return EXIT_IO
     for preset in ("fig1", "fig2"):
         out = outdir / f"{preset}.csv"
         code = eur_main(
             ["sweep", "--preset", preset, "--steps", str(args.steps), "--out", str(out)]
         )
-        if code != 0:
+        if code != EXIT_OK:
             return code
         print(f"wrote {out}")
-    return 0
+    return EXIT_OK
 
 
 if __name__ == "__main__":

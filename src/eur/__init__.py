@@ -30,7 +30,7 @@ from .channels import (
     unruh_r,
     validate_kraus,
 )
-from .cli import SweepConfig, SweepRow, emit_csv, parse_args, run_sweep
+from .cli import parse_args
 from .linalg import hermitian_eigensystem, partial_trace, tensor
 from .measurement import (
     ProjectiveObservable,
@@ -60,8 +60,6 @@ __all__ = [
     "EurReport",
     "PAULI",
     "ProjectiveObservable",
-    "SweepConfig",
-    "SweepRow",
     "UnruhParams",
     "amplitude_damping",
     "apply",
@@ -73,7 +71,6 @@ __all__ = [
     "complementarity",
     "conditional_entropy",
     "delta",
-    "emit_csv",
     "evaluate_eur",
     "from_pure",
     "hermitian_eigensystem",
@@ -91,7 +88,6 @@ __all__ = [
     "probe_marginal",
     "rindler_tripartite_state",
     "robertson_bound",
-    "run_sweep",
     "shannon_entropy",
     "tensor",
     "uncertainty_lhs",

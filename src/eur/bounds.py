@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _float_or_array, _require_hermitian
+from .linalg import BOUND_GAP_ATOL, BOUND_ORDER_ATOL, _float_or_array, _require_hermitian
 from .measurement import (
     ProjectiveObservable,
     complementarity,
@@ -149,6 +149,25 @@ def evaluate_eur(
         i_qb=holevo_quantity(q, rho),
         i_rb=holevo_quantity(r, rho),
     )
+
+
+def bound_violations(lhs, berta, holevo) -> list:
+    """Check lhs >= holevo >= berta at every point of three equal-length columns.
+
+    Returns (index, message) for each violating point, ascending; the
+    message names the first of lhs >= berta, lhs >= holevo and
+    holevo >= berta that fails, e.g. "lhs 0 below berta 1". NaN fails none.
+    """
+    columns = {"lhs": np.asarray(lhs, dtype=float), "berta": np.asarray(berta, dtype=float),
+               "holevo": np.asarray(holevo, dtype=float)}
+    found = {}
+    for upper, lower, atol in (("lhs", "berta", BOUND_ORDER_ATOL),
+                               ("lhs", "holevo", BOUND_ORDER_ATOL),
+                               ("holevo", "berta", BOUND_GAP_ATOL)):
+        high, low = columns[upper], columns[lower]
+        for i in np.flatnonzero(high < low - atol).tolist():
+            found.setdefault(i, f"{upper} {high[i]:.12g} below {lower} {low[i]:.12g}")
+    return sorted(found.items())
 
 
 def robertson_bound(q_op: np.ndarray, r_op: np.ndarray, psi: np.ndarray):

@@ -1,4 +1,4 @@
-"""Command-line harness: sweep the acceleration channel and emit CSV rows.
+"""Command-line harness: sweep the acceleration channel and emit CSV.
 
 Each row evaluates the uncertainty sum and both memory-assisted bounds
 on the chosen initial state after its memory half passes through the
@@ -15,9 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import evaluate_eur
+from .bounds import bound_violations, evaluate_eur
 from .channels import R_MAX, UnruhParams, apply_to_memory, unruh_channel, unruh_r
-from .linalg import BOUND_GAP_ATOL, BOUND_ORDER_ATOL
 from .measurement import pauli_observable
 from .states import bell_diagonal_p, x_state
 
@@ -28,8 +27,12 @@ EXIT_IO = 4
 
 CSV_HEADER = "a,r,lhs,berta,holevo,delta"
 
-# Grid points evaluated per stacked call; bounds the sweep's array memory.
+# Grid points evaluated, or written, per stacked call; bounds the sweep's
+# temporary arrays.
 _SWEEP_CHUNK = 1024
+
+# Largest accepted --steps; the sweep's float columns then take about 480 MB.
+MAX_STEPS = 10**7
 
 # Flag values the named presets expand to; explicit flags override them.
 PRESETS = {
@@ -85,34 +88,23 @@ class SweepConfig:
             raise ValueError(f"sweep-var must be 'a' or 'r', got {self.sweep_var!r}")
         if self.sweep_var == "r" and self.a_max > R_MAX:
             raise ValueError(f"r sweep bound must lie in [0, pi/4], got a-max {self.a_max}")
-        if self.steps < 2:
-            raise ValueError(f"steps must be >= 2, got {self.steps}")
+        if not 2 <= self.steps <= MAX_STEPS:
+            raise ValueError(f"steps must lie in [2, {MAX_STEPS}], got {self.steps}")
 
 
 @dataclass(frozen=True)
-class SweepRow:
-    """One evaluated grid point; `a` is None when sweeping r directly."""
+class Sweep:
+    """An evaluated grid as ascending columns; `a` is None for an r-sweep."""
 
-    a: float | None
-    r: float
-    lhs: float
-    berta: float
-    holevo: float
-    delta: float
-
-
-def row_violation(row: SweepRow) -> str | None:
-    """Name the violated row invariant, or return None if all hold."""
-    if row.lhs < row.berta - BOUND_ORDER_ATOL:
-        return f"lhs {row.lhs:.12g} below berta {row.berta:.12g}"
-    if row.lhs < row.holevo - BOUND_ORDER_ATOL:
-        return f"lhs {row.lhs:.12g} below holevo {row.holevo:.12g}"
-    if row.holevo < row.berta - BOUND_GAP_ATOL:
-        return f"holevo {row.holevo:.12g} below berta {row.berta:.12g}"
-    return None
+    a: np.ndarray | None
+    r: np.ndarray
+    lhs: np.ndarray
+    berta: np.ndarray
+    holevo: np.ndarray
+    delta: np.ndarray
 
 
-def run_sweep(cfg: SweepConfig) -> list:
+def run_sweep(cfg: SweepConfig) -> Sweep:
     """Evaluate the uncertainty report on an evenly spaced grid, ascending.
 
     `r` is computed point by point; the states and reports are computed
@@ -122,48 +114,34 @@ def run_sweep(cfg: SweepConfig) -> list:
     r_obs = pauli_observable(cfg.obs[1])
     initial = bell_diagonal_p(cfg.p) if cfg.state == "bell" else x_state(cfg.p)
 
-    grid = np.linspace(cfg.a_min, cfg.a_max, cfg.steps).tolist()
-    if cfg.sweep_var == "a":
-        a_values = grid
-        r_values = [unruh_r(UnruhParams(a=a, omega=cfg.omega)) for a in grid]
-    else:
-        a_values = [None] * len(grid)
-        r_values = grid
-
-    rows = []
-    for start in range(0, len(grid), _SWEEP_CHUNK):
-        a_chunk = a_values[start:start + _SWEEP_CHUNK]
-        r_chunk = r_values[start:start + _SWEEP_CHUNK]
-        kraus = np.stack([unruh_channel(r) for r in r_chunk], axis=1)
+    grid = np.linspace(cfg.a_min, cfg.a_max, cfg.steps)
+    sweep_a = cfg.sweep_var == "a"
+    r_values = np.empty(cfg.steps) if sweep_a else grid
+    values = np.empty((4, cfg.steps))  # lhs, berta, holevo, delta
+    for start in range(0, cfg.steps, _SWEEP_CHUNK):
+        part = slice(start, start + _SWEEP_CHUNK)
+        if sweep_a:
+            r_values[part] = [unruh_r(UnruhParams(a=a, omega=cfg.omega)) for a in grid[part].tolist()]
+        kraus = np.stack([unruh_channel(r) for r in r_values[part].tolist()], axis=1)
         report = evaluate_eur(q, r_obs, apply_to_memory(kraus, initial))
-        columns = (report.lhs, report.berta_bound, report.holevo_bound, report.delta)
-        rows.extend(
-            SweepRow(a, r, *values)
-            for a, r, *values in zip(a_chunk, r_chunk, *(c.tolist() for c in columns))
-        )
-    return rows
+        values[:, part] = report.lhs, report.berta_bound, report.holevo_bound, report.delta
+    return Sweep(grid if sweep_a else None, r_values, *values)
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".12g")
-
-
-def emit_csv(rows, path: str) -> None:
-    """Write rows as CSV: 12 significant digits, LF endings, overwrite."""
-    if not rows:
+def emit_csv(sweep: Sweep, path: str) -> None:
+    """Write the sweep as CSV: 12 significant digits, LF endings, overwrite."""
+    if len(sweep.r) == 0:
         raise ValueError("no rows to write")
+    columns = [sweep.r, sweep.lhs, sweep.berta, sweep.holevo, sweep.delta]
+    fmt = ",%.12g" * len(columns) + "\n"  # the a field stays blank for an r-sweep
+    if sweep.a is not None:
+        columns, fmt = [sweep.a, *columns], "%.12g" + fmt
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")
-        for row in rows:
-            fields = [
-                "" if row.a is None else _fmt(row.a),
-                _fmt(row.r),
-                _fmt(row.lhs),
-                _fmt(row.berta),
-                _fmt(row.holevo),
-                _fmt(row.delta),
-            ]
-            fh.write(",".join(fields) + "\n")
+        # chunk by chunk, so no Python list spans the whole grid
+        for start in range(0, len(sweep.r), _SWEEP_CHUNK):
+            rows = zip(*(column[start:start + _SWEEP_CHUNK].tolist() for column in columns))
+            fh.writelines(fmt % row for row in rows)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -188,7 +166,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--a-max", type=float, default=None, dest="a_max",
                        help="upper sweep bound (default 20*omega*2pi, or pi/4 when sweeping r)")
     sweep.add_argument("--steps", type=int, default=None,
-                       help="number of grid points, >= 2 (default 101)")
+                       help=f"number of grid points, 2 to {MAX_STEPS} (default 101)")
     sweep.add_argument("--sweep-var", choices=["a", "r"], default=None, dest="sweep_var",
                        help="sweep the acceleration or the mixing angle directly (default a)")
     sweep.add_argument("--out", default=None, help="output CSV path (default eur_sweep.csv)")
@@ -238,17 +216,13 @@ def parse_args(argv=None) -> SweepConfig:
 def main(argv=None) -> int:
     """Entry point. Exit codes: 0 ok, 2 usage, 3 result invariant, 4 I/O."""
     cfg = parse_args(argv)
-    rows = run_sweep(cfg)
-    problems = [
-        f"error: row {index}: {problem}"
-        for index, row in enumerate(rows)
-        if (problem := row_violation(row)) is not None
-    ]
+    sweep = run_sweep(cfg)
+    problems = bound_violations(sweep.lhs, sweep.berta, sweep.holevo)
     if problems:
-        print("\n".join(problems), file=sys.stderr)
+        print("\n".join(f"error: row {i}: {problem}" for i, problem in problems), file=sys.stderr)
         return EXIT_INVARIANT
     try:
-        emit_csv(rows, cfg.out_path)
+        emit_csv(sweep, cfg.out_path)
     except OSError as exc:
         print(f"error: cannot write {cfg.out_path}: {exc}", file=sys.stderr)
         return EXIT_IO

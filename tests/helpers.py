@@ -91,3 +91,29 @@ def apply_kraus(ops, rho):
 def apply_kraus_to_memory(ops, rho):
     """Reference action on the second (memory) qubit of a two-qubit state via kron(I, K)."""
     return apply_kraus([np.kron(I2, k) for k in ops], rho)
+
+
+# Slack of the sweep's bound ordering lhs >= holevo >= berta, written out
+# here so that a change of the package's values shows up as a failure.
+BOUND_ORDER_ATOL = 1e-9  # lhs >= berta and lhs >= holevo
+BOUND_GAP_ATOL = 1e-12   # holevo >= berta
+
+
+def row_violation(lhs, berta, holevo):
+    """Reference check of one sweep row: the first violated inequality, or None."""
+    if lhs < berta - BOUND_ORDER_ATOL:
+        return f"lhs {lhs:.12g} below berta {berta:.12g}"
+    if lhs < holevo - BOUND_ORDER_ATOL:
+        return f"lhs {lhs:.12g} below holevo {holevo:.12g}"
+    if holevo < berta - BOUND_GAP_ATOL:
+        return f"holevo {holevo:.12g} below berta {berta:.12g}"
+    return None
+
+
+def reference_bound_violations(lhs, berta, holevo):
+    """(index, message) for every row that `row_violation` rejects, row by row."""
+    return [
+        (i, message)
+        for i, row in enumerate(zip(lhs, berta, holevo))
+        if (message := row_violation(*row)) is not None
+    ]

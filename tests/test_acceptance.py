@@ -94,26 +94,24 @@ BASIS_Y = [np.array([1, 1j]) / np.sqrt(2), np.array([1, -1j]) / np.sqrt(2)]
 
 def test_criterion_1_fig2_anchor_is_zero():
     start = time.perf_counter()
-    rows = run_sweep(parse_args(["sweep", "--preset", "fig2", "--a-max", "0", "--steps", "2"]))
+    sweep = run_sweep(parse_args(["sweep", "--preset", "fig2", "--a-max", "0", "--steps", "2"]))
     elapsed = time.perf_counter() - start
-    anchor = rows[0]
-    assert anchor.a == 0.0 and anchor.r == 0.0
-    assert abs(anchor.lhs) < 1e-9
-    assert abs(anchor.berta) < 1e-9
-    assert abs(anchor.holevo) < 1e-9
+    assert sweep.a[0] == 0.0 and sweep.r[0] == 0.0
+    assert abs(sweep.lhs[0]) < 1e-9
+    assert abs(sweep.berta[0]) < 1e-9
+    assert abs(sweep.holevo[0]) < 1e-9
     assert elapsed < 0.1
     report(1, "fig2 anchor lhs = berta = holevo = 0")
 
 
 def test_criterion_2_fig2_tightness_and_monotonicity():
     start = time.perf_counter()
-    rows = run_sweep(parse_args(["sweep", "--preset", "fig2"]))
+    sweep = run_sweep(parse_args(["sweep", "--preset", "fig2"]))
     elapsed = time.perf_counter() - start
-    assert len(rows) == 101
-    assert rows[-1].holevo - rows[-1].berta > 1e-9
-    for earlier, later in zip(rows, rows[1:]):
-        assert later.berta >= earlier.berta - 1e-12
-        assert later.holevo >= earlier.holevo - 1e-12
+    assert sweep.r.shape == (101,)
+    assert sweep.holevo[-1] - sweep.berta[-1] > 1e-9
+    assert np.all(sweep.berta[1:] >= sweep.berta[:-1] - 1e-12)
+    assert np.all(sweep.holevo[1:] >= sweep.holevo[:-1] - 1e-12)
     assert elapsed < 1.0
     report(2, "fig2 tightness and monotone bounds over 101 rows")
 
@@ -130,17 +128,15 @@ def test_criterion_3_fig1_anchor_against_brute_force_oracle():
     assert oracle_holevo == pytest.approx(1.811278, abs=1e-6)
 
     start = time.perf_counter()
-    rows = run_sweep(parse_args(["sweep", "--preset", "fig1"]))
+    sweep = run_sweep(parse_args(["sweep", "--preset", "fig1"]))
     elapsed = time.perf_counter() - start
-    anchor = rows[0]
-    assert anchor.a == 0.0
-    assert anchor.berta == pytest.approx(1.5, abs=1e-6)
-    assert anchor.holevo == pytest.approx(1.811278, abs=1e-6)
-    assert anchor.berta == pytest.approx(oracle_berta, abs=1e-9)
-    assert anchor.holevo == pytest.approx(oracle_holevo, abs=1e-9)
-    for earlier, later in zip(rows, rows[1:]):
-        assert later.berta >= earlier.berta - 1e-12
-        assert later.holevo >= earlier.holevo - 1e-12
+    assert sweep.a[0] == 0.0
+    assert sweep.berta[0] == pytest.approx(1.5, abs=1e-6)
+    assert sweep.holevo[0] == pytest.approx(1.811278, abs=1e-6)
+    assert sweep.berta[0] == pytest.approx(oracle_berta, abs=1e-9)
+    assert sweep.holevo[0] == pytest.approx(oracle_holevo, abs=1e-9)
+    assert np.all(sweep.berta[1:] >= sweep.berta[:-1] - 1e-12)
+    assert np.all(sweep.holevo[1:] >= sweep.holevo[:-1] - 1e-12)
     assert elapsed < 1.0
     report(3, "fig1 anchor berta = 1.5, holevo = 1.811278, monotone in a")
 

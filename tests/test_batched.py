@@ -100,9 +100,10 @@ def test_checks_cover_every_matrix_of_a_stack():
     ["--preset", "fig1"],
     ["--preset", "fig2", "--sweep-var", "r"],
 ], ids=["a-sweep", "r-sweep"])
-def test_sweep_chunk_seams_do_not_change_rows(monkeypatch, flags):
+def test_sweep_chunk_seams_do_not_change_rows(monkeypatch, tmp_path, flags):
     cfg = cli.parse_args(["sweep", *flags, "--steps", "11"])
     whole = cli.run_sweep(cfg)
+    cli.emit_csv(whole, str(tmp_path / "whole.csv"))
 
     seen = []
     evaluate = cli.evaluate_eur
@@ -113,5 +114,13 @@ def test_sweep_chunk_seams_do_not_change_rows(monkeypatch, flags):
 
     monkeypatch.setattr(cli, "_SWEEP_CHUNK", 4)
     monkeypatch.setattr(cli, "evaluate_eur", spy)
-    assert cli.run_sweep(cfg) == whole
+    chunked = cli.run_sweep(cfg)
+    for field in dataclasses.fields(whole):
+        got, expected = getattr(chunked, field.name), getattr(whole, field.name)
+        if expected is None:
+            assert got is None, field.name  # an r-sweep has no a column
+        else:
+            assert np.array_equal(got, expected), field.name
     assert seen == [4, 4, 3]
+    cli.emit_csv(chunked, str(tmp_path / "chunked.csv"))  # written 4, 4 and 3 rows at a time
+    assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()

@@ -1,5 +1,7 @@
 """Uncertainty sums, the memory-assisted lower bounds, and the report."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from eur.bounds import (
     berta_bound,
+    bound_violations,
     conditional_entropy,
     delta,
     evaluate_eur,
@@ -22,6 +25,8 @@ from eur.linalg import tensor
 from eur.measurement import ProjectiveObservable, holevo_quantity, measurement_ensemble, pauli_observable
 from eur.states import bell_diagonal_p, shannon_entropy, x_state
 from helpers import (
+    BOUND_GAP_ATOL,
+    BOUND_ORDER_ATOL,
     PHI_PLUS,
     SX,
     SY,
@@ -30,6 +35,7 @@ from helpers import (
     random_density_matrix,
     random_pure_state,
     random_unitary,
+    reference_bound_violations,
 )
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -230,3 +236,50 @@ def test_unruh_temperature_values():
     assert unruh_temperature(1.0) == pytest.approx(0.15915494309189535, abs=1e-15)
     with pytest.raises(ValueError):
         unruh_temperature(-1.0)
+
+
+def test_bound_violations_detects_each_invariant():
+    lhs, berta, holevo = zip(
+        (1.0, 0.5, 0.6),  # lhs >= holevo >= berta holds
+        (0.1, 0.5, 0.1),  # lhs below berta
+        (0.5, 0.1, 0.9),  # lhs below holevo only
+        (1.0, 0.5, 0.4),  # holevo below berta only
+        (0.0, 1.0, 2.0),  # every inequality fails; the first is named
+        (math.nan, 0.5, 0.6),  # NaN compares false, so it violates nothing
+    )
+    assert bound_violations(np.array(lhs), np.array(berta), np.array(holevo)) == [
+        (1, "lhs 0.1 below berta 0.5"),
+        (2, "lhs 0.5 below holevo 0.9"),
+        (3, "holevo 0.4 below berta 0.5"),
+        (4, "lhs 0 below berta 1"),
+    ]
+    assert bound_violations(np.empty(0), np.empty(0), np.empty(0)) == []
+
+
+bound_values = st.floats(min_value=-8.0, max_value=8.0)
+
+
+def near_edge(draw, bound, atol):
+    """A value free of `bound`, exactly at its slack `bound - atol`, or one ulp past it."""
+    kind = draw(st.sampled_from(("free", "at", "past")))
+    if kind == "free":
+        return draw(bound_values)
+    edge = bound - atol
+    return edge if kind == "at" else math.nextafter(edge, -math.inf)
+
+
+@st.composite
+def bound_rows(draw):
+    berta = draw(bound_values)
+    holevo = near_edge(draw, berta, BOUND_GAP_ATOL)
+    lhs = near_edge(draw, draw(st.sampled_from((berta, holevo))), BOUND_ORDER_ATOL)
+    return lhs, berta, holevo
+
+
+@given(st.lists(bound_rows(), max_size=12))
+@settings(max_examples=300, deadline=None)
+def test_bound_violations_match_the_row_by_row_reference(rows):
+    lhs, berta, holevo = (list(column) for column in zip(*rows)) if rows else ([], [], [])
+    assert bound_violations(np.array(lhs), np.array(berta), np.array(holevo)) == (
+        reference_bound_violations(lhs, berta, holevo)
+    )

@@ -2,42 +2,44 @@
 
 import math
 
+import numpy as np
 import pytest
 
+from eur.bounds import bound_violations
 from eur.cli import (
     CSV_HEADER,
     EXIT_INVARIANT,
     EXIT_IO,
     EXIT_OK,
+    MAX_STEPS,
+    Sweep,
     SweepConfig,
-    SweepRow,
     emit_csv,
     main,
     parse_args,
-    row_violation,
     run_sweep,
 )
 
+FIELDS = ("a", "r", "lhs", "berta", "holevo", "delta")
 
-def read_rows(path):
+
+def sweep_of(*rows):
+    """A Sweep from row tuples (a, r, lhs, berta, holevo, delta); a None `a` blanks the column."""
+    columns = [np.array(column, dtype=float) for column in zip(*rows)]
+    if rows[0][0] is None:
+        columns[0] = None
+    return Sweep(*columns)
+
+
+def read_sweep(path):
     lines = path.read_text(encoding="ascii").split("\n")
     assert lines[-1] == ""  # trailing LF
     header, *body = lines[:-1]
     assert header == CSV_HEADER
-    rows = []
-    for line in body:
-        fields = line.split(",")
-        rows.append(
-            SweepRow(
-                a=None if fields[0] == "" else float(fields[0]),
-                r=float(fields[1]),
-                lhs=float(fields[2]),
-                berta=float(fields[3]),
-                holevo=float(fields[4]),
-                delta=float(fields[5]),
-            )
-        )
-    return rows
+    return sweep_of(*(
+        [None if field == "" else float(field) for field in line.split(",")]
+        for line in body
+    ))
 
 
 def test_parse_preset_fig1_defaults():
@@ -99,6 +101,15 @@ def test_parse_rejects_bad_ranges(capsys):
         assert exc.value.code == 2
 
 
+def test_parse_rejects_steps_above_the_cap(capsys):
+    # a rejected config allocates nothing, so the extreme value is safe here
+    with pytest.raises(SystemExit) as exc:
+        parse_args(["sweep", "--steps", str(10**12)])
+    assert exc.value.code == 2
+    assert "steps must lie in [2, 10000000]" in capsys.readouterr().err
+    assert parse_args(["sweep", "--steps", str(MAX_STEPS)]).steps == MAX_STEPS
+
+
 def test_r_sweep_mode_parses_bounds_as_angles():
     cfg = parse_args(["sweep", "--sweep-var", "r", "--a-min", "0", "--a-max", "0.785398"])
     assert cfg.sweep_var == "r"
@@ -113,57 +124,54 @@ def test_r_sweep_mode_defaults_to_full_angle_range():
 
 def test_run_sweep_row_grid():
     cfg = parse_args(["sweep", "--preset", "fig2", "--steps", "11"])
-    rows = run_sweep(cfg)
-    assert len(rows) == 11
-    accelerations = [row.a for row in rows]
-    assert accelerations == sorted(accelerations)
-    assert accelerations[0] == 0.0
-    assert accelerations[-1] == pytest.approx(cfg.a_max)
-    for row in rows:
-        assert row_violation(row) is None
+    sweep = run_sweep(cfg)
+    for field in FIELDS:
+        assert getattr(sweep, field).shape == (11,)
+    assert np.all(np.diff(sweep.a) > 0)
+    assert sweep.a[0] == 0.0
+    assert sweep.a[-1] == pytest.approx(cfg.a_max)
+    assert bound_violations(sweep.lhs, sweep.berta, sweep.holevo) == []
 
 
 def test_run_sweep_fig2_anchor_is_zero():
-    rows = run_sweep(parse_args(["sweep", "--preset", "fig2", "--steps", "2"]))
-    first = rows[0]
-    assert first.r == 0.0
-    assert abs(first.lhs) < 1e-9
-    assert abs(first.berta) < 1e-9
-    assert abs(first.holevo) < 1e-9
+    sweep = run_sweep(parse_args(["sweep", "--preset", "fig2", "--steps", "2"]))
+    assert sweep.r[0] == 0.0
+    assert abs(sweep.lhs[0]) < 1e-9
+    assert abs(sweep.berta[0]) < 1e-9
+    assert abs(sweep.holevo[0]) < 1e-9
 
 
 def test_run_sweep_fig1_anchor_values():
-    rows = run_sweep(parse_args(["sweep", "--preset", "fig1", "--steps", "2"]))
-    first = rows[0]
-    assert first.berta == pytest.approx(1.5, abs=1e-9)
-    assert first.holevo == pytest.approx(1.8112781244591328, abs=1e-9)
+    sweep = run_sweep(parse_args(["sweep", "--preset", "fig1", "--steps", "2"]))
+    assert sweep.berta[0] == pytest.approx(1.5, abs=1e-9)
+    assert sweep.holevo[0] == pytest.approx(1.8112781244591328, abs=1e-9)
 
 
 def test_run_sweep_r_mode_has_blank_acceleration():
     cfg = parse_args(
         ["sweep", "--sweep-var", "r", "--a-min", "0", "--a-max", "0.785398", "--steps", "5"]
     )
-    rows = run_sweep(cfg)
-    assert all(row.a is None for row in rows)
-    assert rows[-1].r == pytest.approx(0.785398)
+    sweep = run_sweep(cfg)
+    assert sweep.a is None
+    assert sweep.r.shape == (5,)
+    assert sweep.r[-1] == pytest.approx(0.785398)
 
 
 @pytest.mark.parametrize("preset", ["fig1", "fig2"])
 def test_bound_columns_are_monotone(preset):
-    rows = run_sweep(parse_args(["sweep", "--preset", preset, "--steps", "21"]))
-    for earlier, later in zip(rows, rows[1:]):
-        assert later.berta >= earlier.berta - 1e-9
-        assert later.holevo >= earlier.holevo - 1e-9
-        assert later.holevo >= later.berta - 1e-12
+    sweep = run_sweep(parse_args(["sweep", "--preset", preset, "--steps", "21"]))
+    assert np.all(sweep.berta[1:] >= sweep.berta[:-1] - 1e-9)
+    assert np.all(sweep.holevo[1:] >= sweep.holevo[:-1] - 1e-9)
+    assert np.all(sweep.holevo >= sweep.berta - 1e-12)
 
 
 def test_emit_csv_layout(tmp_path):
-    rows = [
-        SweepRow(a=0.0, r=0.0, lhs=1.0, berta=0.5, holevo=0.75, delta=0.25),
-        SweepRow(a=1.5, r=0.25, lhs=1.25, berta=0.5, holevo=0.8, delta=0.3),
-    ]
+    sweep = sweep_of(
+        (0.0, 0.0, 1.0, 0.5, 0.75, 0.25),
+        (1.5, 0.25, 1.25, 0.5, 0.8, 0.3),
+    )
     out = tmp_path / "rows.csv"
-    emit_csv(rows, str(out))
+    emit_csv(sweep, str(out))
     text = out.read_text(encoding="ascii")
     assert text.count("\n") == 3
     assert "\r" not in text
@@ -172,25 +180,20 @@ def test_emit_csv_layout(tmp_path):
 
 def test_emit_csv_uses_twelve_significant_digits(tmp_path):
     value = 1.2345678901234567
-    rows = [SweepRow(a=value, r=value, lhs=value, berta=value, holevo=value, delta=value)]
     out = tmp_path / "digits.csv"
-    emit_csv(rows, str(out))
+    emit_csv(sweep_of((value,) * 6), str(out))
     body = out.read_text(encoding="ascii").split("\n")[1]
     assert body == ",".join(["1.23456789012"] * 6)
 
 
 def test_emit_csv_round_trips_within_tolerance(tmp_path):
     cfg = parse_args(["sweep", "--preset", "fig1", "--steps", "7"])
-    rows = run_sweep(cfg)
+    sweep = run_sweep(cfg)
     out = tmp_path / "round.csv"
-    emit_csv(rows, str(out))
-    parsed = read_rows(out)
-    assert len(parsed) == len(rows)
-    for original, reread in zip(rows, parsed):
-        for field in ("a", "r", "lhs", "berta", "holevo", "delta"):
-            assert getattr(reread, field) == pytest.approx(
-                getattr(original, field), abs=1e-10
-            )
+    emit_csv(sweep, str(out))
+    parsed = read_sweep(out)
+    for field in FIELDS:
+        assert getattr(parsed, field) == pytest.approx(getattr(sweep, field), abs=1e-10)
 
 
 def test_emit_csv_blank_field_when_sweeping_r(tmp_path):
@@ -204,16 +207,17 @@ def test_emit_csv_blank_field_when_sweeping_r(tmp_path):
 
 
 def test_emit_csv_rejects_empty_rows(tmp_path):
+    empty = Sweep(*(np.empty(0) for _ in FIELDS))
     with pytest.raises(ValueError, match="no rows"):
-        emit_csv([], str(tmp_path / "empty.csv"))
+        emit_csv(empty, str(tmp_path / "empty.csv"))
 
 
 def test_emit_csv_overwrites_idempotently(tmp_path):
-    rows = run_sweep(parse_args(["sweep", "--preset", "fig2", "--steps", "3"]))
+    sweep = run_sweep(parse_args(["sweep", "--preset", "fig2", "--steps", "3"]))
     out = tmp_path / "twice.csv"
-    emit_csv(rows, str(out))
+    emit_csv(sweep, str(out))
     first = out.read_text(encoding="ascii")
-    emit_csv(rows, str(out))
+    emit_csv(sweep, str(out))
     assert out.read_text(encoding="ascii") == first
 
 
@@ -226,11 +230,10 @@ def test_main_writes_file_and_returns_zero(tmp_path, flags, last_r):
     out = tmp_path / "sweep.csv"
     code = main(["sweep", *flags, "--steps", "5", "--out", str(out)])
     assert code == EXIT_OK
-    rows = read_rows(out)
-    assert len(rows) == 5
-    assert rows[-1].r == pytest.approx(last_r, abs=1e-12)
-    for row in rows:
-        assert row_violation(row) is None
+    sweep = read_sweep(out)
+    assert sweep.r.shape == (5,)
+    assert sweep.r[-1] == pytest.approx(last_r, abs=1e-12)
+    assert bound_violations(sweep.lhs, sweep.berta, sweep.holevo) == []
 
 
 def test_main_returns_io_error_for_unwritable_path(tmp_path, capsys):
@@ -243,19 +246,19 @@ def test_main_returns_io_error_for_unwritable_path(tmp_path, capsys):
 def test_main_reports_invariant_violations(tmp_path, monkeypatch, capsys):
     import eur.cli as cli_module
 
-    good = SweepRow(a=0.0, r=0.0, lhs=1.0, berta=0.5, holevo=0.6, delta=0.1)
-    bad = [
-        SweepRow(a=0.0, r=0.0, lhs=0.0, berta=1.0, holevo=1.0, delta=0.0),
-        good,
-        SweepRow(a=1.0, r=0.1, lhs=0.5, berta=0.1, holevo=0.9, delta=0.8),
-    ]
+    bad = sweep_of(
+        (0.0, 0.0, 0.0, 1.0, 1.0, 0.0),
+        (0.0, 0.0, 1.0, 0.5, 0.6, 0.1),
+        (1.0, 0.1, 0.5, 0.1, 0.9, 0.8),
+    )
     monkeypatch.setattr(cli_module, "run_sweep", lambda cfg: bad)
     out = tmp_path / "never.csv"
     code = cli_module.main(["sweep", "--preset", "fig2", "--out", str(out)])
     assert code == EXIT_INVARIANT
-    err = capsys.readouterr().err
-    assert "row 0" in err and "row 2" in err
-    assert "row 1" not in err
+    assert capsys.readouterr().err.splitlines() == [
+        "error: row 0: lhs 0 below berta 1",
+        "error: row 2: lhs 0.5 below holevo 0.9",
+    ]
     assert not out.exists()
 
 
@@ -272,21 +275,7 @@ def test_module_entry_point(tmp_path):
     )
     assert result.returncode == EXIT_OK
     assert out.exists()
-    assert read_rows(out)[0].berta == pytest.approx(1.5, abs=1e-9)
-
-
-def test_row_violation_detects_each_invariant():
-    good = SweepRow(a=0.0, r=0.0, lhs=1.0, berta=0.5, holevo=0.6, delta=0.1)
-    assert row_violation(good) is None
-    assert "berta" in row_violation(
-        SweepRow(a=0.0, r=0.0, lhs=0.1, berta=0.5, holevo=0.1, delta=0.0)
-    )
-    assert "holevo" in row_violation(
-        SweepRow(a=0.0, r=0.0, lhs=0.5, berta=0.1, holevo=0.9, delta=0.8)
-    )
-    assert row_violation(
-        SweepRow(a=0.0, r=0.0, lhs=1.0, berta=0.5, holevo=0.4, delta=0.0)
-    ) is not None
+    assert read_sweep(out).berta[0] == pytest.approx(1.5, abs=1e-9)
 
 
 def test_sweep_config_validates_directly():
@@ -294,6 +283,11 @@ def test_sweep_config_validates_directly():
         SweepConfig(
             state="bell", p=0.5, obs=("x", "y"), omega=0.1,
             a_min=0.0, a_max=1.0, steps=1, sweep_var="a", out_path="out.csv",
+        )
+    with pytest.raises(ValueError, match="steps"):
+        SweepConfig(
+            state="bell", p=0.5, obs=("x", "y"), omega=0.1,
+            a_min=0.0, a_max=1.0, steps=10**12, sweep_var="a", out_path="out.csv",
         )
     with pytest.raises(ValueError, match="state"):
         SweepConfig(
