@@ -2,14 +2,15 @@
 """Run both preset sweeps and write fig1.csv / fig2.csv side by side.
 
 Thin wrapper over `eur sweep`; point any plotting tool at the CSVs.
-Exit codes are those of `eur sweep`.
+Exit codes are those of `eur sweep`; a --steps that `eur sweep` would
+reject exits 2 before --outdir is created.
 """
 
 import argparse
 import sys
 from pathlib import Path
 
-from eur.cli import EXIT_IO, EXIT_OK
+from eur.cli import EXIT_IO, EXIT_OK, MAX_STEPS
 from eur.cli import main as eur_main
 
 
@@ -18,6 +19,8 @@ def main(argv=None) -> int:
     parser.add_argument("--outdir", default=".", help="directory for the CSV files")
     parser.add_argument("--steps", type=int, default=101, help="grid points per sweep")
     args = parser.parse_args(argv)
+    if not 2 <= args.steps <= MAX_STEPS:  # before mkdir, so a bad value creates nothing
+        parser.error(f"steps must lie in [2, {MAX_STEPS}], got {args.steps}")
 
     outdir = Path(args.outdir)
     try:

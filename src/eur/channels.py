@@ -1,9 +1,10 @@
 """Qubit channels in Kraus form, and the acceleration-induced noise channel.
 
-A channel is a list of 2x2 complex Kraus operators K_j satisfying the
-trace-preservation condition sum_j K_j^dag K_j = I. A stack of channels,
-one per state of a stack, is an array of shape (K, ..., 2, 2): operator
-j of every channel sits at index j of the first axis. The Choi matrix uses
+A channel is its Kraus operators K_j, which satisfy the trace-preservation
+condition sum_j K_j^dag K_j = I, as one complex array of shape
+(K, ..., 2, 2): operator j sits at index j of the first axis, and any
+axes in between stack one channel per state of a stack of states. A list
+of K 2x2 matrices is accepted wherever a channel is. The Choi matrix uses
 the unnormalized convention C = sum_ij |i><j| (x) E(|i><j|) with the
 channel *input* index as the most significant subsystem, so tr C = 2 and
 tracing out the channel output leaves the identity.
@@ -19,7 +20,6 @@ from .linalg import (
     EIGENVALUE_FLOOR,
     KRAUS_WEIGHT_CUTOFF,
     hermitian_eigensystem,
-    partial_trace,
 )
 
 R_MAX = math.pi / 4
@@ -62,19 +62,26 @@ def unruh_r(params: UnruhParams) -> float:
     return math.atan(math.exp(-math.pi * params.omega / params.a))
 
 
-def unruh_channel(r: float) -> list[np.ndarray]:
+def unruh_channel(r) -> np.ndarray:
     """Kraus pair of the fermionic acceleration channel at mixing angle r.
 
     K1 = [[cos r, 0], [0, 1]],  K2 = [[0, 0], [sin r, 0]]
 
     The channel leaks |0> toward |1> with probability sin^2 r and leaves
-    |1> strictly invariant; at r = 0 it is the identity.
+    |1> strictly invariant; at r = 0 it is the identity. `r` is one angle
+    or an array of angles; the result has shape (2, *r.shape, 2, 2), so
+    one angle gives (2, 2, 2) and N angles give the (2, N, 2, 2) stack
+    that `apply_to_memory` takes.
     """
-    if not 0.0 <= r <= R_MAX:
-        raise ValueError(f"r must lie in [0, pi/4], got {r}")
-    k1 = np.array([[math.cos(r), 0.0], [0.0, 1.0]], dtype=complex)
-    k2 = np.array([[0.0, 0.0], [math.sin(r), 0.0]], dtype=complex)
-    return [k1, k2]
+    r = np.asarray(r, dtype=float)
+    inside = (r >= 0.0) & (r <= R_MAX)  # False for NaN
+    if not inside.all():
+        raise ValueError(f"r must lie in [0, pi/4], got {r[~inside][0]}")
+    kraus = np.zeros((2, *r.shape, 2, 2), dtype=complex)
+    kraus[0, ..., 0, 0] = np.cos(r)
+    kraus[0, ..., 1, 1] = 1.0
+    kraus[1, ..., 1, 0] = np.sin(r)
+    return kraus
 
 
 def amplitude_damping(gamma: float) -> list[np.ndarray]:
@@ -185,10 +192,3 @@ def kraus_from_choi(c: np.ndarray) -> list[np.ndarray]:
     validate_kraus(channel)
     return channel
 
-
-def choi_output_marginal(c: np.ndarray) -> np.ndarray:
-    """Trace the channel-output subsystem out of a Choi matrix.
-
-    Equals the identity exactly when the channel is trace preserving.
-    """
-    return partial_trace(c, keep=[0], dims=[2, 2])

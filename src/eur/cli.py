@@ -34,22 +34,10 @@ _SWEEP_CHUNK = 1024
 # Largest accepted --steps; the sweep's float columns then take about 480 MB.
 MAX_STEPS = 10**7
 
-# Flag values the named presets expand to; explicit flags override them.
+# Flag defaults the named presets replace; explicit flags override them.
 PRESETS = {
     "fig1": {"state": "bell", "p": 0.5, "obs": "x,y", "omega": 0.1},
     "fig2": {"state": "x", "p": 1.0, "obs": "x,y", "omega": 0.1},
-}
-
-_BASE = {
-    "state": "bell",
-    "p": 0.5,
-    "obs": "x,y",
-    "omega": 0.1,
-    "a_min": 0.0,
-    "a_max": None,  # resolved to 20 * omega * 2pi once omega is known
-    "steps": 101,
-    "sweep_var": "a",
-    "out": "eur_sweep.csv",
 }
 
 
@@ -107,8 +95,8 @@ class Sweep:
 def run_sweep(cfg: SweepConfig) -> Sweep:
     """Evaluate the uncertainty report on an evenly spaced grid, ascending.
 
-    `r` is computed point by point; the states and reports are computed
-    as stacks of at most _SWEEP_CHUNK grid points.
+    `r` is computed point by point; the channels, states and reports are
+    computed as stacks of at most _SWEEP_CHUNK grid points.
     """
     q = pauli_observable(cfg.obs[0])
     r_obs = pauli_observable(cfg.obs[1])
@@ -122,7 +110,7 @@ def run_sweep(cfg: SweepConfig) -> Sweep:
         part = slice(start, start + _SWEEP_CHUNK)
         if sweep_a:
             r_values[part] = [unruh_r(UnruhParams(a=a, omega=cfg.omega)) for a in grid[part].tolist()]
-        kraus = np.stack([unruh_channel(r) for r in r_values[part].tolist()], axis=1)
+        kraus = unruh_channel(r_values[part])
         report = evaluate_eur(q, r_obs, apply_to_memory(kraus, initial))
         values[:, part] = report.lhs, report.berta_bound, report.holevo_bound, report.delta
     return Sweep(grid if sweep_a else None, r_values, *values)
@@ -144,33 +132,35 @@ def emit_csv(sweep: Sweep, path: str) -> None:
             fh.writelines(fmt % row for row in rows)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
+    """The `eur` parser and its `sweep` subparser, whose defaults a preset replaces."""
     parser = argparse.ArgumentParser(
         prog="eur",
         description="Uncertainty-bound sweeps for a qubit memory degraded by acceleration.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     sweep = sub.add_parser("sweep", help="evaluate bounds over an acceleration grid and write CSV")
-    sweep.add_argument("--preset", choices=sorted(PRESETS), default=None,
+    sweep.add_argument("--preset", choices=sorted(PRESETS),
                        help="named parameter set; explicit flags override its values")
-    sweep.add_argument("--state", choices=["bell", "x"], default=None,
-                       help="initial two-qubit family (default bell)")
-    sweep.add_argument("--p", type=float, default=None, dest="p",
-                       help="family parameter in [0, 1] (default 0.5)")
-    sweep.add_argument("--obs", default=None,
-                       help="comma-separated Pauli axes, e.g. x,y (default x,y)")
-    sweep.add_argument("--omega", type=float, default=None,
-                       help="Dirac mode frequency > 0 (default 0.1)")
-    sweep.add_argument("--a-min", type=float, default=None, dest="a_min",
-                       help="lower sweep bound (default 0)")
-    sweep.add_argument("--a-max", type=float, default=None, dest="a_max",
+    sweep.add_argument("--state", choices=["bell", "x"], default="bell",
+                       help="initial two-qubit family (default %(default)s)")
+    sweep.add_argument("--p", type=float, default=0.5,
+                       help="family parameter in [0, 1] (default %(default)s)")
+    sweep.add_argument("--obs", default="x,y",
+                       help="comma-separated Pauli axes, e.g. x,z (default %(default)s)")
+    sweep.add_argument("--omega", type=float, default=0.1,
+                       help="Dirac mode frequency > 0 (default %(default)s)")
+    sweep.add_argument("--a-min", type=float, default=0.0,
+                       help="lower sweep bound (default %(default)s)")
+    sweep.add_argument("--a-max", type=float,
                        help="upper sweep bound (default 20*omega*2pi, or pi/4 when sweeping r)")
-    sweep.add_argument("--steps", type=int, default=None,
-                       help=f"number of grid points, 2 to {MAX_STEPS} (default 101)")
-    sweep.add_argument("--sweep-var", choices=["a", "r"], default=None, dest="sweep_var",
-                       help="sweep the acceleration or the mixing angle directly (default a)")
-    sweep.add_argument("--out", default=None, help="output CSV path (default eur_sweep.csv)")
-    return parser
+    sweep.add_argument("--steps", type=int, default=101,
+                       help=f"number of grid points, 2 to {MAX_STEPS} (default %(default)s)")
+    sweep.add_argument("--sweep-var", choices=["a", "r"], default="a",
+                       help="sweep the acceleration or the mixing angle directly (default %(default)s)")
+    sweep.add_argument("--out", default="eur_sweep.csv", dest="out_path", metavar="PATH",
+                       help="output CSV path (default %(default)s)")
+    return parser, sweep
 
 
 def parse_args(argv=None) -> SweepConfig:
@@ -179,36 +169,23 @@ def parse_args(argv=None) -> SweepConfig:
     Exits with code 2 (via argparse) on unknown flags, malformed numbers
     or constraint violations, naming the offending field.
     """
-    parser = _build_parser()
+    parser, sweep = _build_parser()
     ns = parser.parse_args(argv)
-
-    merged = dict(_BASE)
     if ns.preset is not None:
-        merged.update(PRESETS[ns.preset])
-    for key in _BASE:
-        value = getattr(ns, key)
-        if value is not None:
-            merged[key] = value
+        sweep.set_defaults(**PRESETS[ns.preset])
+        ns = parser.parse_args(argv)
+    del ns.command, ns.preset
 
     try:
-        if merged["a_max"] is None:
-            if merged["sweep_var"] == "r":
-                merged["a_max"] = R_MAX
-            else:
-                # a bad omega gives a bad a_max, but SweepConfig checks omega first
-                merged["a_max"] = 20.0 * merged["omega"] * 2.0 * math.pi
-        axes = tuple(part.strip().lower() for part in str(merged["obs"]).split(","))
-        return SweepConfig(
-            state=merged["state"],
-            p=merged["p"],
-            obs=axes,
-            omega=merged["omega"],
-            a_min=merged["a_min"],
-            a_max=merged["a_max"],
-            steps=merged["steps"],
-            sweep_var=merged["sweep_var"],
-            out_path=merged["out"],
-        )
+        if ns.a_max is None:
+            ns.a_max = R_MAX if ns.sweep_var == "r" else 20.0 * ns.omega * 2.0 * math.pi
+            # a bad omega gives a bad a_max, but SweepConfig checks omega first
+            if ns.a_max == math.inf and 0.0 < ns.omega < math.inf:
+                raise ValueError(
+                    f"omega {ns.omega} overflows the default a-max 20*omega*2pi; set --a-max"
+                )
+        ns.obs = tuple(part.strip().lower() for part in ns.obs.split(","))
+        return SweepConfig(**vars(ns))
     except ValueError as exc:
         parser.error(str(exc))
 

@@ -8,6 +8,7 @@ are base-2 (bits).
 
 import numpy as np
 
+from .channels import R_MAX
 from .linalg import (
     EIGENVALUE_FLOOR,
     NEGATIVE_PROBABILITY_FLOOR,
@@ -122,7 +123,7 @@ def rindler_tripartite_state(r: float) -> np.ndarray:
     Tracing out the causally disconnected region-II mode reproduces the
     Kraus-pair channel acting on the memory half of |phi+>.
     """
-    if not 0.0 <= r <= np.pi / 4:
+    if not 0.0 <= r <= R_MAX:
         raise ValueError(f"r must lie in [0, pi/4], got {r}")
     v = np.zeros(8, dtype=complex)
     v[0] = np.cos(r) / np.sqrt(2)  # |0>_A |0>_I |0>_II

@@ -1,24 +1,26 @@
 """Kraus channels, the Choi representation, and the acceleration channel."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eur.channels import (
+    R_MAX,
     UnruhParams,
     amplitude_damping,
     apply,
     apply_to_memory,
     choi,
-    choi_output_marginal,
     kraus_from_choi,
     unruh_channel,
     unruh_r,
     validate_kraus,
 )
 from eur.linalg import partial_trace
-from eur.states import validate_density_matrix
+from eur.states import probe_marginal, validate_density_matrix
 from helpers import (
     I2,
     PHI_PLUS,
@@ -109,6 +111,27 @@ def test_unruh_channel_rejects_out_of_range():
         unruh_channel(-0.01)
     with pytest.raises(ValueError):
         unruh_channel(1.0)
+    # one bad angle anywhere in an array fails the whole call
+    for bad in (float("nan"), -0.01, R_MAX + 1e-15):
+        with pytest.raises(ValueError) as exc:
+            unruh_channel(np.array([0.0, 0.2, bad, R_MAX]))
+        assert str(exc.value) == f"r must lie in [0, pi/4], got {bad}"
+
+
+def test_unruh_channel_stacks_an_array_of_angles():
+    rs = np.linspace(0.0, R_MAX, 101)
+    assert rs[0] == 0.0 and rs[-1] == R_MAX
+    kraus = unruh_channel(rs)
+    assert kraus.shape == (2, 101, 2, 2)
+    expected = np.array([
+        [[[math.cos(r), 0.0], [0.0, 1.0]] for r in rs.tolist()],
+        [[[0.0, 0.0], [math.sin(r), 0.0]] for r in rs.tolist()],
+    ], dtype=complex)
+    assert np.array_equal(kraus, expected)
+    assert unruh_channel(rs.reshape(1, 101)).shape == (2, 1, 101, 2, 2)
+    one = unruh_channel(float(rs[37]))
+    assert one.shape == (2, 2, 2)
+    assert np.array_equal(one, kraus[:, 37])
 
 
 def test_unruh_channel_splits_ground_state_evenly_at_max_mixing():
@@ -231,7 +254,7 @@ def test_choi_of_depolarizing_channel():
 def test_choi_invariants(r):
     c = choi(unruh_channel(r))
     assert abs(np.trace(c) - 2.0) < 1e-12
-    assert np.max(np.abs(choi_output_marginal(c) - I2)) < 1e-12
+    assert np.max(np.abs(probe_marginal(c) - I2)) < 1e-12
     assert np.linalg.eigvalsh(c)[0] > -1e-12
 
 
@@ -290,4 +313,4 @@ def test_random_choi_generator_is_cptp(seed):
     c = random_choi(rng)
     assert abs(np.trace(c) - 2.0) < 1e-10
     assert np.linalg.eigvalsh(c)[0] > -1e-10
-    assert np.max(np.abs(choi_output_marginal(c) - I2)) < 1e-10
+    assert np.max(np.abs(probe_marginal(c) - I2)) < 1e-10

@@ -66,6 +66,12 @@ def test_explicit_flags_override_preset():
     assert cfg.state == "bell" and cfg.p == 0.5
     assert cfg.a_max == 10.0
     assert cfg.steps == 200
+    # --p 0.5 equals the base default: only its being explicit keeps it over fig2's p = 1
+    for argv in (["sweep", "--p", "0.5", "--preset", "fig2"],
+                 ["sweep", "--preset", "fig2", "--p", "0.5"]):
+        cfg = parse_args(argv)
+        assert cfg.state == "x"
+        assert cfg.p == 0.5
 
 
 def test_parse_rejects_out_of_range_p(capsys):
@@ -87,18 +93,32 @@ def test_parse_rejects_malformed_number():
     assert exc.value.code == 2
 
 
+def test_sweep_help_lists_each_default(capsys):
+    with pytest.raises(SystemExit) as exc:
+        parse_args(["sweep", "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for default in ("bell", "0.5", "x,y", "0.1", "0.0", "101", "a", "eur_sweep.csv"):
+        assert f"(default {default})" in text
+
+
 def test_parse_rejects_bad_ranges(capsys):
-    for argv in (
-        ["sweep", "--steps", "1"],
-        ["sweep", "--a-min", "-1"],
-        ["sweep", "--a-min", "5", "--a-max", "1"],
-        ["sweep", "--omega", "0"],
-        ["sweep", "--obs", "x,q"],
-        ["sweep", "--sweep-var", "r", "--a-max", "1.0"],
+    for argv, field in (
+        (["sweep", "--steps", "1"], "steps"),
+        (["sweep", "--a-min", "-1"], "a-min"),
+        (["sweep", "--a-min", "5", "--a-max", "1"], "a-max"),
+        (["sweep", "--omega", "0"], "omega"),
+        (["sweep", "--obs", "x,q"], "obs"),
+        (["sweep", "--sweep-var", "r", "--a-max", "1.0"], "r"),
+        # the default a-max, 20*omega*2pi, overflows: blame omega, not the unset --a-max
+        (["sweep", "--omega", "1e307"], "omega"),
     ):
         with pytest.raises(SystemExit) as exc:
             parse_args(argv)
         assert exc.value.code == 2
+        message = capsys.readouterr().err.splitlines()[-1]
+        assert message.startswith(f"eur: error: {field} "), argv
+    assert "set --a-max" in message
 
 
 def test_parse_rejects_steps_above_the_cap(capsys):

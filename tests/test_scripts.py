@@ -1,4 +1,4 @@
-"""scripts/reproduce_figures.py: both preset CSVs, and its I/O exit code."""
+"""scripts/reproduce_figures.py: both preset CSVs, and its exit codes."""
 
 import importlib.util
 from pathlib import Path
@@ -34,3 +34,14 @@ def test_script_returns_io_error_when_outdir_is_a_file(tmp_path, reproduce_figur
     assert reproduce_figures.main(["--outdir", str(blocker)]) == EXIT_IO
     err = capsys.readouterr().err
     assert err.startswith("error: cannot create") and err.count("\n") == 1
+
+
+def test_script_rejects_bad_steps_before_creating_outdir(tmp_path, reproduce_figures, capsys):
+    outdir = tmp_path / "fresh"
+    with pytest.raises(SystemExit) as exc:
+        reproduce_figures.main(["--outdir", str(outdir), "--steps", "1"])
+    assert exc.value.code == 2
+    assert not outdir.exists()
+    err = capsys.readouterr().err
+    assert "usage: eur" not in err
+    assert "steps must lie in [2, " in err
