@@ -20,7 +20,6 @@ from .bounds import (
     unruh_temperature,
 )
 from .channels import (
-    UnruhParams,
     amplitude_damping,
     apply,
     apply_to_memory,
@@ -60,7 +59,6 @@ __all__ = [
     "EurReport",
     "PAULI",
     "ProjectiveObservable",
-    "UnruhParams",
     "amplitude_damping",
     "apply",
     "apply_to_memory",

@@ -55,17 +55,9 @@ def uncertainty_lhs(
     )
 
 
-def maassen_uffink_bound(
-    q: ProjectiveObservable, r: ProjectiveObservable, rho: np.ndarray = None
-) -> float:
-    """Memoryless lower bound log2(1/c), plus S(rho) when a single-qubit state is given."""
-    bound = math.log2(1.0 / complementarity(q, r))
-    if rho is not None:
-        rho = np.asarray(rho, dtype=complex)
-        if rho.shape != (2, 2):
-            raise ValueError(f"expected a 2x2 state for the state-dependent variant, got {rho.shape}")
-        bound += vn_entropy(rho)
-    return bound
+def maassen_uffink_bound(q: ProjectiveObservable, r: ProjectiveObservable) -> float:
+    """Memoryless lower bound log2(1/c)."""
+    return math.log2(1.0 / complementarity(q, r))
 
 
 def berta_bound(

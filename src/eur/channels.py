@@ -11,7 +11,6 @@ tracing out the channel output leaves the identity.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,35 +18,21 @@ from .linalg import (
     COMPLETENESS_ATOL,
     EIGENVALUE_FLOOR,
     KRAUS_WEIGHT_CUTOFF,
+    _float_or_array,
     hermitian_eigensystem,
 )
 
 R_MAX = math.pi / 4
 
 
-@dataclass(frozen=True)
-class UnruhParams:
-    """Physical inputs of the accelerated-memory channel.
-
-    Natural units (c = hbar = k_B = 1); only the ratio omega/a matters.
-
-    Attributes:
-        a: proper acceleration of the memory holder, >= 0
-        omega: frequency of the detected Dirac field mode, > 0
-    """
-
-    a: float
-    omega: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.a) and self.a >= 0.0):
-            raise ValueError(f"acceleration must be finite and >= 0, got {self.a}")
-        if not (math.isfinite(self.omega) and self.omega > 0.0):
-            raise ValueError(f"mode frequency must be finite and > 0, got {self.omega}")
-
-
-def unruh_r(params: UnruhParams) -> float:
+def unruh_r(a, omega: float):
     """Mixing angle r in [0, pi/4] for a uniformly accelerated observer.
+
+    `a` is the proper acceleration of the memory holder, >= 0: one value
+    or an array of them; `omega` > 0 is the frequency of the detected
+    Dirac field mode. Natural units (c = hbar = k_B = 1); only the ratio
+    omega/a matters. Returns a float for one acceleration, otherwise an
+    array of `a`'s shape.
 
     cos r = (1 + exp(-2 pi omega / a))^(-1/2), computed in the equivalent
     form r = atan(exp(-pi omega / a)): it is bounded by atan(1) == pi/4
@@ -55,11 +40,21 @@ def unruh_r(params: UnruhParams) -> float:
     arccosine of a number next to 1 loses it. The formula divides by the
     acceleration, so a = 0 is defined by its limit r = 0 (the identity
     channel); a -> infinity approaches r = pi/4. Monotonically increasing
-    in a and decreasing in omega.
+    in a and decreasing in omega. Each element goes through `math`, whose
+    exp can differ from numpy's in the last bit.
+
+    Raises ValueError naming omega, or the first acceleration, that is
+    not finite or out of range.
     """
-    if params.a == 0.0:
-        return 0.0
-    return math.atan(math.exp(-math.pi * params.omega / params.a))
+    if not (math.isfinite(omega) and omega > 0.0):
+        raise ValueError(f"mode frequency must be finite and > 0, got {omega}")
+    a = np.asarray(a, dtype=float)
+    valid = np.isfinite(a) & (a >= 0.0)
+    if not valid.all():
+        raise ValueError(f"acceleration must be finite and >= 0, got {a[~valid][0]}")
+    scale = -math.pi * omega
+    r = [math.atan(math.exp(scale / x)) if x else 0.0 for x in a.ravel().tolist()]
+    return _float_or_array(np.reshape(r, a.shape))
 
 
 def unruh_channel(r) -> np.ndarray:
@@ -84,7 +79,7 @@ def unruh_channel(r) -> np.ndarray:
     return kraus
 
 
-def amplitude_damping(gamma: float) -> list[np.ndarray]:
+def amplitude_damping(gamma: float) -> np.ndarray:
     """Standard amplitude-damping Kraus pair with decay probability gamma.
 
     E0 = [[1, 0], [0, sqrt(1-gamma)]],  E1 = [[0, sqrt(gamma)], [0, 0]]
@@ -94,9 +89,10 @@ def amplitude_damping(gamma: float) -> list[np.ndarray]:
     """
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
-    e0 = np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - gamma)]], dtype=complex)
-    e1 = np.array([[0.0, math.sqrt(gamma)], [0.0, 0.0]], dtype=complex)
-    return [e0, e1]
+    return np.array([
+        [[1.0, 0.0], [0.0, math.sqrt(1.0 - gamma)]],
+        [[0.0, math.sqrt(gamma)], [0.0, 0.0]],
+    ], dtype=complex)
 
 
 def _kraus_stack(channel) -> np.ndarray:
@@ -154,7 +150,7 @@ def apply_to_memory(channel, rho: np.ndarray) -> np.ndarray:
     return out.reshape(out.shape[:-4] + (4, 4))
 
 
-def choi(channel: list[np.ndarray]) -> np.ndarray:
+def choi(channel) -> np.ndarray:
     """Choi matrix C = sum_ij |i><j| (x) E(|i><j|), input index first.
 
     tr C = 2 for a qubit channel; complete positivity shows up as C >= 0
@@ -164,8 +160,8 @@ def choi(channel: list[np.ndarray]) -> np.ndarray:
     return apply_to_memory(channel, np.outer(phi, phi))
 
 
-def kraus_from_choi(c: np.ndarray) -> list[np.ndarray]:
-    """Extract a Kraus family from a Choi matrix by eigendecomposition.
+def kraus_from_choi(c: np.ndarray) -> np.ndarray:
+    """Extract a Kraus family, shape (K, 2, 2), from a Choi matrix by eigendecomposition.
 
     Each eigenpair (lam, v) with lam > KRAUS_WEIGHT_CUTOFF becomes an
     operator via K[m, i] = sqrt(lam) * v[2*i + m] (input index i, output
@@ -185,10 +181,9 @@ def kraus_from_choi(c: np.ndarray) -> list[np.ndarray]:
         raise ValueError(
             f"not completely positive: Choi eigenvalue {float(eigenvalues[0]):.3e}"
         )
-    channel = []
-    for lam, v in zip(eigenvalues, eigenvectors.T):
-        if lam > KRAUS_WEIGHT_CUTOFF:
-            channel.append(math.sqrt(float(lam)) * v.reshape(2, 2).T)
-    validate_kraus(channel)
-    return channel
+    keep = eigenvalues > KRAUS_WEIGHT_CUTOFF
+    vectors = eigenvectors.T[keep].reshape(-1, 2, 2).swapaxes(-1, -2)
+    kraus = np.sqrt(eigenvalues[keep])[:, None, None] * vectors
+    validate_kraus(kraus)
+    return kraus
 

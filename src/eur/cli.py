@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import bound_violations, evaluate_eur
-from .channels import R_MAX, UnruhParams, apply_to_memory, unruh_channel, unruh_r
+from .channels import R_MAX, apply_to_memory, unruh_channel, unruh_r
 from .measurement import pauli_observable
 from .states import bell_diagonal_p, x_state
 
@@ -95,8 +95,8 @@ class Sweep:
 def run_sweep(cfg: SweepConfig) -> Sweep:
     """Evaluate the uncertainty report on an evenly spaced grid, ascending.
 
-    `r` is computed point by point; the channels, states and reports are
-    computed as stacks of at most _SWEEP_CHUNK grid points.
+    The angles, channels, states and reports are computed as stacks of at
+    most _SWEEP_CHUNK grid points.
     """
     q = pauli_observable(cfg.obs[0])
     r_obs = pauli_observable(cfg.obs[1])
@@ -109,7 +109,7 @@ def run_sweep(cfg: SweepConfig) -> Sweep:
     for start in range(0, cfg.steps, _SWEEP_CHUNK):
         part = slice(start, start + _SWEEP_CHUNK)
         if sweep_a:
-            r_values[part] = [unruh_r(UnruhParams(a=a, omega=cfg.omega)) for a in grid[part].tolist()]
+            r_values[part] = unruh_r(grid[part], cfg.omega)
         kraus = unruh_channel(r_values[part])
         report = evaluate_eur(q, r_obs, apply_to_memory(kraus, initial))
         values[:, part] = report.lhs, report.berta_bound, report.holevo_bound, report.delta
@@ -139,7 +139,11 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
         description="Uncertainty-bound sweeps for a qubit memory degraded by acceleration.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sweep = sub.add_parser("sweep", help="evaluate bounds over an acceleration grid and write CSV")
+    sweep = sub.add_parser(
+        "sweep", help="evaluate bounds over an acceleration grid and write CSV",
+        epilog="A negative number in exponent form needs the = form, e.g. --a-min=-1e-3: "
+               "after a space, -1e-3 reads as a flag.",
+    )
     sweep.add_argument("--preset", choices=sorted(PRESETS),
                        help="named parameter set; explicit flags override its values")
     sweep.add_argument("--state", choices=["bell", "x"], default="bell",
@@ -179,11 +183,16 @@ def parse_args(argv=None) -> SweepConfig:
     try:
         if ns.a_max is None:
             ns.a_max = R_MAX if ns.sweep_var == "r" else 20.0 * ns.omega * 2.0 * math.pi
-            # a bad omega gives a bad a_max, but SweepConfig checks omega first
-            if ns.a_max == math.inf and 0.0 < ns.omega < math.inf:
-                raise ValueError(
-                    f"omega {ns.omega} overflows the default a-max 20*omega*2pi; set --a-max"
-                )
+            # blame a flag the user set; a bad omega or a-min gets SweepConfig's message
+            if 0.0 < ns.omega < math.inf:
+                if ns.a_max == math.inf:
+                    raise ValueError(
+                        f"omega {ns.omega} overflows the default a-max 20*omega*2pi; set --a-max"
+                    )
+                if ns.a_max < ns.a_min < math.inf:
+                    raise ValueError(
+                        f"a-min {ns.a_min} exceeds the default a-max {ns.a_max}; set --a-max"
+                    )
         ns.obs = tuple(part.strip().lower() for part in ns.obs.split(","))
         return SweepConfig(**vars(ns))
     except ValueError as exc:

@@ -27,13 +27,7 @@ PAULI = {
     "z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
 
-# Bell basis columns: |phi+>, |phi->, |psi+>, |psi->
-_BELL = {
-    "phi+": np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2),
-    "phi-": np.array([1, 0, 0, -1], dtype=complex) / np.sqrt(2),
-    "psi+": np.array([0, 1, 1, 0], dtype=complex) / np.sqrt(2),
-    "psi-": np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2),
-}
+_PSI_PLUS = np.array([0, 1, 1, 0], dtype=complex) / np.sqrt(2)  # (|01> + |10>)/sqrt(2)
 
 
 def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
@@ -109,7 +103,7 @@ def x_state(p: float) -> np.ndarray:
         raise ValueError(f"p must lie in [0, 1], got {p}")
     eleven = np.zeros(4, dtype=complex)
     eleven[3] = 1.0
-    return p * from_pure(_BELL["psi+"]) + (1.0 - p) * from_pure(eleven)
+    return p * from_pure(_PSI_PLUS) + (1.0 - p) * from_pure(eleven)
 
 
 def rindler_tripartite_state(r: float) -> np.ndarray:

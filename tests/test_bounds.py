@@ -94,9 +94,6 @@ def test_conditional_uncertainty_identity(seed):
 def test_maassen_uffink_values():
     assert maassen_uffink_bound(X_OBS, Y_OBS) == pytest.approx(1.0, abs=1e-9)
     assert maassen_uffink_bound(Z_OBS, Z_OBS) == pytest.approx(0.0, abs=1e-9)
-    assert maassen_uffink_bound(X_OBS, Y_OBS, np.eye(2) / 2) == pytest.approx(2.0, abs=1e-9)
-    with pytest.raises(ValueError):
-        maassen_uffink_bound(X_OBS, Y_OBS, np.eye(4) / 4)
 
 
 def test_berta_bound_values():

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from eur.channels import (
     R_MAX,
-    UnruhParams,
     amplitude_damping,
     apply,
     apply_to_memory,
@@ -49,12 +48,12 @@ def expected_acceleration_choi(r: float) -> np.ndarray:
 
 
 def test_unruh_r_at_zero_acceleration_is_zero():
-    assert unruh_r(UnruhParams(a=0.0, omega=0.1)) == 0.0
+    assert unruh_r(0.0, 0.1) == 0.0
 
 
 @pytest.mark.parametrize("a", [1e9, 1e17, 1e300])
 def test_unruh_r_saturates_at_high_acceleration(a):
-    r = unruh_r(UnruhParams(a=a, omega=0.1))
+    r = unruh_r(a, 0.1)
     assert np.cos(r) == pytest.approx(1 / np.sqrt(2), abs=1e-9)
     assert r <= np.pi / 4
 
@@ -63,16 +62,16 @@ def test_unruh_r_saturates_at_high_acceleration(a):
 @settings(max_examples=100, deadline=None)
 def test_unruh_r_keeps_full_relative_precision(ratio, a):
     # tan r = exp(-pi omega / a); the tail at large omega/a is where r is tiny
-    params = UnruhParams(a=a, omega=ratio * a)
-    expected = np.exp(-np.pi * params.omega / params.a)
-    assert np.tan(unruh_r(params)) == pytest.approx(expected, rel=1e-14)
+    omega = ratio * a
+    expected = np.exp(-np.pi * omega / a)
+    assert np.tan(unruh_r(a, omega)) == pytest.approx(expected, rel=1e-14)
 
 
 def test_unruh_r_known_ratio():
     # a = 2*pi*omega/ln 2 makes the exponential exactly 1/2
     omega = 0.1
     a = 2 * np.pi * omega / np.log(2)
-    assert np.cos(unruh_r(UnruhParams(a=a, omega=omega))) == pytest.approx(
+    assert np.cos(unruh_r(a, omega)) == pytest.approx(
         np.sqrt(2.0 / 3.0), abs=1e-12
     )
 
@@ -80,18 +79,36 @@ def test_unruh_r_known_ratio():
 @given(st.floats(1e-6, 1e6), st.floats(1e-6, 1e6), st.floats(1.01, 10.0))
 @settings(max_examples=60, deadline=None)
 def test_unruh_r_monotonic(a, omega, factor):
-    base = unruh_r(UnruhParams(a=a, omega=omega))
-    assert unruh_r(UnruhParams(a=a * factor, omega=omega)) >= base
-    assert unruh_r(UnruhParams(a=a, omega=omega * factor)) <= base
+    base = unruh_r(a, omega)
+    assert unruh_r(a * factor, omega) >= base
+    assert unruh_r(a, omega * factor) <= base
 
 
-def test_unruh_params_validation():
-    with pytest.raises(ValueError):
-        UnruhParams(a=-1.0, omega=0.1)
-    with pytest.raises(ValueError):
-        UnruhParams(a=1.0, omega=0.0)
-    with pytest.raises(ValueError):
-        UnruhParams(a=np.inf, omega=0.1)
+def test_unruh_r_validation():
+    for bad in (-1.0, np.inf, float("nan")):
+        with pytest.raises(ValueError) as exc:
+            unruh_r(bad, 0.1)
+        assert str(exc.value) == f"acceleration must be finite and >= 0, got {bad}"
+        # one bad acceleration anywhere in an array fails the whole call
+        with pytest.raises(ValueError) as exc:
+            unruh_r(np.array([0.0, 1.0, bad, 2.0]), 0.1)
+        assert str(exc.value) == f"acceleration must be finite and >= 0, got {bad}"
+    for omega in (0.0, -0.1, np.inf, float("nan")):
+        with pytest.raises(ValueError, match="mode frequency must be finite and > 0"):
+            unruh_r(np.array([0.0, 1.0]), omega)
+
+
+def test_unruh_r_takes_an_array_of_accelerations():
+    # the fig1 grid: 0 to 20*omega*2pi, so a = 0 is the first point
+    omega = 0.1
+    grid = np.linspace(0.0, 20 * omega * 2 * math.pi, 1001)
+    rs = unruh_r(grid, omega)
+    assert rs.shape == grid.shape and rs[0] == 0.0
+    expected = [0.0] + [math.atan(math.exp((-math.pi * omega) / a)) for a in grid[1:].tolist()]
+    assert np.array_equal(rs, expected)
+    assert np.array_equal(unruh_r(grid.reshape(1, -1), omega), rs.reshape(1, -1))
+    assert type(unruh_r(grid[5], omega)) is float
+    assert unruh_r(grid[5], omega) == rs[5]
 
 
 def test_unruh_channel_at_zero_is_identity():
@@ -152,6 +169,7 @@ def test_unruh_channel_damps_ground_state():
 
 
 def test_amplitude_damping_endpoints():
+    assert amplitude_damping(0.5).shape == (2, 2, 2)
     e0, e1 = amplitude_damping(0.0)
     assert np.allclose(e0, I2, atol=0.0) and np.allclose(e1, 0.0, atol=0.0)
     rng = np.random.default_rng(8)
@@ -260,7 +278,7 @@ def test_choi_invariants(r):
 
 def test_kraus_from_choi_identity():
     ops = kraus_from_choi(2 * proj(PHI_PLUS))
-    assert len(ops) == 1
+    assert isinstance(ops, np.ndarray) and ops.shape == (1, 2, 2)
     rng = np.random.default_rng(12)
     rho = random_density_matrix(rng, 2)
     assert np.max(np.abs(apply(ops, rho) - rho)) < 1e-12
@@ -268,6 +286,7 @@ def test_kraus_from_choi_identity():
 
 def test_kraus_from_choi_depolarizing_action():
     ops = kraus_from_choi(np.eye(4) / 2)
+    assert isinstance(ops, np.ndarray) and ops.shape == (4, 2, 2)
     rng = np.random.default_rng(13)
     for _ in range(5):
         rho = random_density_matrix(rng, 2)
@@ -303,6 +322,9 @@ def test_kraus_from_choi_rejects_non_trace_preserving():
     bad = np.diag([2.0, 0.0, 0.0, 0.0]).astype(complex)
     with pytest.raises(ValueError, match="trace preserving"):
         kraus_from_choi(bad)
+    # no eigenvalue above the cutoff leaves no operator at all
+    with pytest.raises(ValueError, match="channel has no Kraus operators"):
+        kraus_from_choi(np.zeros((4, 4), dtype=complex))
 
 
 @given(seeds)

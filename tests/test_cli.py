@@ -103,22 +103,43 @@ def test_sweep_help_lists_each_default(capsys):
 
 
 def test_parse_rejects_bad_ranges(capsys):
-    for argv, field in (
-        (["sweep", "--steps", "1"], "steps"),
-        (["sweep", "--a-min", "-1"], "a-min"),
-        (["sweep", "--a-min", "5", "--a-max", "1"], "a-max"),
-        (["sweep", "--omega", "0"], "omega"),
-        (["sweep", "--obs", "x,q"], "obs"),
-        (["sweep", "--sweep-var", "r", "--a-max", "1.0"], "r"),
-        # the default a-max, 20*omega*2pi, overflows: blame omega, not the unset --a-max
-        (["sweep", "--omega", "1e307"], "omega"),
+    for argv, start in (
+        (["sweep", "--steps", "1"], "steps "),
+        (["sweep", "--a-min", "-1"], "a-min "),
+        (["sweep", "--a-min", "5", "--a-max", "1"], "a-max "),
+        (["sweep", "--omega", "0"], "omega "),
+        (["sweep", "--obs", "x,q"], "obs "),
+        (["sweep", "--sweep-var", "r", "--a-max", "1.0"], "r "),
+        # a default a-max that fails is blamed on the flag the user set
+        (["sweep", "--omega", "1e307"],
+         "omega 1e+307 overflows the default a-max 20*omega*2pi; set --a-max"),
+        (["sweep", "--a-min", "200"],
+         "a-min 200.0 exceeds the default a-max 12.566370614359172; set --a-max"),
+        (["sweep", "--sweep-var", "r", "--a-min", "0.9"],
+         "a-min 0.9 exceeds the default a-max 0.7853981633974483; set --a-max"),
     ):
         with pytest.raises(SystemExit) as exc:
             parse_args(argv)
         assert exc.value.code == 2
         message = capsys.readouterr().err.splitlines()[-1]
-        assert message.startswith(f"eur: error: {field} "), argv
-    assert "set --a-max" in message
+        assert message.startswith(f"eur: error: {start}"), argv
+
+
+def test_negative_exponent_form_exits_with_one_line_error(capsys):
+    # argparse reads -1e-3 after a space as a flag; --help names the = form
+    for argv, last in (
+        (["sweep", "--a-min", "-1e-3"], "eur sweep: error: argument --a-min: expected one argument"),
+        (["sweep", "--a-min=-1e-3"], "eur: error: a-min must be finite and >= 0, got -0.001"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            parse_args(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == last
+        assert err.count("error:") == 1
+    with pytest.raises(SystemExit):
+        parse_args(["sweep", "--help"])
+    assert "--a-min=-1e-3" in "".join(capsys.readouterr().out.split())
 
 
 def test_parse_rejects_steps_above_the_cap(capsys):
