@@ -84,7 +84,7 @@ def test_unruh_r_monotonic(a, omega, factor):
     assert unruh_r(a, omega * factor) <= base
 
 
-def test_unruh_r_validation():
+def test_unruh_params_validation():
     for bad in (-1.0, np.inf, float("nan")):
         with pytest.raises(ValueError) as exc:
             unruh_r(bad, 0.1)
