@@ -8,6 +8,11 @@ where delta trades total correlations against the two Holevo quantities.
 Every state-dependent function takes one 4x4 state or a (..., 4, 4)
 stack of them, and returns a float for one state or an array of the
 stack's shape.
+
+`evaluate_eur` takes each of the nine distinct spectra once per call;
+the standalone bounds return its fields, and `conditional_entropy` and
+`mutual_information` share its state entropies, so every formula is
+written once and each function returns exactly the report's bits.
 """
 
 import math
@@ -16,27 +21,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import BOUND_GAP_ATOL, BOUND_ORDER_ATOL, _float_or_array, _require_hermitian
-from .measurement import (
-    ProjectiveObservable,
-    complementarity,
-    holevo_quantity,
-    post_measurement_state,
-)
+from .measurement import ProjectiveObservable, _holevo, _measured, complementarity
 from .states import from_pure, memory_marginal, probe_marginal, vn_entropy
+
+
+def _state_terms(rho: np.ndarray) -> tuple:
+    """(S(B), S(A|B), I(A;B)) from one spectrum each of rho, rho_B and rho_A."""
+    s_ab = vn_entropy(rho)
+    s_b = vn_entropy(memory_marginal(rho))
+    s_a = vn_entropy(probe_marginal(rho))
+    return s_b, s_ab - s_b, s_a + s_b - s_ab
 
 
 def conditional_entropy(rho: np.ndarray) -> float:
     """S(A|B) = S(AB) - S(B) in bits; negative iff the state is entangled enough."""
-    return vn_entropy(rho) - vn_entropy(memory_marginal(rho))
+    return _state_terms(rho)[1]
 
 
 def mutual_information(rho: np.ndarray) -> float:
     """I(A;B) = S(A) + S(B) - S(AB) in bits."""
-    return (
-        vn_entropy(probe_marginal(rho))
-        + vn_entropy(memory_marginal(rho))
-        - vn_entropy(rho)
-    )
+    return _state_terms(rho)[2]
 
 
 def uncertainty_lhs(
@@ -47,12 +51,7 @@ def uncertainty_lhs(
     Each term is S(rho_OB) - S(rho_B) with rho_OB the post-measurement
     classical-quantum state.
     """
-    s_memory = vn_entropy(memory_marginal(rho))
-    return (
-        vn_entropy(post_measurement_state(q, rho))
-        + vn_entropy(post_measurement_state(r, rho))
-        - 2.0 * s_memory
-    )
+    return evaluate_eur(q, r, rho).lhs
 
 
 def maassen_uffink_bound(q: ProjectiveObservable, r: ProjectiveObservable) -> float:
@@ -64,18 +63,14 @@ def berta_bound(
     q: ProjectiveObservable, r: ProjectiveObservable, rho: np.ndarray
 ) -> float:
     """Memory-assisted lower bound log2(1/c) + S(A|B)."""
-    return math.log2(1.0 / complementarity(q, r)) + conditional_entropy(rho)
+    return evaluate_eur(q, r, rho).berta_bound
 
 
 def delta(
     q: ProjectiveObservable, r: ProjectiveObservable, rho: np.ndarray
 ) -> float:
     """Correlation surplus I(A;B) - I(Q;B) - I(R;B); may be negative."""
-    return (
-        mutual_information(rho)
-        - holevo_quantity(q, rho)
-        - holevo_quantity(r, rho)
-    )
+    return evaluate_eur(q, r, rho).delta
 
 
 def holevo_bound(
@@ -85,7 +80,7 @@ def holevo_bound(
 
     Never looser than `berta_bound`: the correction is clipped at zero.
     """
-    return _float_or_array(berta_bound(q, r, rho) + np.maximum(0.0, delta(q, r, rho)))
+    return evaluate_eur(q, r, rho).holevo_bound
 
 
 @dataclass(frozen=True)
@@ -126,20 +121,29 @@ class EurReport:
 def evaluate_eur(
     q: ProjectiveObservable, r: ProjectiveObservable, rho: np.ndarray
 ) -> EurReport:
-    """Evaluate the uncertainty sum and every lower bound on one state or a stack."""
-    berta = berta_bound(q, r, rho)
-    d = delta(q, r, rho)
+    """Evaluate the uncertainty sum and every lower bound on one state or a stack.
+
+    Forms each of the nine distinct matrices once (rho, rho_A, rho_B,
+    rho_QB, rho_RB and the four conditional memory states) and takes each
+    spectrum once, for the whole stack.
+    """
+    s_b, s_cond, i_ab = _state_terms(rho)
+    (rho_qb, conditioned_q), (rho_rb, conditioned_r) = _measured(q, rho), _measured(r, rho)
+    i_qb, i_rb = _holevo(s_b, conditioned_q), _holevo(s_b, conditioned_r)
+    mu = maassen_uffink_bound(q, r)
+    berta = mu + s_cond
+    d = i_ab - i_qb - i_rb
     return EurReport(
-        lhs=uncertainty_lhs(q, r, rho),
-        mu_bound=maassen_uffink_bound(q, r),
+        lhs=vn_entropy(rho_qb) + vn_entropy(rho_rb) - 2.0 * s_b,
+        mu_bound=mu,
         berta_bound=berta,
         holevo_bound=_float_or_array(berta + np.maximum(0.0, d)),
         delta=d,
         c=complementarity(q, r),
-        s_cond=conditional_entropy(rho),
-        i_ab=mutual_information(rho),
-        i_qb=holevo_quantity(q, rho),
-        i_rb=holevo_quantity(r, rho),
+        s_cond=s_cond,
+        i_ab=i_ab,
+        i_qb=i_qb,
+        i_rb=i_rb,
     )
 
 

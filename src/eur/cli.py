@@ -70,6 +70,8 @@ class SweepConfig:
             raise ValueError(f"omega must be finite and > 0, got {self.omega}")
         if not (math.isfinite(self.a_min) and self.a_min >= 0.0):
             raise ValueError(f"a-min must be finite and >= 0, got {self.a_min}")
+        if self.sweep_var == "r" and self.a_min > R_MAX:
+            raise ValueError(f"r sweep bound must lie in [0, pi/4], got a-min {self.a_min}")
         if not (math.isfinite(self.a_max) and self.a_max >= self.a_min):
             raise ValueError(f"a-max must be finite and >= a-min, got {self.a_max}")
         if self.sweep_var not in ("a", "r"):
@@ -183,8 +185,9 @@ def parse_args(argv=None) -> SweepConfig:
     try:
         if ns.a_max is None:
             ns.a_max = R_MAX if ns.sweep_var == "r" else 20.0 * ns.omega * 2.0 * math.pi
-            # blame a flag the user set; a bad omega or a-min gets SweepConfig's message
-            if 0.0 < ns.omega < math.inf:
+            # blame a flag the user set; a bad omega or a-min, or an r-sweep's
+            # a-min above pi/4, gets SweepConfig's message
+            if ns.sweep_var == "a" and 0.0 < ns.omega < math.inf:
                 if ns.a_max == math.inf:
                     raise ValueError(
                         f"omega {ns.omega} overflows the default a-max 20*omega*2pi; set --a-max"

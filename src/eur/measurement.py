@@ -84,21 +84,23 @@ def _outcome_blocks(obs: ProjectiveObservable, rho: np.ndarray) -> list[np.ndarr
     ]
 
 
-def _conditioned(obs: ProjectiveObservable, rho: np.ndarray) -> list[tuple]:
-    """(p_i, rho_B|i, kept_i) for each outcome i, over the whole stack.
+def _measured(obs: ProjectiveObservable, rho: np.ndarray) -> tuple:
+    """rho_OB and [(p_i, rho_B|i, kept_i) for each outcome i], over the whole
+    stack, from one set of outcome blocks.
 
     `kept` is False where p_i is at or below PROBABILITY_FLOOR. There the
     normalizing division is suppressed rather than amplified into noise:
     rho_B|i is the unnormalized, negligible memory block, a finite matrix
     whose entropy a zero weight cancels exactly.
     """
+    blocks = _outcome_blocks(obs, rho)
     conditioned = []
-    for block in _outcome_blocks(obs, rho):
+    for block in blocks:
         p = block.trace(axis1=-2, axis2=-1).real
         kept = p > PROBABILITY_FLOOR
         memory = partial_trace(block, keep=[1], dims=[2, 2])
         conditioned.append((p, memory / np.where(kept, p, 1.0)[..., None, None], kept))
-    return conditioned
+    return sum(blocks), conditioned
 
 
 def post_measurement_state(obs: ProjectiveObservable, rho: np.ndarray) -> np.ndarray:
@@ -109,7 +111,7 @@ def post_measurement_state(obs: ProjectiveObservable, rho: np.ndarray) -> np.nda
     diagonal in the measurement basis, and idempotent for a fixed
     observable.
     """
-    return sum(_outcome_blocks(obs, rho))
+    return _measured(obs, rho)[0]
 
 
 def measurement_ensemble(obs: ProjectiveObservable, rho: np.ndarray):
@@ -125,7 +127,7 @@ def measurement_ensemble(obs: ProjectiveObservable, rho: np.ndarray):
         raise ValueError(f"expected one 4x4 two-qubit state, got shape {np.shape(rho)}")
     return [
         (float(p), conditional) if kept else (max(float(p), 0.0), None)
-        for p, conditional, kept in _conditioned(obs, rho)
+        for p, conditional, kept in _measured(obs, rho)[1]
     ]
 
 
@@ -135,7 +137,12 @@ def holevo_quantity(obs: ProjectiveObservable, rho: np.ndarray):
     I(O;B) = S(rho_B) - sum_i p_i S(rho_B|i); zero-probability outcomes
     get weight 0 and so contribute exactly nothing.
     """
-    result = vn_entropy(memory_marginal(rho))
-    for p, conditional, kept in _conditioned(obs, rho):
+    return _holevo(vn_entropy(memory_marginal(rho)), _measured(obs, rho)[1])
+
+
+def _holevo(s_memory, conditioned):
+    """`holevo_quantity` from S(rho_B) and `_measured`'s conditioned ensemble."""
+    result = s_memory
+    for p, conditional, kept in conditioned:
         result = result - np.where(kept, p, 0.0) * vn_entropy(conditional)
     return _float_or_array(result)

@@ -36,6 +36,7 @@ from helpers import (
     random_pure_state,
     random_unitary,
     reference_bound_violations,
+    reference_report_fields,
 )
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -142,12 +143,55 @@ def test_report_is_consistent_on_the_two_experiment_states():
 
 def test_report_matches_standalone_operations_exactly():
     rng = np.random.default_rng(34)
-    rho = random_density_matrix(rng, 4)
-    report = evaluate_eur(X_OBS, Y_OBS, rho)
-    assert report.berta_bound == berta_bound(X_OBS, Y_OBS, rho)
-    assert report.delta == delta(X_OBS, Y_OBS, rho)
-    assert report.holevo_bound == holevo_bound(X_OBS, Y_OBS, rho)
-    assert report.holevo_bound == report.berta_bound + max(0.0, report.delta)
+    # x_state(0) = |11><11|: sigma_z outcome 0 has probability exactly 0
+    masked = np.stack([x_state(0.0), x_state(0.5)] + [
+        apply_to_memory(unruh_channel(r), x_state(0.0)) for r in (0.2, np.pi / 4)])
+    cases = (
+        (X_OBS, Y_OBS, random_density_matrix(rng, 4)),
+        (random_observable(rng), random_observable(rng),
+         np.stack([random_density_matrix(rng, 4) for _ in range(64)])),
+        (Z_OBS, Z_OBS, masked),
+    )
+    standalone = {"lhs": uncertainty_lhs, "berta_bound": berta_bound,
+                  "holevo_bound": holevo_bound, "delta": delta}
+    for q, r, rho in cases:
+        report = evaluate_eur(q, r, rho)
+        expected = reference_report_fields(q, r, rho)
+        for field, value in expected.items():
+            assert np.array_equal(getattr(report, field), value), field
+        for field, function in standalone.items():
+            assert np.array_equal(function(q, r, rho), expected[field]), field
+        assert np.array_equal(conditional_entropy(rho), expected["s_cond"])
+        assert np.array_equal(mutual_information(rho), expected["i_ab"])
+        assert np.array_equal(holevo_quantity(r, rho), expected["i_rb"])
+        assert np.array_equal(report.holevo_bound, report.berta_bound + np.maximum(0.0, report.delta))
+
+
+def test_evaluate_eur_takes_each_spectrum_once(monkeypatch):
+    # nine distinct matrices: rho, rho_A, rho_B, rho_QB, rho_RB and the
+    # four conditional memory states; one pair of contractions per observable
+    rng = np.random.default_rng(36)
+    eigh, einsum = np.linalg.eigh, np.einsum
+    solved, contractions = [], []
+
+    def counted_eigh(a, *args, **kwargs):
+        solved.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    def counted_einsum(*args, **kwargs):
+        contractions.append(args[0])
+        return einsum(*args, **kwargs)
+
+    one = apply_to_memory(unruh_channel(0.3), bell_diagonal_p(0.5))
+    stack = np.stack([random_density_matrix(rng, 4) for _ in range(7)])
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    monkeypatch.setattr(np, "einsum", counted_einsum)
+    for rho, lead in ((one, ()), (stack, (7,))):
+        solved.clear()
+        contractions.clear()
+        evaluate_eur(X_OBS, Y_OBS, rho)
+        assert sorted(solved) == [lead + (2, 2)] * 6 + [lead + (4, 4)] * 3
+        assert len(contractions) == 4
 
 
 def test_report_ordering_at_maximal_mixing():

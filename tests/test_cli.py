@@ -115,8 +115,13 @@ def test_parse_rejects_bad_ranges(capsys):
          "omega 1e+307 overflows the default a-max 20*omega*2pi; set --a-max"),
         (["sweep", "--a-min", "200"],
          "a-min 200.0 exceeds the default a-max 12.566370614359172; set --a-max"),
+        # an r-sweep's a-min above pi/4 is named, whatever --a-max says
         (["sweep", "--sweep-var", "r", "--a-min", "0.9"],
-         "a-min 0.9 exceeds the default a-max 0.7853981633974483; set --a-max"),
+         "r sweep bound must lie in [0, pi/4], got a-min 0.9"),
+        (["sweep", "--sweep-var", "r", "--a-min", "0.9", "--a-max", "1"],
+         "r sweep bound must lie in [0, pi/4], got a-min 0.9"),
+        (["sweep", "--sweep-var", "r", "--a-min", "0.9", "--a-max", "0.5"],
+         "r sweep bound must lie in [0, pi/4], got a-min 0.9"),
     ):
         with pytest.raises(SystemExit) as exc:
             parse_args(argv)

@@ -1,21 +1,26 @@
-"""scripts/reproduce_figures.py: both preset CSVs, and its exit codes."""
+"""The scripts: reproduce_figures.py (both preset CSVs, its exit codes) and compare_csv.py."""
 
 import importlib.util
+import shutil
 from pathlib import Path
 
 import pytest
 
 from eur.cli import EXIT_IO, EXIT_OK, main
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "reproduce_figures.py"
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def reproduce_figures():
-    spec = importlib.util.spec_from_file_location("reproduce_figures", SCRIPT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_script("reproduce_figures")
 
 
 def test_script_writes_both_preset_csvs(tmp_path, reproduce_figures, capsys):
@@ -45,3 +50,20 @@ def test_script_rejects_bad_steps_before_creating_outdir(tmp_path, reproduce_fig
     err = capsys.readouterr().err
     assert "usage: eur" not in err
     assert "steps must lie in [2, " in err
+
+
+def test_compare_csv_names_the_first_differing_line(tmp_path, monkeypatch, capsys):
+    compare_csv = load_script("compare_csv")
+    monkeypatch.setattr(compare_csv, "CASES", [("--preset", "fig1", "--steps", "5")])
+    assert compare_csv.main([str(compare_csv.SRC)]) == 0
+    assert capsys.readouterr().out == "same    --preset fig1 --steps 5\n"
+
+    changed = tmp_path / "src"
+    shutil.copytree(compare_csv.SRC, changed, ignore=shutil.ignore_patterns("__pycache__"))
+    cli = changed / "eur" / "cli.py"
+    cli.write_text(cli.read_text().replace('CSV_HEADER = "a,r,', 'CSV_HEADER = "a,angle,'))
+    assert compare_csv.main([str(changed)]) == 1
+    assert capsys.readouterr().out == (
+        "DIFFERS --preset fig1 --steps 5: line 1: "
+        "a,angle,lhs,berta,holevo,delta != a,r,lhs,berta,holevo,delta\n"
+    )
