@@ -7,10 +7,12 @@ Runs every case in CASES with `python -m eur sweep`, once with BASE_SRC
 (the `src` directory of another checkout) first on PYTHONPATH and once
 with this checkout's `src`, and compares the two CSV files byte for
 byte. Prints one line per case; exits 1 if any case differs, naming its
-first differing line, and 0 otherwise.
+first differing line, how many cells differ and the largest absolute
+difference between two numeric cells, and 0 otherwise.
 """
 
 import argparse
+import itertools
 import os
 import subprocess
 import sys
@@ -55,6 +57,22 @@ def first_difference(base: bytes, this: bytes) -> str:
     return "line endings differ"
 
 
+def cell_differences(base: bytes, this: bytes) -> tuple:
+    """(number of CSV cells that differ, largest |this - base| over the
+    differing cells that both hold numbers; 0.0 when none do)."""
+    count, largest = 0, 0.0
+    rows = itertools.zip_longest(base.splitlines(), this.splitlines(), fillvalue=b"")
+    for old_row, new_row in rows:
+        for old, new in itertools.zip_longest(old_row.split(b","), new_row.split(b",")):
+            if old != new:
+                count += 1
+                try:
+                    largest = max(largest, abs(float(new) - float(old)))
+                except (TypeError, ValueError):  # a missing, blank or text cell
+                    pass
+    return count, largest
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base_src", type=Path, help="the src directory to compare against")
@@ -68,7 +86,9 @@ def main(argv=None) -> int:
                 print(f"same    {' '.join(case)}")
             else:
                 differing += 1
-                print(f"DIFFERS {' '.join(case)}: {first_difference(base, this)}")
+                count, largest = cell_differences(base, this)
+                print(f"DIFFERS {' '.join(case)}: {first_difference(base, this)}; "
+                      f"{count} cells differ, largest |difference| {largest:.3g}")
     return 1 if differing else 0
 
 

@@ -40,8 +40,7 @@ def unruh_r(a, omega: float):
     arccosine of a number next to 1 loses it. The formula divides by the
     acceleration, so a = 0 is defined by its limit r = 0 (the identity
     channel); a -> infinity approaches r = pi/4. Monotonically increasing
-    in a and decreasing in omega. Each element goes through `math`, whose
-    exp can differ from numpy's in the last bit.
+    in a and decreasing in omega.
 
     Raises ValueError naming omega, or the first acceleration, that is
     not finite or out of range.
@@ -52,9 +51,10 @@ def unruh_r(a, omega: float):
     valid = np.isfinite(a) & (a >= 0.0)
     if not valid.all():
         raise ValueError(f"acceleration must be finite and >= 0, got {a[~valid][0]}")
-    scale = -math.pi * omega
-    r = [math.atan(math.exp(scale / x)) if x else 0.0 for x in a.ravel().tolist()]
-    return _float_or_array(np.reshape(r, a.shape))
+    # a at or next to 0 (-0.0 included) gives an exponent of -inf, so r = atan(0) = 0
+    with np.errstate(over="ignore"):
+        exponent = np.divide(-math.pi * omega, a, out=np.full(a.shape, -np.inf), where=a > 0.0)
+    return _float_or_array(np.arctan(np.exp(exponent)))
 
 
 def unruh_channel(r) -> np.ndarray:
@@ -145,9 +145,11 @@ def apply_to_memory(channel, rho: np.ndarray) -> np.ndarray:
     if rho.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {rho.shape}")
     kraus = _kraus_stack(channel)
-    rho = rho.reshape(rho.shape[:-2] + (2, 2, 2, 2))  # rho[..., i, b, j, c]: probe i, j; memory b, c
-    out = np.einsum("k...ab,...ibjc,k...dc->...iajd", kraus, rho, kraus.conj())
-    return out.reshape(out.shape[:-4] + (4, 4))
+    # I (x) K_j, with the stack axes padded so that K_j's align with rho's
+    lifted = np.zeros(kraus.shape[:1] + (1,) * (rho.ndim - kraus.ndim + 1) + kraus.shape[1:-2]
+                      + (4, 4), dtype=complex)
+    lifted[..., :2, :2] = lifted[..., 2:, 2:] = kraus.reshape(lifted.shape[:-2] + (2, 2))
+    return (lifted @ rho @ lifted.conj().swapaxes(-1, -2)).sum(axis=0)
 
 
 def choi(channel) -> np.ndarray:

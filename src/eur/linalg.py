@@ -5,9 +5,10 @@ puts the left factor on the most significant index: for A of dimension m
 and B of dimension n, the composite basis index is n*i_A + i_B (numpy's
 ``kron`` ordering). Every other module relies on this convention.
 
-`partial_trace`, `_require_hermitian` and `hermitian_eigensystem` act on
-the last two axes and broadcast over any leading stack axes, so one call
-handles a single (d, d) matrix or a whole (..., d, d) stack.
+`partial_trace`, `_require_hermitian`, `hermitian_eigensystem` and
+`_spectrum` act on the last two axes and broadcast over any leading stack
+axes, so one call handles a single (d, d) matrix or a whole (..., d, d)
+stack.
 """
 
 import math
@@ -112,3 +113,23 @@ def hermitian_eigensystem(m: np.ndarray):
     m = _require_hermitian(m)
     eigenvalues, eigenvectors = np.linalg.eigh((m + m.conj().swapaxes(-1, -2)) / 2.0)
     return eigenvalues, eigenvectors
+
+
+def _spectrum(m: np.ndarray) -> np.ndarray:
+    """Eigenvalues, ascending along the last axis, of a Hermitian matrix or
+    of each in a stack; the same checks and symmetrization as
+    `hermitian_eigensystem`, without the eigenvectors.
+
+    A 2x2 spectrum is taken in closed form, (a+d)/2 -+ hypot((a-d)/2, |b|)
+    for [[a, b], [b*, d]]; a larger one with `np.linalg.eigvalsh`.
+    """
+    m = _require_hermitian(m)
+    if m.shape[-1] != 2:
+        return np.linalg.eigvalsh((m + m.conj().swapaxes(-1, -2)) / 2.0)
+    a, d = m[..., 0, 0].real, m[..., 1, 1].real
+    b = (m[..., 0, 1] + m[..., 1, 0].conj()) / 2.0
+    mean = (a + d) / 2.0
+    # |b| as a real hypot: numpy's complex abs rounds differently on arrays
+    # than on scalars, and a stack must give each matrix's own bits
+    radius = np.hypot((a - d) / 2.0, np.hypot(b.real, b.imag))
+    return np.stack([mean - radius, mean + radius], axis=-1)

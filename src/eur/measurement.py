@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ORTHONORMALITY_ATOL, PROBABILITY_FLOOR, _float_or_array, partial_trace
-from .states import memory_marginal, vn_entropy
+from .linalg import ORTHONORMALITY_ATOL, PROBABILITY_FLOOR, _float_or_array
+from .states import _entropy_bits, memory_marginal, vn_entropy
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -71,47 +71,61 @@ def complementarity(q: ProjectiveObservable, r: ProjectiveObservable) -> float:
     return float(overlaps.max())
 
 
-def _outcome_blocks(obs: ProjectiveObservable, rho: np.ndarray) -> list[np.ndarray]:
-    """The unnormalized blocks (P_i (x) I) rho (P_i (x) I), one per outcome i."""
+def _memory_blocks(obs: ProjectiveObservable, rho: np.ndarray) -> np.ndarray:
+    """The unnormalized memory blocks <i|rho|i>, with |i> the observable's
+    eigenstates on the probe, as a (..., 2, 2, 2) stack indexed by outcome.
+
+    One contraction of rho with the rows conj(P_i) = P_i^T forms both.
+    """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 two-qubit state, got shape {rho.shape}")
     stack = rho.shape[:-2]
-    rho = rho.reshape(stack + (2, 2, 2, 2))  # rho[..., b, j, c, l]: probe b, c; memory j, l
-    return [
-        np.einsum("ab,...bjcl,cd->...ajdl", p, rho, p).reshape(stack + (4, 4))
-        for p in map(obs.projector, (0, 1))
-    ]
+    rows = np.stack([obs.projector(i).conj().reshape(4) for i in (0, 1)])
+    # rho[..., b, j, c, l] (probe b, c; memory j, l) as (..., bc, jl)
+    by_probe = rho.reshape(stack + (2, 2, 2, 2)).swapaxes(-3, -2).reshape(stack + (4, 4))
+    return (rows @ by_probe).reshape(stack + (2, 2, 2))
 
 
-def _measured(obs: ProjectiveObservable, rho: np.ndarray) -> tuple:
-    """rho_OB and [(p_i, rho_B|i, kept_i) for each outcome i], over the whole
-    stack, from one set of outcome blocks.
+def _conditioned(obs: ProjectiveObservable, rho: np.ndarray) -> tuple:
+    """(p, rho_B|i, kept) for both outcomes i over the whole stack, the
+    outcome on the last axis of p and kept and on axis -3 of rho_B|i.
 
     `kept` is False where p_i is at or below PROBABILITY_FLOOR. There the
     normalizing division is suppressed rather than amplified into noise:
     rho_B|i is the unnormalized, negligible memory block, a finite matrix
     whose entropy a zero weight cancels exactly.
     """
-    blocks = _outcome_blocks(obs, rho)
-    conditioned = []
-    for block in blocks:
-        p = block.trace(axis1=-2, axis2=-1).real
-        kept = p > PROBABILITY_FLOOR
-        memory = partial_trace(block, keep=[1], dims=[2, 2])
-        conditioned.append((p, memory / np.where(kept, p, 1.0)[..., None, None], kept))
-    return sum(blocks), conditioned
+    blocks = _memory_blocks(obs, rho)
+    p = (blocks[..., 0, 0] + blocks[..., 1, 1]).real
+    kept = p > PROBABILITY_FLOOR
+    return p, blocks / np.where(kept, p, 1.0)[..., None, None], kept
+
+
+def _outcome_entropies(obs: ProjectiveObservable, rho: np.ndarray) -> tuple:
+    """(H(p), sum_i p_i S(rho_B|i)) of the observable's outcomes.
+
+    A zero-probability outcome gets weight 0 in the sum, so it contributes
+    exactly nothing. S(OB) = H(p) + sum_i p_i S(rho_B|i) is the entropy
+    of the block-diagonal post-measurement state.
+    """
+    p, conditional, kept = _conditioned(obs, rho)
+    outcomes = _entropy_bits(p.clip(0.0, None))
+    mixed = (np.where(kept, p, 0.0) * vn_entropy(conditional)).sum(axis=-1)
+    return _float_or_array(outcomes), _float_or_array(mixed)
 
 
 def post_measurement_state(obs: ProjectiveObservable, rho: np.ndarray) -> np.ndarray:
     """Dephase the probed qubit in the observable's eigenbasis.
 
-    Returns sum_i (P_i (x) I) rho (P_i (x) I): the classical-quantum
-    state held once the outcome is recorded but not read out. Block
-    diagonal in the measurement basis, and idempotent for a fixed
-    observable.
+    Returns sum_i (P_i (x) I) rho (P_i (x) I) = sum_i P_i (x) <i|rho|i>:
+    the classical-quantum state held once the outcome is recorded but not
+    read out. Block diagonal in the measurement basis, and idempotent for
+    a fixed observable.
     """
-    return _measured(obs, rho)[0]
+    projectors = np.stack([obs.projector(0), obs.projector(1)])
+    out = np.einsum("iac,...ijl->...ajcl", projectors, _memory_blocks(obs, rho))
+    return out.reshape(out.shape[:-4] + (4, 4))
 
 
 def measurement_ensemble(obs: ProjectiveObservable, rho: np.ndarray):
@@ -127,7 +141,7 @@ def measurement_ensemble(obs: ProjectiveObservable, rho: np.ndarray):
         raise ValueError(f"expected one 4x4 two-qubit state, got shape {np.shape(rho)}")
     return [
         (float(p), conditional) if kept else (max(float(p), 0.0), None)
-        for p, conditional, kept in _measured(obs, rho)[1]
+        for p, conditional, kept in zip(*_conditioned(obs, rho))
     ]
 
 
@@ -137,12 +151,4 @@ def holevo_quantity(obs: ProjectiveObservable, rho: np.ndarray):
     I(O;B) = S(rho_B) - sum_i p_i S(rho_B|i); zero-probability outcomes
     get weight 0 and so contribute exactly nothing.
     """
-    return _holevo(vn_entropy(memory_marginal(rho)), _measured(obs, rho)[1])
-
-
-def _holevo(s_memory, conditioned):
-    """`holevo_quantity` from S(rho_B) and `_measured`'s conditioned ensemble."""
-    result = s_memory
-    for p, conditional, kept in conditioned:
-        result = result - np.where(kept, p, 0.0) * vn_entropy(conditional)
-    return _float_or_array(result)
+    return vn_entropy(memory_marginal(rho)) - _outcome_entropies(obs, rho)[1]

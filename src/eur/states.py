@@ -16,6 +16,7 @@ from .linalg import (
     PROBABILITY_SUM_ATOL,
     TRACE_ATOL,
     _float_or_array,
+    _spectrum,
     hermitian_eigensystem,
     partial_trace,
     tensor,
@@ -131,19 +132,29 @@ def vn_entropy(rho: np.ndarray):
 
     Takes one density matrix and returns a float, or a (..., d, d) stack
     and returns an array of the stack's shape. Eigenvalues in
-    [EIGENVALUE_FLOOR, 0) are clamped to 0; anything more negative, in
-    any matrix of the stack, means the input is not a state and is a hard
-    error so upstream bugs surface instead of being rounded away.
+    [EIGENVALUE_FLOOR, 0) are clamped to 0 and those in
+    (1, 1 + |EIGENVALUE_FLOOR|] to 1; anything farther out, in any matrix
+    of the stack, means the input is not a state and is a hard error so
+    upstream bugs surface instead of being rounded away.
     """
-    eigenvalues, _ = hermitian_eigensystem(rho)
+    eigenvalues = _spectrum(rho)
     smallest = float(eigenvalues[..., 0].min(initial=0.0))
     if smallest < EIGENVALUE_FLOOR:
         raise ValueError(
             f"not a density matrix: eigenvalue {smallest:.3e} below tolerance"
         )
-    clamped = eigenvalues.clip(0.0, 1.0)
-    logs = np.log2(clamped, out=np.zeros_like(clamped), where=clamped > 0.0)
-    return _float_or_array(-(clamped * logs).sum(axis=-1))
+    largest = float(eigenvalues[..., -1].max(initial=1.0))
+    if largest > 1.0 - EIGENVALUE_FLOOR:
+        raise ValueError(
+            f"not a density matrix: eigenvalue {largest:.12g} above 1"
+        )
+    return _float_or_array(_entropy_bits(eigenvalues.clip(0.0, 1.0)))
+
+
+def _entropy_bits(weights: np.ndarray) -> np.ndarray:
+    """-sum w log2 w over the last axis of nonnegative weights, with 0 log 0 = 0."""
+    logs = np.log2(weights, out=np.zeros_like(weights), where=weights > 0.0)
+    return -(weights * logs).sum(axis=-1)
 
 
 def shannon_entropy(p) -> float:
@@ -162,8 +173,7 @@ def shannon_entropy(p) -> float:
     total = float(p.sum())
     if abs(total - 1.0) > PROBABILITY_SUM_ATOL:
         raise ValueError(f"probabilities sum to {total:.12g}, expected 1")
-    nonzero = p[p > 0.0]
-    return float(-np.sum(nonzero * np.log2(nonzero)))
+    return float(_entropy_bits(p))
 
 
 def memory_marginal(rho: np.ndarray) -> np.ndarray:

@@ -1,17 +1,10 @@
 """Shared constants and random generators for the test suite.
 
 Everything here is built with raw numpy, never with package code, so the
-tests keep an independent route to the objects they check. The one
-exception is `reference_report_fields`, which pins how the bounds are
-composed from the package's state and measurement primitives.
+tests keep an independent route to the objects they check.
 """
 
-import math
-
 import numpy as np
-
-from eur.measurement import complementarity, holevo_quantity, post_measurement_state
-from eur.states import memory_marginal, probe_marginal, vn_entropy
 
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -124,23 +117,3 @@ def reference_bound_violations(lhs, berta, holevo):
         for i, row in enumerate(zip(lhs, berta, holevo))
         if (message := row_violation(*row)) is not None
     ]
-
-
-def reference_report_fields(q, r, rho):
-    """The state-dependent `EurReport` fields, each composed from the state
-    and measurement primitives as the bounds were first written, operand
-    order included, so that a refactor of `eur.bounds` that changes one
-    float operation shows up as a failure under `np.array_equal`."""
-    s_cond = vn_entropy(rho) - vn_entropy(memory_marginal(rho))
-    i_ab = vn_entropy(probe_marginal(rho)) + vn_entropy(memory_marginal(rho)) - vn_entropy(rho)
-    i_qb = holevo_quantity(q, rho)
-    i_rb = holevo_quantity(r, rho)
-    berta = math.log2(1.0 / complementarity(q, r)) + s_cond
-    d = i_ab - i_qb - i_rb
-    lhs = (
-        vn_entropy(post_measurement_state(q, rho))
-        + vn_entropy(post_measurement_state(r, rho))
-        - 2.0 * vn_entropy(memory_marginal(rho))
-    )
-    return {"lhs": lhs, "berta_bound": berta, "holevo_bound": berta + np.maximum(0.0, d),
-            "delta": d, "s_cond": s_cond, "i_ab": i_ab, "i_qb": i_qb, "i_rb": i_rb}

@@ -17,7 +17,7 @@ from eur.measurement import (
     measurement_ensemble,
     pauli_observable,
 )
-from eur.states import vn_entropy, x_state
+from eur.states import memory_marginal, vn_entropy, x_state
 from helpers import random_cptp_kraus, random_density_matrix, random_unitary
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -94,6 +94,13 @@ def test_checks_cover_every_matrix_of_a_stack():
     negative = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
     with pytest.raises(ValueError, match="eigenvalue"):
         vn_entropy(np.stack([good, good, negative]))
+    # an eigenvalue above 1 is not clipped away: 2x2 (closed form) and 4x4 (LAPACK)
+    above_one = np.diag([1.01, 0.0]).astype(complex)
+    good_2x2 = memory_marginal(good)
+    with pytest.raises(ValueError, match="eigenvalue 1.01 above 1"):
+        vn_entropy(np.stack([good_2x2, good_2x2, above_one]))
+    with pytest.raises(ValueError, match="eigenvalue 1.01 above 1"):
+        vn_entropy(np.stack([good, good, np.kron(above_one, np.diag([1.0, 0.0]))]))
 
 
 @pytest.mark.parametrize("flags", [

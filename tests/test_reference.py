@@ -1,0 +1,80 @@
+"""Every `Sweep` column and `EurReport` field against the 40-digit reference,
+within the error budget stated in `reference.py`."""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import eur.cli as cli
+import reference
+from eur.bounds import evaluate_eur
+from eur.channels import apply_to_memory, unruh_channel
+from eur.measurement import ProjectiveObservable, pauli_observable
+from eur.states import bell_diagonal_p, x_state
+from helpers import random_complex, random_unitary
+
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+@pytest.mark.parametrize("preset", ["fig1", "fig2"])
+def test_sweep_matches_the_reference_at_every_grid_point(preset):
+    cfg = cli.parse_args(["sweep", "--preset", preset, "--steps", "101"])
+    sweep = cli.run_sweep(cfg)
+    columns, reports = reference.sweep(cfg)
+    for field in dataclasses.fields(sweep):
+        bad = reference.outside_budget(getattr(sweep, field.name), columns[field.name])
+        assert not bad, (field.name, bad[:3])
+
+    q, r = pauli_observable(cfg.obs[0]), pauli_observable(cfg.obs[1])
+    initial = bell_diagonal_p(cfg.p) if cfg.state == "bell" else x_state(cfg.p)
+    report = evaluate_eur(q, r, apply_to_memory(unruh_channel(sweep.r), initial))
+    assert not reference.report_outside_budget(report, reports)
+
+
+@given(seeds, st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=3))
+@settings(max_examples=25, deadline=None)
+def test_report_matches_the_reference_on_drawn_states(seed, rank, stack):
+    # G G^dag with G of shape (4, rank): rank-deficient below 4
+    rng = np.random.default_rng(seed)
+    g = random_complex(rng, (stack, 4, rank))
+    states = g @ g.conj().swapaxes(-1, -2)
+    states /= np.trace(states, axis1=-2, axis2=-1).real[:, None, None]
+    q_basis, r_basis = random_unitary(rng, 2), random_unitary(rng, 2)
+    q, r = ProjectiveObservable("q", q_basis), ProjectiveObservable("r", r_basis)
+    expected = reference.reports(q_basis, r_basis, states)
+    assert not reference.report_outside_budget(evaluate_eur(q, r, states), expected)
+
+
+def test_zero_probability_stack_matches_the_reference():
+    # x_state(0) = |11><11|: sigma_z outcome 0 has probability exactly 0
+    states = np.stack([x_state(0.0), x_state(0.5)] + [
+        apply_to_memory(unruh_channel(r), x_state(0.0)) for r in (0.2, np.pi / 4)])
+    for pair in (("z", "z"), ("z", "x")):
+        q, r = (pauli_observable(axis) for axis in pair)
+        expected = reference.reports(q.basis, r.basis, states)
+        assert not reference.report_outside_budget(evaluate_eur(q, r, states), expected)
+
+
+def test_reference_reproduces_closed_forms():
+    # p = 1/2 Bell-diagonal state, x/y pair: lhs = 1 + h(1/4), I(R;B) = 1 - h(1/4)
+    h_quarter = -(reference.MP.log(0.25, 2) + 3 * reference.MP.log(0.75, 2)) / 4
+    rep = reference.report(reference.pauli_basis("x"), reference.pauli_basis("y"),
+                           reference.initial_state("bell", 0.5))
+    assert abs(rep["lhs"] - (1 + h_quarter)) < 1e-35
+    assert abs(rep["i_rb"] - (1 - h_quarter)) < 1e-35
+    assert abs(rep["berta_bound"] - 1.5) < 1e-35 and abs(rep["c"] - 0.5) < 1e-35
+    # a = 2 pi omega / ln 2 makes exp(-2 pi omega / a) exactly 1/2, so cos^2 r = 2/3
+    r = reference.unruh_r(reference.MP.mpf(2) * reference.MP.pi * 0.1 / reference.MP.log(2), 0.1)
+    assert abs(reference.MP.cos(r) ** 2 - reference.MP.mpf(2) / 3) < 1e-35
+    # the channel is the identity at r = 0, and the fig2 anchor gives zero everywhere
+    anchor = reference.report(reference.pauli_basis("x"), reference.pauli_basis("y"),
+                              reference.evolve(reference.initial_state("x", 1.0), 0))
+    assert all(abs(anchor[field]) < 1e-35 for field in ("lhs", "berta_bound", "holevo_bound"))
+    assert reference.budget(0.0) == reference.K * 2.0 ** -52
+    bad = reference.outside_budget([1.0, 1.0 + 1e-12, 1.0 + 1e-14], [1.0, 1.0, 1.0])
+    assert [index for index, *_ in bad] == [1]
+    assert math.isclose(reference.budget(-3.0), 4 * reference.budget(0.0))

@@ -65,5 +65,15 @@ def test_compare_csv_names_the_first_differing_line(tmp_path, monkeypatch, capsy
     assert compare_csv.main([str(changed)]) == 1
     assert capsys.readouterr().out == (
         "DIFFERS --preset fig1 --steps 5: line 1: "
-        "a,angle,lhs,berta,holevo,delta != a,r,lhs,berta,holevo,delta\n"
+        "a,angle,lhs,berta,holevo,delta != a,r,lhs,berta,holevo,delta; "
+        "1 cells differ, largest |difference| 0\n"
     )
+
+    # shift the delta column by 2**-20 (exact in binary): five cells, one per row
+    cli.write_text(cli.read_text().replace(
+        'CSV_HEADER = "a,angle,', 'CSV_HEADER = "a,r,').replace(
+        "report.holevo_bound, report.delta", "report.holevo_bound, report.delta - 2.0**-20"))
+    assert compare_csv.main([str(changed)]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("DIFFERS --preset fig1 --steps 5: line 2: ")
+    assert out.endswith("; 5 cells differ, largest |difference| 9.54e-07\n")
