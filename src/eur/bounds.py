@@ -9,10 +9,10 @@ Every state-dependent function takes one 4x4 state or a (..., 4, 4)
 stack of them, and returns a float for one state or an array of the
 stack's shape.
 
-`evaluate_eur` takes one 4x4 spectrum and six closed-form 2x2 ones per
-call; the standalone bounds return its fields, and `conditional_entropy`
-and `mutual_information` share its state entropies, so every formula is
-written once and each function returns exactly the report's bits.
+`evaluate_eur` reads every entropy from one stacked pass,
+`measurement._entropy_terms`; the standalone bounds return its fields and
+`conditional_entropy` and `mutual_information` read the same pass, so
+every formula is written once and each returns exactly the report's bits.
 """
 
 import math
@@ -21,26 +21,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import BOUND_GAP_ATOL, BOUND_ORDER_ATOL, _float_or_array, _require_hermitian
-from .measurement import ProjectiveObservable, _outcome_entropies, complementarity
-from .states import from_pure, memory_marginal, probe_marginal, vn_entropy
-
-
-def _state_terms(rho: np.ndarray) -> tuple:
-    """(S(B), S(A|B), I(A;B)) from one spectrum each of rho, rho_B and rho_A."""
-    s_ab = vn_entropy(rho)
-    s_b = vn_entropy(memory_marginal(rho))
-    s_a = vn_entropy(probe_marginal(rho))
-    return s_b, s_ab - s_b, s_a + s_b - s_ab
+from .measurement import ProjectiveObservable, _entropy_terms, complementarity
+from .states import from_pure
 
 
 def conditional_entropy(rho: np.ndarray) -> float:
     """S(A|B) = S(AB) - S(B) in bits; negative iff the state is entangled enough."""
-    return _state_terms(rho)[1]
+    return _entropy_terms(rho)[0]
 
 
 def mutual_information(rho: np.ndarray) -> float:
     """I(A;B) = S(A) + S(B) - S(AB) in bits."""
-    return _state_terms(rho)[2]
+    return _entropy_terms(rho)[1]
 
 
 def uncertainty_lhs(
@@ -123,15 +115,15 @@ def evaluate_eur(
 ) -> EurReport:
     """Evaluate the uncertainty sum and every lower bound on one state or a stack.
 
-    Takes one 4x4 spectrum, of rho, and six 2x2 ones in closed form: both
-    marginals and the four conditional memory states. The post-measurement
-    state rho_OB is block diagonal, so S(O|B) = H(p) + sum_i p_i S(rho_B|i)
-    - S(B) = H(p) - I(O;B) needs no spectrum of its own.
+    Takes one 4x4 spectrum, of rho, and one stack of six 2x2 ones in
+    closed form: both marginals and the four conditional memory states.
+    The post-measurement state rho_OB is block diagonal, so
+    S(O|B) = H(p) + sum_i p_i S(rho_B|i) - S(B) = H(p) - I(O;B) needs no
+    spectrum of its own.
     """
-    s_b, s_cond, i_ab = _state_terms(rho)
-    (h_q, mixed_q), (h_r, mixed_r) = _outcome_entropies(q, rho), _outcome_entropies(r, rho)
-    i_qb, i_rb = s_b - mixed_q, s_b - mixed_r
-    mu = maassen_uffink_bound(q, r)
+    s_cond, i_ab, i_qb, i_rb, h_q, h_r = _entropy_terms(rho, q, r)
+    c = complementarity(q, r)
+    mu = math.log2(1.0 / c)
     berta = mu + s_cond
     d = i_ab - i_qb - i_rb
     return EurReport(
@@ -140,7 +132,7 @@ def evaluate_eur(
         berta_bound=berta,
         holevo_bound=_float_or_array(berta + np.maximum(0.0, d)),
         delta=d,
-        c=complementarity(q, r),
+        c=c,
         s_cond=s_cond,
         i_ab=i_ab,
         i_qb=i_qb,

@@ -6,6 +6,9 @@ API on purpose so subsystem-convention bugs cannot arise.
 
 `post_measurement_state` and `holevo_quantity` take one 4x4 state or a
 (..., 4, 4) stack; `holevo_quantity` returns a float or an array to match.
+Each state-dependent function reads `_conditioned`, one contraction that
+forms the blocks of every observable at once, or the entropies that
+`_entropy_terms` takes from it in one stacked pass.
 """
 
 from dataclasses import dataclass
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import ORTHONORMALITY_ATOL, PROBABILITY_FLOOR, _float_or_array
-from .states import _entropy_bits, memory_marginal, vn_entropy
+from .states import _entropy_bits, vn_entropy
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -71,48 +74,51 @@ def complementarity(q: ProjectiveObservable, r: ProjectiveObservable) -> float:
     return float(overlaps.max())
 
 
-def _memory_blocks(obs: ProjectiveObservable, rho: np.ndarray) -> np.ndarray:
-    """The unnormalized memory blocks <i|rho|i>, with |i> the observable's
-    eigenstates on the probe, as a (..., 2, 2, 2) stack indexed by outcome.
+def _conditioned(rho: np.ndarray, observables) -> tuple:
+    """(states, p, kept, blocks) for every outcome of each observable in turn.
 
-    One contraction of rho with the rows conj(P_i) = P_i^T forms both.
+    One contraction of rho with the stacked rows conj(P_i) = P_i^T gives
+    `blocks`, the unnormalized memory blocks <i|rho|i> (|i> the eigenstates
+    on the probe) as a (..., 2k, 2, 2) stack, and p their traces. `states`
+    stacks rho_A and rho_B, taken by trace as in `partial_trace`, on the
+    conditional states rho_B|i: (..., 2 + 2k, 2, 2). `kept` is False where
+    p_i is at or below PROBABILITY_FLOOR; there the normalizing division
+    is suppressed rather than amplified into noise, so rho_B|i is the
+    negligible unnormalized block, a finite matrix whose entropy a zero
+    weight cancels exactly.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 two-qubit state, got shape {rho.shape}")
     stack = rho.shape[:-2]
-    rows = np.stack([obs.projector(i).conj().reshape(4) for i in (0, 1)])
-    # rho[..., b, j, c, l] (probe b, c; memory j, l) as (..., bc, jl)
-    by_probe = rho.reshape(stack + (2, 2, 2, 2)).swapaxes(-3, -2).reshape(stack + (4, 4))
-    return (rows @ by_probe).reshape(stack + (2, 2, 2))
-
-
-def _conditioned(obs: ProjectiveObservable, rho: np.ndarray) -> tuple:
-    """(p, rho_B|i, kept) for both outcomes i over the whole stack, the
-    outcome on the last axis of p and kept and on axis -3 of rho_B|i.
-
-    `kept` is False where p_i is at or below PROBABILITY_FLOOR. There the
-    normalizing division is suppressed rather than amplified into noise:
-    rho_B|i is the unnormalized, negligible memory block, a finite matrix
-    whose entropy a zero weight cancels exactly.
-    """
-    blocks = _memory_blocks(obs, rho)
+    t = rho.reshape(stack + (2, 2, 2, 2))  # rho[..., b, j, c, l] (probe b, c; memory j, l)
+    rows = np.reshape([obs.projector(i).conj() for obs in observables for i in (0, 1)], (-1, 4))
+    blocks = (rows @ t.swapaxes(-3, -2).reshape(stack + (4, 4))).reshape(stack + (len(rows), 2, 2))
     p = (blocks[..., 0, 0] + blocks[..., 1, 1]).real
     kept = p > PROBABILITY_FLOOR
-    return p, blocks / np.where(kept, p, 1.0)[..., None, None], kept
+    marginals = np.stack([t.trace(axis1=-3, axis2=-1), t.trace(axis1=-4, axis2=-2)], axis=-3)
+    states = np.concatenate([marginals, blocks / np.where(kept, p, 1.0)[..., None, None]], axis=-3)
+    return states, p, kept, blocks
 
 
-def _outcome_entropies(obs: ProjectiveObservable, rho: np.ndarray) -> tuple:
-    """(H(p), sum_i p_i S(rho_B|i)) of the observable's outcomes.
+def _entropy_terms(rho: np.ndarray, *observables: ProjectiveObservable) -> tuple:
+    """(S(A|B), I(A;B), I(O;B) of each observable, H(p) of each observable).
 
-    A zero-probability outcome gets weight 0 in the sum, so it contributes
-    exactly nothing. S(OB) = H(p) + sum_i p_i S(rho_B|i) is the entropy
-    of the block-diagonal post-measurement state.
+    One `vn_entropy` call takes the 4x4 spectrum of rho, a second the
+    (..., 2 + 2k, 2, 2) stack of `_conditioned`, and one `_entropy_bits`
+    call every outcome law. S(OB) = H(p) + sum_i p_i S(rho_B|i) is the
+    entropy of the block-diagonal post-measurement state, so
+    I(O;B) = S(B) - sum_i p_i S(rho_B|i); a zero-probability outcome gets
+    weight 0 and contributes exactly nothing.
     """
-    p, conditional, kept = _conditioned(obs, rho)
-    outcomes = _entropy_bits(p.clip(0.0, None))
-    mixed = (np.where(kept, p, 0.0) * vn_entropy(conditional)).sum(axis=-1)
-    return _float_or_array(outcomes), _float_or_array(mixed)
+    states, p, kept, _ = _conditioned(rho, observables)
+    s_ab, s = vn_entropy(rho), vn_entropy(states)
+    s_a, s_b = s[..., 0], s[..., 1]
+    pairs = p.shape[:-1] + (len(observables), 2)
+    i_ob = s_b[..., None] - (np.where(kept, p, 0.0) * s[..., 2:]).reshape(pairs).sum(axis=-1)
+    h = _entropy_bits(p.clip(0.0, None).reshape(pairs))
+    per_observable = [x[..., k] for x in (i_ob, h) for k in range(len(observables))]
+    return tuple(map(_float_or_array, (s_ab - s_b, s_a + s_b - s_ab, *per_observable)))
 
 
 def post_measurement_state(obs: ProjectiveObservable, rho: np.ndarray) -> np.ndarray:
@@ -124,7 +130,7 @@ def post_measurement_state(obs: ProjectiveObservable, rho: np.ndarray) -> np.nda
     a fixed observable.
     """
     projectors = np.stack([obs.projector(0), obs.projector(1)])
-    out = np.einsum("iac,...ijl->...ajcl", projectors, _memory_blocks(obs, rho))
+    out = np.einsum("iac,...ijl->...ajcl", projectors, _conditioned(rho, (obs,))[3])
     return out.reshape(out.shape[:-4] + (4, 4))
 
 
@@ -139,9 +145,10 @@ def measurement_ensemble(obs: ProjectiveObservable, rho: np.ndarray):
     """
     if np.shape(rho) != (4, 4):
         raise ValueError(f"expected one 4x4 two-qubit state, got shape {np.shape(rho)}")
+    states, p, kept, _ = _conditioned(rho, (obs,))
     return [
-        (float(p), conditional) if kept else (max(float(p), 0.0), None)
-        for p, conditional, kept in zip(*_conditioned(obs, rho))
+        (float(p_i), conditional) if kept_i else (max(float(p_i), 0.0), None)
+        for p_i, conditional, kept_i in zip(p, states[2:], kept)
     ]
 
 
@@ -151,4 +158,4 @@ def holevo_quantity(obs: ProjectiveObservable, rho: np.ndarray):
     I(O;B) = S(rho_B) - sum_i p_i S(rho_B|i); zero-probability outcomes
     get weight 0 and so contribute exactly nothing.
     """
-    return vn_entropy(memory_marginal(rho)) - _outcome_entropies(obs, rho)[1]
+    return _entropy_terms(rho, obs)[2]

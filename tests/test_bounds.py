@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
+from eur import linalg, states
 from eur.bounds import (
     berta_bound,
     bound_violations,
@@ -168,9 +169,9 @@ def test_report_matches_standalone_operations_exactly():
 
 def test_evaluate_eur_takes_each_spectrum_once(monkeypatch):
     # one LAPACK spectrum, of rho; both marginals and the four conditional
-    # memory states are 2x2 and solved in closed form
+    # memory states are 2x2 and solved in closed form as one stack
     rng = np.random.default_rng(36)
-    solved = []
+    solved, spectra = [], []
 
     def counted(name):
         solver = getattr(np.linalg, name)
@@ -181,14 +182,39 @@ def test_evaluate_eur_takes_each_spectrum_once(monkeypatch):
 
         return call
 
+    def spectrum(m):
+        spectra.append(np.shape(m))
+        return linalg._spectrum(m)
+
     one = apply_to_memory(unruh_channel(0.3), bell_diagonal_p(0.5))
     stack = np.stack([random_density_matrix(rng, 4) for _ in range(7)])
     for name in ("eigh", "eigvalsh", "eig", "eigvals"):
         monkeypatch.setattr(np.linalg, name, counted(name))
+    monkeypatch.setattr(states, "_spectrum", spectrum)
     for rho, lead in ((one, ()), (stack, (7,))):
         solved.clear()
+        spectra.clear()
         evaluate_eur(X_OBS, Y_OBS, rho)
         assert solved == [("eigvalsh", lead + (4, 4))]
+        assert spectra == [lead + (4, 4), lead + (6, 2, 2)]
+
+
+@pytest.mark.parametrize("bad, message", [
+    (np.diag([0.4, 0.3, 0.2, 0.1]) + np.triu(np.full((4, 4), 1e-3), 1), "not Hermitian"),
+    (np.diag([0.6, 0.5, 0.1, -0.2]), "below tolerance"),
+    (np.diag([1.01, 0.0, 0.0, 0.0]), "eigenvalue 1.01 above 1"),
+], ids=["non_hermitian", "negative_eigenvalue", "eigenvalue_above_one"])
+def test_evaluate_eur_rejects_one_bad_state_in_a_stack(bad, message):
+    rng = np.random.default_rng(37)
+    stack = np.stack([random_density_matrix(rng, 4) for _ in range(5)])
+    stack[2] = bad
+    with pytest.raises(ValueError, match=message):
+        evaluate_eur(X_OBS, Y_OBS, stack)
+
+
+def test_evaluate_eur_names_the_shape_of_a_non_two_qubit_input():
+    with pytest.raises(ValueError, match=r"\(2, 2\)"):
+        evaluate_eur(X_OBS, Y_OBS, np.eye(2) / 2)
 
 
 def test_report_ordering_at_maximal_mixing():
