@@ -13,11 +13,9 @@ from .bounds import (
     delta,
     evaluate_eur,
     holevo_bound,
-    maassen_uffink_bound,
     mutual_information,
     robertson_bound,
     uncertainty_lhs,
-    unruh_temperature,
 )
 from .channels import (
     amplitude_damping,
@@ -47,8 +45,6 @@ from .states import (
     memory_marginal,
     probe_marginal,
     rindler_tripartite_state,
-    shannon_entropy,
-    validate_density_matrix,
     vn_entropy,
     x_state,
 )
@@ -75,7 +71,6 @@ __all__ = [
     "holevo_bound",
     "holevo_quantity",
     "kraus_from_choi",
-    "maassen_uffink_bound",
     "measurement_ensemble",
     "memory_marginal",
     "mutual_information",
@@ -86,13 +81,10 @@ __all__ = [
     "probe_marginal",
     "rindler_tripartite_state",
     "robertson_bound",
-    "shannon_entropy",
     "tensor",
     "uncertainty_lhs",
     "unruh_channel",
     "unruh_r",
-    "unruh_temperature",
-    "validate_density_matrix",
     "validate_kraus",
     "vn_entropy",
     "x_state",

@@ -46,11 +46,6 @@ def uncertainty_lhs(
     return evaluate_eur(q, r, rho).lhs
 
 
-def maassen_uffink_bound(q: ProjectiveObservable, r: ProjectiveObservable) -> float:
-    """Memoryless lower bound log2(1/c)."""
-    return math.log2(1.0 / complementarity(q, r))
-
-
 def berta_bound(
     q: ProjectiveObservable, r: ProjectiveObservable, rho: np.ndarray
 ) -> float:
@@ -184,12 +179,3 @@ def robertson_bound(q_op: np.ndarray, r_op: np.ndarray, psi: np.ndarray):
     rhs = 0.5 * abs(np.trace(rho @ commutator))
     return spread(q_op) * spread(r_op), float(rhs)
 
-
-def unruh_temperature(a: float) -> float:
-    """Thermal temperature a / (2 pi) perceived at proper acceleration a.
-
-    Natural units (c = hbar = k_B = 1).
-    """
-    if not (math.isfinite(a) and a >= 0.0):
-        raise ValueError(f"acceleration must be finite and >= 0, got {a}")
-    return a / (2.0 * math.pi)

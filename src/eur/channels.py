@@ -117,7 +117,7 @@ def validate_kraus(channel) -> None:
     kraus = _kraus_stack(channel)
     total = (kraus.conj().swapaxes(-1, -2) @ kraus).sum(axis=0)
     deviation = float(abs(total - np.eye(2)).max())
-    if deviation > COMPLETENESS_ATOL:
+    if not deviation <= COMPLETENESS_ATOL:
         raise ValueError(
             f"Kraus family is not trace preserving: max |sum K^dag K - I| = {deviation:.3e}"
         )

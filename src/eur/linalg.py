@@ -9,6 +9,10 @@ and B of dimension n, the composite basis index is n*i_A + i_B (numpy's
 `_spectrum` act on the last two axes and broadcast over any leading stack
 axes, so one call handles a single (d, d) matrix or a whole (..., d, d)
 stack.
+
+Input checks against the tolerances below, `_require_hermitian` and its
+peers in the other modules, are written `not deviation <= TOLERANCE`, so
+a NaN deviation, from NaN or infinite input, fails them.
 """
 
 import math
@@ -24,8 +28,6 @@ COMPLETENESS_ATOL = 1e-10    # max |sum K^dag K - I| of a trace-preserving chann
 KRAUS_WEIGHT_CUTOFF = 1e-12  # Choi eigenvalues at or below this give no Kraus operator
 ORTHONORMALITY_ATOL = 1e-12  # max |B^dag B - I| of an orthonormal basis
 PROBABILITY_FLOOR = 1e-12    # outcome probabilities at or below this count as 0
-NEGATIVE_PROBABILITY_FLOOR = -1e-12  # probability entries down to here are roundoff around 0
-PROBABILITY_SUM_ATOL = 1e-9  # |sum p - 1| of a probability vector taken as normalized
 BOUND_ORDER_ATOL = 1e-9      # slack allowed in lhs >= berta and lhs >= holevo
 BOUND_GAP_ATOL = 1e-12       # slack allowed in holevo >= berta
 
@@ -90,7 +92,7 @@ def _require_hermitian(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected {name} to be a square matrix, got shape {m.shape}")
     deviation = float(abs(m - m.conj().swapaxes(-1, -2)).max(initial=0.0))
-    if deviation > HERMITICITY_ATOL:
+    if not deviation <= HERMITICITY_ATOL:
         raise ValueError(f"{name} is not Hermitian: max |M - M^dag| = {deviation:.3e}")
     return m
 

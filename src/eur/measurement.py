@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ORTHONORMALITY_ATOL, PROBABILITY_FLOOR, _float_or_array
+from .linalg import ORTHONORMALITY_ATOL, PROBABILITY_FLOOR, TRACE_ATOL, _float_or_array
 from .states import _entropy_bits, vn_entropy
 
 _SQRT2 = np.sqrt(2.0)
@@ -39,12 +39,9 @@ class ProjectiveObservable:
             raise ValueError(f"basis must be 2x2 with eigenstate columns, got shape {basis.shape}")
         gram = basis.conj().T @ basis
         deviation = float(np.max(np.abs(gram - np.eye(2))))
-        if deviation > ORTHONORMALITY_ATOL:
+        if not deviation <= ORTHONORMALITY_ATOL:
             raise ValueError(f"basis of {self.name!r} is not orthonormal (deviation {deviation:.3e})")
         object.__setattr__(self, "basis", basis)
-
-    def eigenstate(self, i: int) -> np.ndarray:
-        return self.basis[:, i]
 
     def projector(self, i: int) -> np.ndarray:
         v = self.basis[:, i]
@@ -86,17 +83,25 @@ def _conditioned(rho: np.ndarray, observables) -> tuple:
     is suppressed rather than amplified into noise, so rho_B|i is the
     negligible unnormalized block, a finite matrix whose entropy a zero
     weight cancels exactly.
+
+    Raises ValueError unless tr rho, read off rho_A, is within TRACE_ATOL
+    of 1 for every state of the stack; the message gives the trace of the
+    first state that fails.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 two-qubit state, got shape {rho.shape}")
     stack = rho.shape[:-2]
     t = rho.reshape(stack + (2, 2, 2, 2))  # rho[..., b, j, c, l] (probe b, c; memory j, l)
+    marginals = np.stack([t.trace(axis1=-3, axis2=-1), t.trace(axis1=-4, axis2=-2)], axis=-3)
+    tr = (marginals[..., 0, 0, 0] + marginals[..., 0, 1, 1]).real
+    normalized = abs(tr - 1.0) <= TRACE_ATOL
+    if not normalized.all():
+        raise ValueError(f"state has trace {tr[~normalized].flat[0]:.12g}, expected 1")
     rows = np.reshape([obs.projector(i).conj() for obs in observables for i in (0, 1)], (-1, 4))
     blocks = (rows @ t.swapaxes(-3, -2).reshape(stack + (4, 4))).reshape(stack + (len(rows), 2, 2))
     p = (blocks[..., 0, 0] + blocks[..., 1, 1]).real
     kept = p > PROBABILITY_FLOOR
-    marginals = np.stack([t.trace(axis1=-3, axis2=-1), t.trace(axis1=-4, axis2=-2)], axis=-3)
     states = np.concatenate([marginals, blocks / np.where(kept, p, 1.0)[..., None, None]], axis=-3)
     return states, p, kept, blocks
 
@@ -111,8 +116,9 @@ def _entropy_terms(rho: np.ndarray, *observables: ProjectiveObservable) -> tuple
     I(O;B) = S(B) - sum_i p_i S(rho_B|i); a zero-probability outcome gets
     weight 0 and contributes exactly nothing.
     """
+    s_ab = vn_entropy(rho)  # first, so a bad spectrum is named before a bad trace
     states, p, kept, _ = _conditioned(rho, observables)
-    s_ab, s = vn_entropy(rho), vn_entropy(states)
+    s = vn_entropy(states)
     s_a, s_b = s[..., 0], s[..., 1]
     pairs = p.shape[:-1] + (len(observables), 2)
     i_ob = s_b[..., None] - (np.where(kept, p, 0.0) * s[..., 2:]).reshape(pairs).sum(axis=-1)

@@ -1,26 +1,19 @@
-"""Quantum states for the uncertainty game, and their entropies.
+"""Quantum states for the uncertainty game, and their von Neumann entropy.
 
 Two-qubit states are ordered with Alice's measured qubit as the most
 significant index and Bob's memory qubit as the least significant one,
 so the computational basis reads |00>, |01>, |10>, |11>. All entropies
 are base-2 (bits).
+
+The constructors check their own parameters. A state handed to the
+pipeline is checked where it is read: Hermiticity and the spectrum in
+`vn_entropy`, the trace in `measurement._conditioned`.
 """
 
 import numpy as np
 
 from .channels import R_MAX
-from .linalg import (
-    EIGENVALUE_FLOOR,
-    NEGATIVE_PROBABILITY_FLOOR,
-    NORM_ATOL,
-    PROBABILITY_SUM_ATOL,
-    TRACE_ATOL,
-    _float_or_array,
-    _spectrum,
-    hermitian_eigensystem,
-    partial_trace,
-    tensor,
-)
+from .linalg import EIGENVALUE_FLOOR, NORM_ATOL, _float_or_array, _spectrum, partial_trace, tensor
 
 PAULI = {
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -31,29 +24,11 @@ PAULI = {
 _PSI_PLUS = np.array([0, 1, 1, 0], dtype=complex) / np.sqrt(2)  # (|01> + |10>)/sqrt(2)
 
 
-def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
-    """Check Hermiticity, unit trace and positivity; return the array.
-
-    Raises ValueError naming the violated property. Eigenvalues may dip
-    to EIGENVALUE_FLOOR to absorb roundoff from upstream algebra.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or rho.shape[0] not in (2, 4, 8):
-        raise ValueError(f"state must be a square matrix of dimension 2, 4 or 8, got shape {rho.shape}")
-    smallest = float(hermitian_eigensystem(rho)[0][0])
-    tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > TRACE_ATOL:
-        raise ValueError(f"state has trace {tr:.12g}, expected 1")
-    if smallest < EIGENVALUE_FLOOR:
-        raise ValueError(f"state has negative eigenvalue {smallest:.3e}")
-    return rho
-
-
 def from_pure(v: np.ndarray) -> np.ndarray:
     """Rank-1 projector |v><v| of a normalized state vector."""
     v = np.asarray(v, dtype=complex).reshape(-1)
     norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > NORM_ATOL:
+    if not abs(norm - 1.0) <= NORM_ATOL:
         raise ValueError(f"state vector has norm {norm:.12g}, expected 1")
     return np.outer(v, v.conj())
 
@@ -73,7 +48,7 @@ def bell_diagonal_state(r1: float, r2: float, r3: float) -> np.ndarray:
         "psi-": (1.0 - r1 - r2 - r3) / 4.0,
     }
     for label, w in weights.items():
-        if w < EIGENVALUE_FLOOR:
+        if not w >= EIGENVALUE_FLOOR:
             raise ValueError(
                 f"correlation vector ({r1}, {r2}, {r3}) lies outside the Bell "
                 f"tetrahedron: eigenvalue {w:.6g} of the |{label}> component is negative"
@@ -155,25 +130,6 @@ def _entropy_bits(weights: np.ndarray) -> np.ndarray:
     """-sum w log2 w over the last axis of nonnegative weights, with 0 log 0 = 0."""
     logs = np.log2(weights, out=np.zeros_like(weights), where=weights > 0.0)
     return -(weights * logs).sum(axis=-1)
-
-
-def shannon_entropy(p) -> float:
-    """Shannon entropy of a probability vector in bits, with 0 log 0 = 0.
-
-    Entries in [NEGATIVE_PROBABILITY_FLOOR, 0) are treated as 0
-    (measurement roundoff); more negative entries and vectors not summing
-    to 1 within PROBABILITY_SUM_ATOL are errors.
-    """
-    p = np.asarray(p, dtype=float)
-    if p.ndim != 1:
-        raise ValueError(f"expected a probability vector, got shape {p.shape}")
-    if float(p.min(initial=0.0)) < NEGATIVE_PROBABILITY_FLOOR:
-        raise ValueError(f"negative probability {float(p.min()):.3e}")
-    p = np.clip(p, 0.0, None)
-    total = float(p.sum())
-    if abs(total - 1.0) > PROBABILITY_SUM_ATOL:
-        raise ValueError(f"probabilities sum to {total:.12g}, expected 1")
-    return float(_entropy_bits(p))
 
 
 def memory_marginal(rho: np.ndarray) -> np.ndarray:

@@ -80,6 +80,29 @@ def random_cptp_kraus(rng):
     return [np.sqrt(lam) * vec.reshape(2, 2).T for lam, vec in zip(w, v.T) if lam > 1e-12]
 
 
+def shannon_bits(p):
+    """Reference -sum p log2 p of a probability vector in bits, with 0 log 0 = 0."""
+    p = np.asarray(p, dtype=float)
+    nonzero = p[p > 0.0]
+    return float(-(nonzero * np.log2(nonzero)).sum())
+
+
+# Slack of a state's Hermiticity, trace and smallest eigenvalue, written
+# out here so that a change of the package's values shows up as a failure.
+STATE_ATOL = 1e-10
+
+
+def is_density_matrix(rho):
+    """Reference state check: Hermitian, unit trace and no eigenvalue below
+    -STATE_ATOL, each within STATE_ATOL."""
+    rho = np.asarray(rho, dtype=complex)
+    return bool(
+        np.abs(rho - rho.conj().T).max() <= STATE_ATOL
+        and abs(np.trace(rho) - 1.0) <= STATE_ATOL
+        and np.linalg.eigvalsh((rho + rho.conj().T) / 2).min() >= -STATE_ATOL
+    )
+
+
 def apply_kraus(ops, rho):
     """Reference channel action, independent of the package implementation."""
     out = np.zeros_like(np.asarray(rho, dtype=complex))

@@ -16,16 +16,14 @@ from eur.bounds import (
     delta,
     evaluate_eur,
     holevo_bound,
-    maassen_uffink_bound,
     mutual_information,
     robertson_bound,
     uncertainty_lhs,
-    unruh_temperature,
 )
 from eur.channels import apply_to_memory, unruh_channel
 from eur.linalg import tensor
 from eur.measurement import ProjectiveObservable, holevo_quantity, measurement_ensemble, pauli_observable
-from eur.states import bell_diagonal_p, shannon_entropy, x_state
+from eur.states import bell_diagonal_p, x_state
 from helpers import (
     BOUND_GAP_ATOL,
     BOUND_ORDER_ATOL,
@@ -38,6 +36,7 @@ from helpers import (
     random_pure_state,
     random_unitary,
     reference_bound_violations,
+    shannon_bits,
 )
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -86,7 +85,7 @@ def test_conditional_uncertainty_identity(seed):
     rng = np.random.default_rng(seed)
     rho = random_density_matrix(rng, 4)
     for obs in (random_observable(rng), X_OBS, Z_OBS):
-        outcome_entropy = shannon_entropy([p for p, _ in measurement_ensemble(obs, rho)])
+        outcome_entropy = shannon_bits([p for p, _ in measurement_ensemble(obs, rho)])
         lhs_single = uncertainty_lhs(obs, obs, rho) / 2.0
         assert lhs_single == pytest.approx(
             outcome_entropy - holevo_quantity(obs, rho), abs=1e-9
@@ -94,8 +93,9 @@ def test_conditional_uncertainty_identity(seed):
 
 
 def test_maassen_uffink_values():
-    assert maassen_uffink_bound(X_OBS, Y_OBS) == pytest.approx(1.0, abs=1e-9)
-    assert maassen_uffink_bound(Z_OBS, Z_OBS) == pytest.approx(0.0, abs=1e-9)
+    maximally_mixed = np.eye(4) / 4
+    assert evaluate_eur(X_OBS, Y_OBS, maximally_mixed).mu_bound == pytest.approx(1.0, abs=1e-9)
+    assert evaluate_eur(Z_OBS, Z_OBS, maximally_mixed).mu_bound == pytest.approx(0.0, abs=1e-9)
 
 
 def test_berta_bound_values():
@@ -212,6 +212,23 @@ def test_evaluate_eur_rejects_one_bad_state_in_a_stack(bad, message):
         evaluate_eur(X_OBS, Y_OBS, stack)
 
 
+@pytest.mark.parametrize("scale", [2.0, 1.0 + 1e-9], ids=["trace_two", "trace_just_above_one"])
+def test_evaluate_eur_rejects_an_unnormalized_state(scale):
+    rho = scale * bell_diagonal_p(0.5)
+    with pytest.raises(ValueError, match=f"state has trace {scale:.12g}, expected 1"):
+        evaluate_eur(X_OBS, Y_OBS, rho)
+
+
+def test_every_state_reader_rejects_an_unnormalized_state():
+    stack = np.stack([np.eye(4) / 4, bell_diagonal_p(0.5), np.eye(4) / 2])
+    with pytest.raises(ValueError, match="state has trace 2, expected 1"):
+        evaluate_eur(X_OBS, Y_OBS, stack)
+    with pytest.raises(ValueError, match="state has trace 0, expected 1"):
+        conditional_entropy(np.zeros((4, 4)))
+    with pytest.raises(ValueError, match="state has trace 0.5, expected 1"):
+        holevo_quantity(X_OBS, np.eye(4) / 8)
+
+
 def test_evaluate_eur_names_the_shape_of_a_non_two_qubit_input():
     with pytest.raises(ValueError, match=r"\(2, 2\)"):
         evaluate_eur(X_OBS, Y_OBS, np.eye(2) / 2)
@@ -292,14 +309,6 @@ def test_robertson_inequality_on_random_triples(seed):
     r_op = (g2 + g2.conj().T) / 2
     lhs, rhs = robertson_bound(q_op, r_op, random_pure_state(rng, 2))
     assert lhs >= rhs - 1e-10
-
-
-def test_unruh_temperature_values():
-    assert unruh_temperature(0.0) == 0.0
-    assert unruh_temperature(2 * np.pi) == pytest.approx(1.0, abs=1e-12)
-    assert unruh_temperature(1.0) == pytest.approx(0.15915494309189535, abs=1e-15)
-    with pytest.raises(ValueError):
-        unruh_temperature(-1.0)
 
 
 def test_bound_violations_detects_each_invariant():

@@ -20,7 +20,7 @@ from eur.channels import (
     validate_kraus,
 )
 from eur.linalg import partial_trace
-from eur.states import probe_marginal, validate_density_matrix
+from eur.states import probe_marginal
 from helpers import (
     I2,
     PHI_PLUS,
@@ -30,6 +30,7 @@ from helpers import (
     TOMO_INPUTS,
     apply_kraus,
     apply_kraus_to_memory,
+    is_density_matrix,
     proj,
     random_choi,
     random_cptp_kraus,
@@ -215,7 +216,7 @@ def test_apply_preserves_density_matrix_properties(seed, r):
     out = apply(unruh_channel(r), rho)
     assert abs(np.trace(out) - 1.0) < 1e-12
     assert np.max(np.abs(out - out.conj().T)) < 1e-12
-    validate_density_matrix(out)
+    assert is_density_matrix(out)
 
 
 def test_apply_to_memory_identity_channel():

@@ -14,13 +14,14 @@ from eur.measurement import (
     pauli_observable,
     post_measurement_state,
 )
-from eur.states import bell_diagonal_p, shannon_entropy, vn_entropy
+from eur.states import bell_diagonal_p, vn_entropy
 from helpers import (
     I2,
     PHI_PLUS,
     proj,
     random_density_matrix,
     random_unitary,
+    shannon_bits,
 )
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -51,7 +52,7 @@ def test_pauli_observable_plus_one_eigenvector_first():
     for axis, op in paulis.items():
         obs = pauli_observable(axis)
         for k, eigval in ((0, 1.0), (1, -1.0)):
-            v = obs.eigenstate(k)
+            v = obs.basis[:, k]
             assert np.allclose(op @ v, eigval * v, atol=1e-12)
 
 
@@ -188,6 +189,6 @@ def test_holevo_bounds_and_entropy_decomposition(seed):
     assert -1e-9 <= info <= vn_entropy(memory) + 1e-9
     # classical-quantum decomposition: S(OB) = H(p) + sum_i p_i S(rho_B|i)
     ensemble = measurement_ensemble(obs, rho)
-    mixture = shannon_entropy([p for p, _ in ensemble])
+    mixture = shannon_bits([p for p, _ in ensemble])
     mixture += sum(p * vn_entropy(c) for p, c in ensemble if c is not None)
     assert vn_entropy(post_measurement_state(obs, rho)) == pytest.approx(mixture, abs=1e-9)
