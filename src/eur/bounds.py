@@ -5,14 +5,10 @@ two post-measurement conditional entropies; it is bounded below both by
 log2(1/c) + S(A|B) and by the tighter variant that adds max(0, delta),
 where delta trades total correlations against the two Holevo quantities.
 
-Every state-dependent function takes one 4x4 state or a (..., 4, 4)
-stack of them, and returns a float for one state or an array of the
-stack's shape.
-
-`evaluate_eur` reads every entropy from one stacked pass,
-`measurement._entropy_terms`; the standalone bounds return its fields and
-`conditional_entropy` and `mutual_information` read the same pass, so
-every formula is written once and each returns exactly the report's bits.
+`evaluate_eur` is the one state-dependent evaluator. It takes one 4x4
+state or a (..., 4, 4) stack of them, reads every entropy from one
+stacked pass, and returns an `EurReport` whose state-dependent fields
+are floats for one state or arrays of the stack's shape.
 """
 
 import math
@@ -21,53 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import BOUND_GAP_ATOL, BOUND_ORDER_ATOL, _float_or_array, _require_hermitian
-from .measurement import ProjectiveObservable, _entropy_terms, complementarity
-from .states import from_pure
-
-
-def conditional_entropy(rho: np.ndarray) -> float:
-    """S(A|B) = S(AB) - S(B) in bits; negative iff the state is entangled enough."""
-    return _entropy_terms(rho)[0]
-
-
-def mutual_information(rho: np.ndarray) -> float:
-    """I(A;B) = S(A) + S(B) - S(AB) in bits."""
-    return _entropy_terms(rho)[1]
-
-
-def uncertainty_lhs(
-    q: ProjectiveObservable, r: ProjectiveObservable, rho: np.ndarray
-) -> float:
-    """Total conditional uncertainty S(Q|B) + S(R|B) of the two measurements.
-
-    Each term is S(rho_OB) - S(rho_B) with rho_OB the post-measurement
-    classical-quantum state, evaluated as H(p) - I(O;B).
-    """
-    return evaluate_eur(q, r, rho).lhs
-
-
-def berta_bound(
-    q: ProjectiveObservable, r: ProjectiveObservable, rho: np.ndarray
-) -> float:
-    """Memory-assisted lower bound log2(1/c) + S(A|B)."""
-    return evaluate_eur(q, r, rho).berta_bound
-
-
-def delta(
-    q: ProjectiveObservable, r: ProjectiveObservable, rho: np.ndarray
-) -> float:
-    """Correlation surplus I(A;B) - I(Q;B) - I(R;B); may be negative."""
-    return evaluate_eur(q, r, rho).delta
-
-
-def holevo_bound(
-    q: ProjectiveObservable, r: ProjectiveObservable, rho: np.ndarray
-) -> float:
-    """Tightened lower bound log2(1/c) + S(A|B) + max(0, delta).
-
-    Never looser than `berta_bound`: the correction is clipped at zero.
-    """
-    return evaluate_eur(q, r, rho).holevo_bound
+from .measurement import ProjectiveObservable, _conditioned, complementarity
+from .states import _entropy_bits, from_pure, vn_entropy
 
 
 @dataclass(frozen=True)
@@ -111,12 +62,23 @@ def evaluate_eur(
     """Evaluate the uncertainty sum and every lower bound on one state or a stack.
 
     Takes one 4x4 spectrum, of rho, and one stack of six 2x2 ones in
-    closed form: both marginals and the four conditional memory states.
-    The post-measurement state rho_OB is block diagonal, so
-    S(O|B) = H(p) + sum_i p_i S(rho_B|i) - S(B) = H(p) - I(O;B) needs no
-    spectrum of its own.
+    closed form: both marginals and the four conditional memory states
+    of `measurement._conditioned`. The post-measurement state rho_OB is
+    block diagonal, so S(OB) = H(p) + sum_i p_i S(rho_B|i) needs no
+    spectrum of its own: I(O;B) = S(B) - sum_i p_i S(rho_B|i) and
+    S(O|B) = H(p) - I(O;B), where a zero-probability outcome gets weight
+    0 and contributes exactly nothing.
     """
-    s_cond, i_ab, i_qb, i_rb, h_q, h_r = _entropy_terms(rho, q, r)
+    s_ab = vn_entropy(rho)  # first, so a bad spectrum is named before a bad trace
+    states, p, kept, _ = _conditioned(rho, (q, r))
+    s = vn_entropy(states)
+    s_a, s_b = s[..., 0], s[..., 1]
+    pairs = p.shape[:-1] + (2, 2)  # (..., observable, outcome)
+    i_ob = s_b[..., None] - (np.where(kept, p, 0.0) * s[..., 2:]).reshape(pairs).sum(axis=-1)
+    h = _entropy_bits(p.clip(0.0, None).reshape(pairs))
+    s_cond, i_ab = _float_or_array(s_ab - s_b), _float_or_array(s_a + s_b - s_ab)
+    i_qb, i_rb = _float_or_array(i_ob[..., 0]), _float_or_array(i_ob[..., 1])
+    h_q, h_r = _float_or_array(h[..., 0]), _float_or_array(h[..., 1])
     c = complementarity(q, r)
     mu = math.log2(1.0 / c)
     berta = mu + s_cond

@@ -113,8 +113,11 @@ def _kraus_stack(channel) -> np.ndarray:
 
 
 def validate_kraus(channel) -> None:
-    """Raise ValueError unless sum_j K_j^dag K_j = I within COMPLETENESS_ATOL."""
+    """Raise ValueError unless the operators are finite and sum_j K_j^dag K_j = I
+    within COMPLETENESS_ATOL."""
     kraus = _kraus_stack(channel)
+    if not np.isfinite(kraus).all():
+        raise ValueError("Kraus family is not finite: it holds NaN or inf")
     total = (kraus.conj().swapaxes(-1, -2) @ kraus).sum(axis=0)
     deviation = float(abs(total - np.eye(2)).max())
     if not deviation <= COMPLETENESS_ATOL:

@@ -10,9 +10,10 @@ and B of dimension n, the composite basis index is n*i_A + i_B (numpy's
 axes, so one call handles a single (d, d) matrix or a whole (..., d, d)
 stack.
 
-Input checks against the tolerances below, `_require_hermitian` and its
-peers in the other modules, are written `not deviation <= TOLERANCE`, so
-a NaN deviation, from NaN or infinite input, fails them.
+Input checks, `_require_hermitian` and its peers in the other modules,
+first reject NaN and infinite input by name. Their tests against the
+tolerances below are written `not deviation <= TOLERANCE`, so a NaN
+deviation fails them too.
 """
 
 import math
@@ -86,9 +87,11 @@ def _float_or_array(x):
 
 def _require_hermitian(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Return `m` as a complex array, or raise ValueError unless it is a
-    square matrix, or a stack of them, within HERMITICITY_ATOL of its
-    adjoint everywhere."""
+    finite square matrix, or a stack of them, within HERMITICITY_ATOL of
+    its adjoint everywhere."""
     m = np.asarray(m, dtype=complex)
+    if not np.isfinite(m).all():
+        raise ValueError(f"{name} is not finite: it holds NaN or inf")
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected {name} to be a square matrix, got shape {m.shape}")
     deviation = float(abs(m - m.conj().swapaxes(-1, -2)).max(initial=0.0))

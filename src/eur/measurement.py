@@ -4,19 +4,20 @@ Measurements only ever act on Alice's (most significant) qubit; the
 memory is conditioned, never measured. This asymmetry is baked into the
 API on purpose so subsystem-convention bugs cannot arise.
 
-`post_measurement_state` and `holevo_quantity` take one 4x4 state or a
-(..., 4, 4) stack; `holevo_quantity` returns a float or an array to match.
-Each state-dependent function reads `_conditioned`, one contraction that
-forms the blocks of every observable at once, or the entropies that
-`_entropy_terms` takes from it in one stacked pass.
+`post_measurement_state` takes one 4x4 state or a (..., 4, 4) stack,
+`measurement_ensemble` one state. Both check the state as
+`bounds.evaluate_eur` does: its spectrum with `states._checked_spectrum`,
+its trace in `_conditioned`. `_conditioned` is one contraction that forms
+the memory blocks of every observable given at once; `evaluate_eur`
+reads it for Q and R together.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ORTHONORMALITY_ATOL, PROBABILITY_FLOOR, TRACE_ATOL, _float_or_array
-from .states import _entropy_bits, vn_entropy
+from .linalg import ORTHONORMALITY_ATOL, PROBABILITY_FLOOR, TRACE_ATOL
+from .states import _checked_spectrum
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -35,6 +36,8 @@ class ProjectiveObservable:
 
     def __post_init__(self):
         basis = np.asarray(self.basis, dtype=complex)
+        if not np.isfinite(basis).all():
+            raise ValueError(f"basis of {self.name!r} is not finite: it holds NaN or inf")
         if basis.shape != (2, 2):
             raise ValueError(f"basis must be 2x2 with eigenstate columns, got shape {basis.shape}")
         gram = basis.conj().T @ basis
@@ -106,27 +109,6 @@ def _conditioned(rho: np.ndarray, observables) -> tuple:
     return states, p, kept, blocks
 
 
-def _entropy_terms(rho: np.ndarray, *observables: ProjectiveObservable) -> tuple:
-    """(S(A|B), I(A;B), I(O;B) of each observable, H(p) of each observable).
-
-    One `vn_entropy` call takes the 4x4 spectrum of rho, a second the
-    (..., 2 + 2k, 2, 2) stack of `_conditioned`, and one `_entropy_bits`
-    call every outcome law. S(OB) = H(p) + sum_i p_i S(rho_B|i) is the
-    entropy of the block-diagonal post-measurement state, so
-    I(O;B) = S(B) - sum_i p_i S(rho_B|i); a zero-probability outcome gets
-    weight 0 and contributes exactly nothing.
-    """
-    s_ab = vn_entropy(rho)  # first, so a bad spectrum is named before a bad trace
-    states, p, kept, _ = _conditioned(rho, observables)
-    s = vn_entropy(states)
-    s_a, s_b = s[..., 0], s[..., 1]
-    pairs = p.shape[:-1] + (len(observables), 2)
-    i_ob = s_b[..., None] - (np.where(kept, p, 0.0) * s[..., 2:]).reshape(pairs).sum(axis=-1)
-    h = _entropy_bits(p.clip(0.0, None).reshape(pairs))
-    per_observable = [x[..., k] for x in (i_ob, h) for k in range(len(observables))]
-    return tuple(map(_float_or_array, (s_ab - s_b, s_a + s_b - s_ab, *per_observable)))
-
-
 def post_measurement_state(obs: ProjectiveObservable, rho: np.ndarray) -> np.ndarray:
     """Dephase the probed qubit in the observable's eigenbasis.
 
@@ -135,6 +117,7 @@ def post_measurement_state(obs: ProjectiveObservable, rho: np.ndarray) -> np.nda
     read out. Block diagonal in the measurement basis, and idempotent for
     a fixed observable.
     """
+    _checked_spectrum(rho)
     projectors = np.stack([obs.projector(0), obs.projector(1)])
     out = np.einsum("iac,...ijl->...ajcl", projectors, _conditioned(rho, (obs,))[3])
     return out.reshape(out.shape[:-4] + (4, 4))
@@ -151,17 +134,10 @@ def measurement_ensemble(obs: ProjectiveObservable, rho: np.ndarray):
     """
     if np.shape(rho) != (4, 4):
         raise ValueError(f"expected one 4x4 two-qubit state, got shape {np.shape(rho)}")
+    _checked_spectrum(rho)
     states, p, kept, _ = _conditioned(rho, (obs,))
     return [
         (float(p_i), conditional) if kept_i else (max(float(p_i), 0.0), None)
         for p_i, conditional, kept_i in zip(p, states[2:], kept)
     ]
 
-
-def holevo_quantity(obs: ProjectiveObservable, rho: np.ndarray):
-    """Accessible information about the outcome stored in the memory, in bits.
-
-    I(O;B) = S(rho_B) - sum_i p_i S(rho_B|i); zero-probability outcomes
-    get weight 0 and so contribute exactly nothing.
-    """
-    return _entropy_terms(rho, obs)[2]

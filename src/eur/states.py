@@ -6,14 +6,14 @@ so the computational basis reads |00>, |01>, |10>, |11>. All entropies
 are base-2 (bits).
 
 The constructors check their own parameters. A state handed to the
-pipeline is checked where it is read: Hermiticity and the spectrum in
-`vn_entropy`, the trace in `measurement._conditioned`.
+pipeline is checked where it is read: finiteness, Hermiticity and the
+spectrum in `_checked_spectrum`, the trace in `measurement._conditioned`.
 """
 
 import numpy as np
 
 from .channels import R_MAX
-from .linalg import EIGENVALUE_FLOOR, NORM_ATOL, _float_or_array, _spectrum, partial_trace, tensor
+from .linalg import EIGENVALUE_FLOOR, NORM_ATOL, _float_or_array, _spectrum, tensor
 
 PAULI = {
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -41,6 +41,8 @@ def bell_diagonal_state(r1: float, r2: float, r3: float) -> np.ndarray:
     (-1,-1,-1), (-1,1,1), (1,-1,1), (1,1,-1); outside it some Bell weight
     goes negative and the offender is named in the error.
     """
+    if not np.isfinite([r1, r2, r3]).all():
+        raise ValueError(f"correlation vector ({r1}, {r2}, {r3}) is not finite")
     weights = {
         "phi+": (1.0 + r1 - r2 + r3) / 4.0,
         "phi-": (1.0 - r1 + r2 + r3) / 4.0,
@@ -108,9 +110,20 @@ def vn_entropy(rho: np.ndarray):
     Takes one density matrix and returns a float, or a (..., d, d) stack
     and returns an array of the stack's shape. Eigenvalues in
     [EIGENVALUE_FLOOR, 0) are clamped to 0 and those in
-    (1, 1 + |EIGENVALUE_FLOOR|] to 1; anything farther out, in any matrix
-    of the stack, means the input is not a state and is a hard error so
-    upstream bugs surface instead of being rounded away.
+    (1, 1 + |EIGENVALUE_FLOOR|] to 1; anything farther out is rejected by
+    `_checked_spectrum`.
+    """
+    return _float_or_array(_entropy_bits(_checked_spectrum(rho).clip(0.0, 1.0)))
+
+
+def _checked_spectrum(rho: np.ndarray) -> np.ndarray:
+    """Eigenvalues, ascending, of a density matrix or of each in a stack.
+
+    Raises ValueError unless every matrix is finite and Hermitian with its
+    eigenvalues in [EIGENVALUE_FLOOR, 1 - EIGENVALUE_FLOOR]: anything
+    farther out, in any matrix of the stack, means the input is not a
+    state and is a hard error so upstream bugs surface instead of being
+    rounded away.
     """
     eigenvalues = _spectrum(rho)
     smallest = float(eigenvalues[..., 0].min(initial=0.0))
@@ -123,7 +136,7 @@ def vn_entropy(rho: np.ndarray):
         raise ValueError(
             f"not a density matrix: eigenvalue {largest:.12g} above 1"
         )
-    return _float_or_array(_entropy_bits(eigenvalues.clip(0.0, 1.0)))
+    return eigenvalues
 
 
 def _entropy_bits(weights: np.ndarray) -> np.ndarray:
@@ -131,12 +144,3 @@ def _entropy_bits(weights: np.ndarray) -> np.ndarray:
     logs = np.log2(weights, out=np.zeros_like(weights), where=weights > 0.0)
     return -(weights * logs).sum(axis=-1)
 
-
-def memory_marginal(rho: np.ndarray) -> np.ndarray:
-    """Bob's reduced state tr_A(rho) of a two-qubit state or a stack of them."""
-    return partial_trace(rho, keep=[1], dims=[2, 2])
-
-
-def probe_marginal(rho: np.ndarray) -> np.ndarray:
-    """Alice's reduced state tr_B(rho) of a two-qubit state or a stack of them."""
-    return partial_trace(rho, keep=[0], dims=[2, 2])

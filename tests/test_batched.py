@@ -10,14 +10,9 @@ from hypothesis import strategies as st
 import eur.cli as cli
 from eur.bounds import evaluate_eur
 from eur.channels import apply_to_memory, unruh_channel
-from eur.linalg import hermitian_eigensystem
-from eur.measurement import (
-    ProjectiveObservable,
-    holevo_quantity,
-    measurement_ensemble,
-    pauli_observable,
-)
-from eur.states import memory_marginal, vn_entropy, x_state
+from eur.linalg import hermitian_eigensystem, partial_trace
+from eur.measurement import ProjectiveObservable, measurement_ensemble, pauli_observable
+from eur.states import vn_entropy, x_state
 from helpers import random_cptp_kraus, random_density_matrix, random_unitary
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -67,7 +62,7 @@ def test_zero_probability_outcome_is_masked_in_a_stack():
         per_state = [evaluate_eur(*pair, rho) for rho in states]
         for field in ("lhs", "berta_bound", "holevo_bound", "delta", "i_qb", "i_rb"):
             assert np.array_equal(getattr(stacked, field), [getattr(p, field) for p in per_state])
-    info = holevo_quantity(z, states)
+    info = evaluate_eur(z, x, states).i_qb
     assert np.isfinite(info).all()
     assert info[0] == 0.0  # a product state stores nothing about the outcome
     # the ensemble keeps its one-state form: None marks the masked outcome
@@ -80,8 +75,19 @@ def test_single_state_gives_floats_and_stack_gives_arrays():
     rho = x_state(0.5)
     assert type(vn_entropy(rho)) is float
     assert vn_entropy(np.stack([rho, rho])).shape == (2,)
-    report = evaluate_eur(pauli_observable("x"), pauli_observable("y"), rho)
+    x, y = pauli_observable("x"), pauli_observable("y")
+    report = evaluate_eur(x, y, rho)
     assert all(type(getattr(report, f.name)) is float for f in dataclasses.fields(report))
+    # an empty stack and a 2-D stack: every state-dependent field takes the
+    # stack's shape, and the two observable-only fields stay floats
+    for stack in (np.zeros((0, 4, 4)), np.broadcast_to(rho, (2, 3, 4, 4))):
+        report = evaluate_eur(x, y, stack)
+        for field in dataclasses.fields(report):
+            value = getattr(report, field.name)
+            if field.name in ("mu_bound", "c"):
+                assert type(value) is float, field.name
+            else:
+                assert isinstance(value, np.ndarray) and value.shape == stack.shape[:-2], field.name
 
 
 def test_checks_cover_every_matrix_of_a_stack():
@@ -96,7 +102,7 @@ def test_checks_cover_every_matrix_of_a_stack():
         vn_entropy(np.stack([good, good, negative]))
     # an eigenvalue above 1 is not clipped away: 2x2 (closed form) and 4x4 (LAPACK)
     above_one = np.diag([1.01, 0.0]).astype(complex)
-    good_2x2 = memory_marginal(good)
+    good_2x2 = partial_trace(good, keep=[1], dims=[2, 2])
     with pytest.raises(ValueError, match="eigenvalue 1.01 above 1"):
         vn_entropy(np.stack([good_2x2, good_2x2, above_one]))
     with pytest.raises(ValueError, match="eigenvalue 1.01 above 1"):

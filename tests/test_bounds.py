@@ -9,20 +9,15 @@ from hypothesis import strategies as st
 
 import reference
 from eur import linalg, states
-from eur.bounds import (
-    berta_bound,
-    bound_violations,
-    conditional_entropy,
-    delta,
-    evaluate_eur,
-    holevo_bound,
-    mutual_information,
-    robertson_bound,
-    uncertainty_lhs,
-)
+from eur.bounds import bound_violations, evaluate_eur, robertson_bound
 from eur.channels import apply_to_memory, unruh_channel
 from eur.linalg import tensor
-from eur.measurement import ProjectiveObservable, holevo_quantity, measurement_ensemble, pauli_observable
+from eur.measurement import (
+    ProjectiveObservable,
+    measurement_ensemble,
+    pauli_observable,
+    post_measurement_state,
+)
 from eur.states import bell_diagonal_p, x_state
 from helpers import (
     BOUND_GAP_ATOL,
@@ -56,26 +51,28 @@ def random_observable(rng) -> ProjectiveObservable:
     return ProjectiveObservable("random", random_unitary(rng, 2))
 
 
-def test_conditional_entropy_values():
-    assert conditional_entropy(proj(PHI_PLUS)) == pytest.approx(-1.0, abs=1e-12)
-    assert conditional_entropy(np.eye(4) / 4) == pytest.approx(1.0, abs=1e-12)
-    assert conditional_entropy(bell_diagonal_p(0.5)) == pytest.approx(0.5, abs=1e-9)
+def xy_report(rho):
+    return evaluate_eur(X_OBS, Y_OBS, rho)
 
 
-def test_mutual_information_values():
+def test_s_cond_values():
+    assert xy_report(proj(PHI_PLUS)).s_cond == pytest.approx(-1.0, abs=1e-12)
+    assert xy_report(np.eye(4) / 4).s_cond == pytest.approx(1.0, abs=1e-12)
+    assert xy_report(bell_diagonal_p(0.5)).s_cond == pytest.approx(0.5, abs=1e-9)
+
+
+def test_i_ab_values():
     rng = np.random.default_rng(31)
     product = tensor(random_density_matrix(rng, 2), random_density_matrix(rng, 2))
-    assert mutual_information(product) == pytest.approx(0.0, abs=1e-9)
-    assert mutual_information(proj(PHI_PLUS)) == pytest.approx(2.0, abs=1e-12)
-    assert mutual_information(bell_diagonal_p(0.5)) == pytest.approx(0.5, abs=1e-9)
+    assert xy_report(product).i_ab == pytest.approx(0.0, abs=1e-9)
+    assert xy_report(proj(PHI_PLUS)).i_ab == pytest.approx(2.0, abs=1e-12)
+    assert xy_report(bell_diagonal_p(0.5)).i_ab == pytest.approx(0.5, abs=1e-9)
 
 
-def test_uncertainty_lhs_values():
-    assert uncertainty_lhs(X_OBS, Y_OBS, x_state(1.0)) == pytest.approx(0.0, abs=1e-9)
-    assert uncertainty_lhs(X_OBS, Y_OBS, np.eye(4) / 4) == pytest.approx(2.0, abs=1e-9)
-    assert uncertainty_lhs(X_OBS, Y_OBS, bell_diagonal_p(0.5)) == pytest.approx(
-        LHS_BD_HALF, abs=1e-9
-    )
+def test_lhs_values():
+    assert xy_report(x_state(1.0)).lhs == pytest.approx(0.0, abs=1e-9)
+    assert xy_report(np.eye(4) / 4).lhs == pytest.approx(2.0, abs=1e-9)
+    assert xy_report(bell_diagonal_p(0.5)).lhs == pytest.approx(LHS_BD_HALF, abs=1e-9)
 
 
 @given(seeds)
@@ -86,10 +83,8 @@ def test_conditional_uncertainty_identity(seed):
     rho = random_density_matrix(rng, 4)
     for obs in (random_observable(rng), X_OBS, Z_OBS):
         outcome_entropy = shannon_bits([p for p, _ in measurement_ensemble(obs, rho)])
-        lhs_single = uncertainty_lhs(obs, obs, rho) / 2.0
-        assert lhs_single == pytest.approx(
-            outcome_entropy - holevo_quantity(obs, rho), abs=1e-9
-        )
+        same_pair = evaluate_eur(obs, obs, rho)
+        assert same_pair.lhs / 2.0 == pytest.approx(outcome_entropy - same_pair.i_qb, abs=1e-9)
 
 
 def test_maassen_uffink_values():
@@ -99,29 +94,27 @@ def test_maassen_uffink_values():
 
 
 def test_berta_bound_values():
-    assert berta_bound(X_OBS, Y_OBS, x_state(1.0)) == pytest.approx(0.0, abs=1e-9)
-    assert berta_bound(X_OBS, Y_OBS, bell_diagonal_p(0.5)) == pytest.approx(1.5, abs=1e-9)
-    assert berta_bound(X_OBS, Y_OBS, np.eye(4) / 4) == pytest.approx(2.0, abs=1e-9)
+    assert xy_report(x_state(1.0)).berta_bound == pytest.approx(0.0, abs=1e-9)
+    assert xy_report(bell_diagonal_p(0.5)).berta_bound == pytest.approx(1.5, abs=1e-9)
+    assert xy_report(np.eye(4) / 4).berta_bound == pytest.approx(2.0, abs=1e-9)
 
 
 def test_delta_values():
     rng = np.random.default_rng(32)
     product = tensor(random_density_matrix(rng, 2), random_density_matrix(rng, 2))
-    assert delta(X_OBS, Y_OBS, product) == pytest.approx(0.0, abs=1e-9)
-    assert delta(X_OBS, Y_OBS, bell_diagonal_p(0.5)) == pytest.approx(DELTA_BD_HALF, abs=1e-9)
-    assert delta(X_OBS, Y_OBS, x_state(1.0)) == pytest.approx(0.0, abs=1e-9)
+    assert xy_report(product).delta == pytest.approx(0.0, abs=1e-9)
+    assert xy_report(bell_diagonal_p(0.5)).delta == pytest.approx(DELTA_BD_HALF, abs=1e-9)
+    assert xy_report(x_state(1.0)).delta == pytest.approx(0.0, abs=1e-9)
 
 
 def test_holevo_bound_values():
-    assert holevo_bound(X_OBS, Y_OBS, x_state(1.0)) == pytest.approx(0.0, abs=1e-9)
-    assert holevo_bound(X_OBS, Y_OBS, bell_diagonal_p(0.5)) == pytest.approx(
+    assert xy_report(x_state(1.0)).holevo_bound == pytest.approx(0.0, abs=1e-9)
+    assert xy_report(bell_diagonal_p(0.5)).holevo_bound == pytest.approx(
         1.5 + DELTA_BD_HALF, abs=1e-9
     )
     rng = np.random.default_rng(33)
-    product = tensor(random_density_matrix(rng, 2), random_density_matrix(rng, 2))
-    assert holevo_bound(X_OBS, Y_OBS, product) == pytest.approx(
-        berta_bound(X_OBS, Y_OBS, product), abs=1e-9
-    )
+    product = xy_report(tensor(random_density_matrix(rng, 2), random_density_matrix(rng, 2)))
+    assert product.holevo_bound == pytest.approx(product.berta_bound, abs=1e-9)
 
 
 def test_report_is_consistent_on_the_two_experiment_states():
@@ -153,18 +146,13 @@ def test_report_matches_standalone_operations_exactly():
          np.stack([random_density_matrix(rng, 4) for _ in range(64)])),
         (Z_OBS, Z_OBS, masked),
     )
-    standalone = {"lhs": uncertainty_lhs, "berta_bound": berta_bound,
-                  "holevo_bound": holevo_bound, "delta": delta}
     for q, r, rho in cases:
-        report = evaluate_eur(q, r, rho)
-        assert not reference.report_outside_budget(report, reference.reports(q.basis, r.basis, rho))
-        for field, function in standalone.items():
-            assert np.array_equal(function(q, r, rho), getattr(report, field)), field
-        assert np.array_equal(conditional_entropy(rho), report.s_cond)
-        assert np.array_equal(mutual_information(rho), report.i_ab)
-        assert np.array_equal(holevo_quantity(q, rho), report.i_qb)
-        assert np.array_equal(holevo_quantity(r, rho), report.i_rb)
-        assert np.array_equal(report.holevo_bound, report.berta_bound + np.maximum(0.0, report.delta))
+        both = evaluate_eur(q, r, rho)
+        assert not reference.report_outside_budget(both, reference.reports(q.basis, r.basis, rho))
+        # each Holevo quantity is the one its observable gives paired with itself
+        assert np.array_equal(evaluate_eur(q, q, rho).i_qb, both.i_qb)
+        assert np.array_equal(evaluate_eur(r, r, rho).i_rb, both.i_rb)
+        assert np.array_equal(both.holevo_bound, both.berta_bound + np.maximum(0.0, both.delta))
 
 
 def test_evaluate_eur_takes_each_spectrum_once(monkeypatch):
@@ -210,6 +198,11 @@ def test_evaluate_eur_rejects_one_bad_state_in_a_stack(bad, message):
     stack[2] = bad
     with pytest.raises(ValueError, match=message):
         evaluate_eur(X_OBS, Y_OBS, stack)
+    # the other readers of a state check it the same way
+    with pytest.raises(ValueError, match=message):
+        post_measurement_state(X_OBS, stack)
+    with pytest.raises(ValueError, match=message):
+        measurement_ensemble(X_OBS, bad)
 
 
 @pytest.mark.parametrize("scale", [2.0, 1.0 + 1e-9], ids=["trace_two", "trace_just_above_one"])
@@ -224,9 +217,9 @@ def test_every_state_reader_rejects_an_unnormalized_state():
     with pytest.raises(ValueError, match="state has trace 2, expected 1"):
         evaluate_eur(X_OBS, Y_OBS, stack)
     with pytest.raises(ValueError, match="state has trace 0, expected 1"):
-        conditional_entropy(np.zeros((4, 4)))
+        post_measurement_state(X_OBS, np.zeros((4, 4)))
     with pytest.raises(ValueError, match="state has trace 0.5, expected 1"):
-        holevo_quantity(X_OBS, np.eye(4) / 8)
+        measurement_ensemble(X_OBS, np.eye(4) / 8)
 
 
 def test_evaluate_eur_names_the_shape_of_a_non_two_qubit_input():

@@ -20,7 +20,6 @@ from eur.channels import (
     validate_kraus,
 )
 from eur.linalg import partial_trace
-from eur.states import probe_marginal
 from helpers import (
     I2,
     PHI_PLUS,
@@ -279,7 +278,7 @@ def test_choi_of_depolarizing_channel():
 def test_choi_invariants(r):
     c = choi(unruh_channel(r))
     assert abs(np.trace(c) - 2.0) < 1e-12
-    assert np.max(np.abs(probe_marginal(c) - I2)) < 1e-12
+    assert np.max(np.abs(partial_trace(c, keep=[0], dims=[2, 2]) - I2)) < 1e-12
     assert np.linalg.eigvalsh(c)[0] > -1e-12
 
 
@@ -342,4 +341,4 @@ def test_random_choi_generator_is_cptp(seed):
     c = random_choi(rng)
     assert abs(np.trace(c) - 2.0) < 1e-10
     assert np.linalg.eigvalsh(c)[0] > -1e-10
-    assert np.max(np.abs(probe_marginal(c) - I2)) < 1e-10
+    assert np.max(np.abs(partial_trace(c, keep=[0], dims=[2, 2]) - I2)) < 1e-10

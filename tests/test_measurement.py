@@ -1,15 +1,15 @@
-"""Projective observables, post-measurement states and the Holevo quantity."""
+"""Projective observables, post-measurement states and the Holevo quantities."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eur.bounds import evaluate_eur
 from eur.linalg import partial_trace, tensor
 from eur.measurement import (
     ProjectiveObservable,
     complementarity,
-    holevo_quantity,
     measurement_ensemble,
     pauli_observable,
     post_measurement_state,
@@ -162,20 +162,26 @@ def test_ensemble_reassembles_memory_marginal(seed):
     assert np.max(np.abs(mixed - partial_trace(rho, keep=[1], dims=[2, 2]))) < 1e-10
 
 
+def holevo(obs, rho):
+    """I(O;B) of one observable, read off the report of the pair (O, O)."""
+    return evaluate_eur(obs, obs, rho).i_qb
+
+
 def test_holevo_vanishes_on_product_states():
     rng = np.random.default_rng(22)
     rho = tensor(random_density_matrix(rng, 2), random_density_matrix(rng, 2))
-    assert holevo_quantity(random_observable(rng), rho) == pytest.approx(0.0, abs=1e-10)
+    assert holevo(random_observable(rng), rho) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_holevo_is_one_bit_on_maximal_entanglement():
-    assert holevo_quantity(pauli_observable("z"), proj(PHI_PLUS)) == pytest.approx(1.0, abs=1e-12)
+    assert holevo(pauli_observable("z"), proj(PHI_PLUS)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_holevo_on_bell_diagonal_half():
     rho = bell_diagonal_p(0.5)
-    assert holevo_quantity(pauli_observable("x"), rho) == pytest.approx(0.0, abs=1e-10)
-    assert holevo_quantity(pauli_observable("y"), rho) == pytest.approx(1 - H_QUARTER, abs=1e-12)
+    report = evaluate_eur(pauli_observable("x"), pauli_observable("y"), rho)
+    assert report.i_qb == pytest.approx(0.0, abs=1e-10)
+    assert report.i_rb == pytest.approx(1 - H_QUARTER, abs=1e-12)
 
 
 @given(seeds)
@@ -184,7 +190,7 @@ def test_holevo_bounds_and_entropy_decomposition(seed):
     rng = np.random.default_rng(seed)
     rho = random_density_matrix(rng, 4)
     obs = random_observable(rng)
-    info = holevo_quantity(obs, rho)
+    info = holevo(obs, rho)
     memory = partial_trace(rho, keep=[1], dims=[2, 2])
     assert -1e-9 <= info <= vn_entropy(memory) + 1e-9
     # classical-quantum decomposition: S(OB) = H(p) + sum_i p_i S(rho_B|i)
