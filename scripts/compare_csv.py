@@ -1,25 +1,33 @@
 #!/usr/bin/env python3
-"""Check that `eur sweep` writes the same CSV bytes as another source tree.
+"""Check that `eur` gives the same CSV bytes and reports as another source tree.
 
     python scripts/compare_csv.py BASE_SRC
 
 Runs every case in CASES with `python -m eur sweep`, once with BASE_SRC
 (the `src` directory of another checkout) first on PYTHONPATH and once
 with this checkout's `src`, and compares the two CSV files byte for
-byte. Prints one line per case; exits 1 if any case differs, naming its
-first differing line, how many cells differ and the largest absolute
-difference between two numeric cells, and 0 otherwise.
+byte. Then evaluates `evaluate_eur` on LIBRARY_INPUTS seeded inputs in
+one subprocess per tree and compares every `EurReport` field's type and
+bytes. Prints one line per case; exits 1 if any case differs, naming
+its first differing line, how many cells differ and the largest
+absolute difference between two numeric cells (for the library case,
+its first differing field), and 0 otherwise.
 """
 
 import argparse
+import dataclasses
 import itertools
 import os
+import pickle
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+import numpy as np
+
+SCRIPTS = Path(__file__).resolve().parent
+SRC = SCRIPTS.parent / "src"
 
 # argv after `eur sweep`: six flag sets at three grid sizes (4099 steps
 # spans five 1024-point chunks), then two long fig1 sweeps
@@ -36,16 +44,87 @@ CASES = [
     for steps in (101, 1001, 4099)
 ] + [("--preset", "fig1", "--steps", "10000"), ("--preset", "fig1", "--steps", "100000")]
 
+# the library case: (stack shape, rank) of each input in turn, each with
+# its own pair of Haar-random observable bases
+LIBRARY_INPUTS = 300
+LIBRARY_SEED = 12
+LIBRARY_KINDS = (((), 4), ((5,), 4), ((2, 3), 4), ((0,), 4), ((), 1))
+
+
+def tree_env(src: Path) -> dict:
+    """The environment that puts `src` first on PYTHONPATH."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+
 
 def sweep_bytes(src: Path, case: tuple, out: Path) -> bytes:
     """The CSV that `eur sweep` imported from `src` writes for `case`."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-m", "eur", "sweep", *case, "--out", str(out)],
-                          env=env, capture_output=True, text=True)
+                          env=tree_env(src), capture_output=True, text=True)
     if done.returncode != 0:
         return f"<exit {done.returncode}: {done.stderr.strip()}>\n".encode()
     return out.read_bytes()
+
+
+def haar_basis(rng) -> np.ndarray:
+    """Haar-random 2x2 unitary, whose columns are an eigenbasis."""
+    q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def library_inputs():
+    """The seeded (q basis, r basis, rho) inputs of the library case, built
+    with numpy alone: G G^dag / tr for a complex Gaussian G of shape
+    (..., 4, rank)."""
+    rng = np.random.default_rng(LIBRARY_SEED)
+    for k in range(LIBRARY_INPUTS):
+        lead, rank = LIBRARY_KINDS[k % len(LIBRARY_KINDS)]
+        g = rng.normal(size=lead + (4, rank)) + 1j * rng.normal(size=lead + (4, rank))
+        rho = g @ g.conj().swapaxes(-1, -2)
+        rho = rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
+        yield haar_basis(rng), haar_basis(rng), rho
+
+
+def library_report_bytes() -> bytes:
+    """Every `EurReport` field of every library input, evaluated by the
+    `eur` on sys.path, pickled as (name, type, dtype, shape, bytes)."""
+    from eur import ProjectiveObservable, evaluate_eur
+
+    reports = []
+    for q, r, rho in library_inputs():
+        report = evaluate_eur(ProjectiveObservable("q", q), ProjectiveObservable("r", r), rho)
+        fields = []
+        for field in dataclasses.fields(report):
+            value = getattr(report, field.name)
+            array = np.asarray(value)
+            fields.append((field.name, type(value).__name__, array.dtype.str, array.shape,
+                           array.tobytes()))
+        reports.append(fields)
+    return pickle.dumps(reports)
+
+
+def library_reports(src: Path):
+    """`library_report_bytes` unpickled, computed in a subprocess that
+    imports `eur` from `src`; a '<exit N: ...>' string if it fails."""
+    program = (f"import sys; sys.path.append({str(SCRIPTS)!r}); import compare_csv; "
+               "sys.stdout.buffer.write(compare_csv.library_report_bytes())")
+    done = subprocess.run([sys.executable, "-c", program], env=tree_env(src), capture_output=True)
+    if done.returncode != 0:
+        return f"<exit {done.returncode}: {done.stderr.decode().strip().splitlines()[-1]}>"
+    return pickle.loads(done.stdout)
+
+
+def first_report_difference(base, this) -> "str | None":
+    """'<field> of input N' for the first field whose type or bytes differ,
+    or the failure of either tree; None when all are equal."""
+    for reports in (base, this):
+        if isinstance(reports, str):
+            return reports
+    for n, (old, new) in enumerate(zip(base, this)):
+        for old_field, new_field in zip(old, new):
+            if old_field != new_field:
+                return f"{old_field[0]} of input {n}"
+    return None
 
 
 def first_difference(base: bytes, this: bytes) -> str:
@@ -89,6 +168,12 @@ def main(argv=None) -> int:
                 count, largest = cell_differences(base, this)
                 print(f"DIFFERS {' '.join(case)}: {first_difference(base, this)}; "
                       f"{count} cells differ, largest |difference| {largest:.3g}")
+    report_difference = first_report_difference(library_reports(base_src), library_reports(SRC))
+    if report_difference is None:
+        print("same    library reports")
+    else:
+        differing += 1
+        print(f"DIFFERS library reports: {report_difference}")
     return 1 if differing else 0
 
 

@@ -6,9 +6,10 @@ log2(1/c) + S(A|B) and by the tighter variant that adds max(0, delta),
 where delta trades total correlations against the two Holevo quantities.
 
 `evaluate_eur` is the one state-dependent evaluator. It takes one 4x4
-state or a (..., 4, 4) stack of them, reads every entropy from one
-stacked pass, and returns an `EurReport` whose state-dependent fields
-are floats for one state or arrays of the stack's shape.
+state or a (..., 4, 4) stack of them, checks it once, reads every
+entropy from one stacked pass, and returns an `EurReport` whose
+state-dependent fields are floats for one state or arrays of the
+stack's shape.
 """
 
 import math
@@ -16,9 +17,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import BOUND_GAP_ATOL, BOUND_ORDER_ATOL, _float_or_array, _require_hermitian
+from .linalg import (
+    BOUND_GAP_ATOL,
+    BOUND_ORDER_ATOL,
+    _eigenvalues,
+    _float_or_array,
+    _require_hermitian,
+)
 from .measurement import ProjectiveObservable, _conditioned, complementarity
-from .states import _entropy_bits, from_pure, vn_entropy
+from .states import _checked_spectrum, _xlog2x, from_pure
 
 
 @dataclass(frozen=True)
@@ -61,21 +68,34 @@ def evaluate_eur(
 ) -> EurReport:
     """Evaluate the uncertainty sum and every lower bound on one state or a stack.
 
-    Takes one 4x4 spectrum, of rho, and one stack of six 2x2 ones in
-    closed form: both marginals and the four conditional memory states
-    of `measurement._conditioned`. The post-measurement state rho_OB is
-    block diagonal, so S(OB) = H(p) + sum_i p_i S(rho_B|i) needs no
-    spectrum of its own: I(O;B) = S(B) - sum_i p_i S(rho_B|i) and
-    S(O|B) = H(p) - I(O;B), where a zero-probability outcome gets weight
-    0 and contributes exactly nothing.
+    rho is checked once, and first: its spectrum by
+    `states._checked_spectrum` (finite, Hermitian, eigenvalues in range),
+    then its trace in `measurement._conditioned`. Everything derived from
+    it is trusted, so the stack of six 2x2 states that `_conditioned`
+    returns (both marginals and the four conditional memory states) is
+    read with the unchecked closed form `linalg._eigenvalues`. A
+    conditional state divides by its outcome probability, which magnifies
+    rho's roundoff; checking it again would reject valid states.
+
+    The post-measurement state rho_OB is block diagonal, so
+    S(OB) = H(p) + sum_i p_i S(rho_B|i) needs no spectrum of its own:
+    I(O;B) = S(B) - sum_i p_i S(rho_B|i) and S(O|B) = H(p) - I(O;B), where
+    a zero-probability outcome gets weight 0 and contributes exactly
+    nothing. Every entropy comes from one w log2 w pass over the 4
+    eigenvalues of rho and the 12 of the stack, clipped to [0, 1], and
+    the 4 outcome probabilities, clipped at 0.
     """
-    s_ab = vn_entropy(rho)  # first, so a bad spectrum is named before a bad trace
+    spectrum = _checked_spectrum(rho)  # first, so a bad spectrum is named before a bad trace
     states, p, kept, _ = _conditioned(rho, (q, r))
-    s = vn_entropy(states)
+    lead = p.shape[:-1]
+    pairs = lead + (2, 2)  # (..., observable, outcome)
+    eigenvalues = np.concatenate([spectrum, _eigenvalues(states).reshape(lead + (12,))], axis=-1)
+    terms = _xlog2x(np.concatenate([eigenvalues.clip(0.0, 1.0), p.clip(0.0, None)], axis=-1))
+    s_ab = -terms[..., :4].sum(axis=-1)
+    s = -terms[..., 4:16].reshape(lead + (6, 2)).sum(axis=-1)
+    h = -terms[..., 16:].reshape(pairs).sum(axis=-1)
     s_a, s_b = s[..., 0], s[..., 1]
-    pairs = p.shape[:-1] + (2, 2)  # (..., observable, outcome)
     i_ob = s_b[..., None] - (np.where(kept, p, 0.0) * s[..., 2:]).reshape(pairs).sum(axis=-1)
-    h = _entropy_bits(p.clip(0.0, None).reshape(pairs))
     s_cond, i_ab = _float_or_array(s_ab - s_b), _float_or_array(s_a + s_b - s_ab)
     i_qb, i_rb = _float_or_array(i_ob[..., 0]), _float_or_array(i_ob[..., 1])
     h_q, h_r = _float_or_array(h[..., 0]), _float_or_array(h[..., 1])

@@ -5,10 +5,10 @@ puts the left factor on the most significant index: for A of dimension m
 and B of dimension n, the composite basis index is n*i_A + i_B (numpy's
 ``kron`` ordering). Every other module relies on this convention.
 
-`partial_trace`, `_require_hermitian`, `hermitian_eigensystem` and
-`_spectrum` act on the last two axes and broadcast over any leading stack
-axes, so one call handles a single (d, d) matrix or a whole (..., d, d)
-stack.
+`partial_trace`, `_require_hermitian`, `hermitian_eigensystem`,
+`_spectrum` and `_eigenvalues` act on the last two axes and broadcast
+over any leading stack axes, so one call handles a single (d, d) matrix
+or a whole (..., d, d) stack.
 
 Input checks, `_require_hermitian` and its peers in the other modules,
 first reject NaN and infinite input by name. Their tests against the
@@ -122,13 +122,21 @@ def hermitian_eigensystem(m: np.ndarray):
 
 def _spectrum(m: np.ndarray) -> np.ndarray:
     """Eigenvalues, ascending along the last axis, of a Hermitian matrix or
-    of each in a stack; the same checks and symmetrization as
-    `hermitian_eigensystem`, without the eigenvectors.
+    of each in a stack: `_eigenvalues` after the checks of
+    `_require_hermitian`, the same as `hermitian_eigensystem` makes."""
+    return _eigenvalues(_require_hermitian(m))
+
+
+def _eigenvalues(m: np.ndarray) -> np.ndarray:
+    """Eigenvalues, ascending along the last axis, of a complex (..., d, d)
+    array whose matrices are already known to be finite and Hermitian;
+    nothing is checked here, so only pass what is derived from a checked
+    input.
 
     A 2x2 spectrum is taken in closed form, (a+d)/2 -+ hypot((a-d)/2, |b|)
-    for [[a, b], [b*, d]]; a larger one with `np.linalg.eigvalsh`.
+    for [[a, b], [b*, d]], with b the mean of the two off-diagonal
+    entries; a larger one with `np.linalg.eigvalsh` of (M + M^dag)/2.
     """
-    m = _require_hermitian(m)
     if m.shape[-1] != 2:
         return np.linalg.eigvalsh((m + m.conj().swapaxes(-1, -2)) / 2.0)
     a, d = m[..., 0, 0].real, m[..., 1, 1].real

@@ -12,7 +12,7 @@ the memory blocks of every observable given at once; `evaluate_eur`
 reads it for Q and R together.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,13 +29,19 @@ class ProjectiveObservable:
     `basis` is a 2x2 complex matrix whose columns are the eigenstates.
     Only the basis enters any computed quantity, so eigenvalues and
     global column phases are irrelevant by construction.
+
+    The observable keeps a read-only copy of `basis`, so changing the
+    caller's array later changes nothing, and builds the read-only rows
+    conj(P_i), flattened to (2, 4), once; `projector` and
+    `_conditioned` both read them.
     """
 
     name: str
     basis: np.ndarray
+    _rows: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        basis = np.asarray(self.basis, dtype=complex)
+        basis = np.array(self.basis, dtype=complex)
         if not np.isfinite(basis).all():
             raise ValueError(f"basis of {self.name!r} is not finite: it holds NaN or inf")
         if basis.shape != (2, 2):
@@ -44,11 +50,16 @@ class ProjectiveObservable:
         deviation = float(np.max(np.abs(gram - np.eye(2))))
         if not deviation <= ORTHONORMALITY_ATOL:
             raise ValueError(f"basis of {self.name!r} is not orthonormal (deviation {deviation:.3e})")
+        basis.flags.writeable = False
+        v = basis.T  # v[i] is eigenstate i
+        rows = (v[:, :, None] * v.conj()[:, None, :]).conj().reshape(2, 4)
+        rows.flags.writeable = False
         object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "_rows", rows)
 
     def projector(self, i: int) -> np.ndarray:
-        v = self.basis[:, i]
-        return np.outer(v, v.conj())
+        """P_i = |v_i><v_i| for eigenstate i, as a new 2x2 array."""
+        return self._rows[i].conj().reshape(2, 2)
 
 
 def pauli_observable(axis: str) -> ProjectiveObservable:
@@ -77,15 +88,20 @@ def complementarity(q: ProjectiveObservable, r: ProjectiveObservable) -> float:
 def _conditioned(rho: np.ndarray, observables) -> tuple:
     """(states, p, kept, blocks) for every outcome of each observable in turn.
 
-    One contraction of rho with the stacked rows conj(P_i) = P_i^T gives
-    `blocks`, the unnormalized memory blocks <i|rho|i> (|i> the eigenstates
-    on the probe) as a (..., 2k, 2, 2) stack, and p their traces. `states`
-    stacks rho_A and rho_B, taken by trace as in `partial_trace`, on the
-    conditional states rho_B|i: (..., 2 + 2k, 2, 2). `kept` is False where
-    p_i is at or below PROBABILITY_FLOOR; there the normalizing division
-    is suppressed rather than amplified into noise, so rho_B|i is the
-    negligible unnormalized block, a finite matrix whose entropy a zero
-    weight cancels exactly.
+    One contraction of rho with the stacked rows conj(P_i) = P_i^T, which
+    each `ProjectiveObservable` stores, gives `blocks`, the unnormalized
+    memory blocks <i|rho|i> (|i> the eigenstates on the probe) as a
+    (..., 2k, 2, 2) stack, and p their traces. `states` stacks rho_A and
+    rho_B, taken by trace as in `partial_trace`, on the conditional states
+    rho_B|i: (..., 2 + 2k, 2, 2). `kept` is False where p_i is at or below
+    PROBABILITY_FLOOR; there the normalizing division is suppressed rather
+    than amplified into noise, so rho_B|i is the negligible unnormalized
+    block, a finite matrix whose entropy a zero weight cancels exactly.
+
+    The caller checks rho's spectrum first (`states._checked_spectrum`);
+    `states` is derived from it and is not checked again. Dividing by a
+    small p_i magnifies rho's roundoff, so a conditional state may sit
+    slightly outside the tolerances a checked input must meet.
 
     Raises ValueError unless tr rho, read off rho_A, is within TRACE_ATOL
     of 1 for every state of the stack; the message gives the trace of the
@@ -101,7 +117,7 @@ def _conditioned(rho: np.ndarray, observables) -> tuple:
     normalized = abs(tr - 1.0) <= TRACE_ATOL
     if not normalized.all():
         raise ValueError(f"state has trace {tr[~normalized].flat[0]:.12g}, expected 1")
-    rows = np.reshape([obs.projector(i).conj() for obs in observables for i in (0, 1)], (-1, 4))
+    rows = np.concatenate([obs._rows for obs in observables])
     blocks = (rows @ t.swapaxes(-3, -2).reshape(stack + (4, 4))).reshape(stack + (len(rows), 2, 2))
     p = (blocks[..., 0, 0] + blocks[..., 1, 1]).real
     kept = p > PROBABILITY_FLOOR

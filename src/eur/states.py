@@ -6,8 +6,10 @@ so the computational basis reads |00>, |01>, |10>, |11>. All entropies
 are base-2 (bits).
 
 The constructors check their own parameters. A state handed to the
-pipeline is checked where it is read: finiteness, Hermiticity and the
-spectrum in `_checked_spectrum`, the trace in `measurement._conditioned`.
+pipeline is checked once, where it is read: finiteness, Hermiticity and
+the spectrum in `_checked_spectrum`, the trace in
+`measurement._conditioned`. What the pipeline derives from a checked
+state (its marginals and conditional states) is not checked again.
 """
 
 import numpy as np
@@ -20,6 +22,9 @@ PAULI = {
     "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
+
+# sa (x) sa for each Pauli axis a, the terms of a Bell-diagonal state
+_PAULI_PAIRS = {axis: tensor(op, op) for axis, op in PAULI.items()}
 
 _PSI_PLUS = np.array([0, 1, 1, 0], dtype=complex) / np.sqrt(2)  # (|01> + |10>)/sqrt(2)
 
@@ -57,7 +62,7 @@ def bell_diagonal_state(r1: float, r2: float, r3: float) -> np.ndarray:
             )
     rho = 0.25 * np.eye(4, dtype=complex)
     for coeff, axis in ((r1, "x"), (r2, "y"), (r3, "z")):
-        rho = rho + 0.25 * coeff * tensor(PAULI[axis], PAULI[axis])
+        rho = rho + 0.25 * coeff * _PAULI_PAIRS[axis]
     return rho
 
 
@@ -113,17 +118,19 @@ def vn_entropy(rho: np.ndarray):
     (1, 1 + |EIGENVALUE_FLOOR|] to 1; anything farther out is rejected by
     `_checked_spectrum`.
     """
-    return _float_or_array(_entropy_bits(_checked_spectrum(rho).clip(0.0, 1.0)))
+    return _float_or_array(-_xlog2x(_checked_spectrum(rho).clip(0.0, 1.0)).sum(axis=-1))
 
 
 def _checked_spectrum(rho: np.ndarray) -> np.ndarray:
     """Eigenvalues, ascending, of a density matrix or of each in a stack.
 
-    Raises ValueError unless every matrix is finite and Hermitian with its
-    eigenvalues in [EIGENVALUE_FLOOR, 1 - EIGENVALUE_FLOOR]: anything
-    farther out, in any matrix of the stack, means the input is not a
-    state and is a hard error so upstream bugs surface instead of being
-    rounded away.
+    This is the input check of a state: it raises ValueError unless every
+    matrix is finite and Hermitian with its eigenvalues in
+    [EIGENVALUE_FLOOR, 1 - EIGENVALUE_FLOOR]. Anything farther out, in any
+    matrix of the stack, means the input is not a state and is a hard
+    error, so upstream bugs surface instead of being rounded away. States
+    derived from a checked one are read with the unchecked
+    `linalg._eigenvalues` instead.
     """
     eigenvalues = _spectrum(rho)
     smallest = float(eigenvalues[..., 0].min(initial=0.0))
@@ -139,8 +146,6 @@ def _checked_spectrum(rho: np.ndarray) -> np.ndarray:
     return eigenvalues
 
 
-def _entropy_bits(weights: np.ndarray) -> np.ndarray:
-    """-sum w log2 w over the last axis of nonnegative weights, with 0 log 0 = 0."""
-    logs = np.log2(weights, out=np.zeros_like(weights), where=weights > 0.0)
-    return -(weights * logs).sum(axis=-1)
-
+def _xlog2x(weights: np.ndarray) -> np.ndarray:
+    """w log2 w for each of an array of nonnegative weights, with 0 log 0 = 0."""
+    return weights * np.log2(weights, out=np.zeros_like(weights), where=weights > 0.0)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from eur import linalg, states
+from eur import bounds, linalg, states
 from eur.bounds import bound_violations, evaluate_eur, robertson_bound
 from eur.channels import apply_to_memory, unruh_channel
 from eur.linalg import tensor
@@ -156,8 +156,9 @@ def test_report_matches_standalone_operations_exactly():
 
 
 def test_evaluate_eur_takes_each_spectrum_once(monkeypatch):
-    # one LAPACK spectrum, of rho; both marginals and the four conditional
-    # memory states are 2x2 and solved in closed form as one stack
+    # one LAPACK spectrum, of rho, checked; both marginals and the four
+    # conditional memory states are 2x2, derived from the checked rho, and
+    # solved unchecked in closed form as one stack
     rng = np.random.default_rng(36)
     solved, spectra = [], []
 
@@ -171,20 +172,25 @@ def test_evaluate_eur_takes_each_spectrum_once(monkeypatch):
         return call
 
     def spectrum(m):
-        spectra.append(np.shape(m))
+        spectra.append(("_spectrum", np.shape(m)))
         return linalg._spectrum(m)
+
+    def eigenvalues(m):
+        spectra.append(("_eigenvalues", np.shape(m)))
+        return linalg._eigenvalues(m)
 
     one = apply_to_memory(unruh_channel(0.3), bell_diagonal_p(0.5))
     stack = np.stack([random_density_matrix(rng, 4) for _ in range(7)])
     for name in ("eigh", "eigvalsh", "eig", "eigvals"):
         monkeypatch.setattr(np.linalg, name, counted(name))
     monkeypatch.setattr(states, "_spectrum", spectrum)
+    monkeypatch.setattr(bounds, "_eigenvalues", eigenvalues)
     for rho, lead in ((one, ()), (stack, (7,))):
         solved.clear()
         spectra.clear()
         evaluate_eur(X_OBS, Y_OBS, rho)
         assert solved == [("eigvalsh", lead + (4, 4))]
-        assert spectra == [lead + (4, 4), lead + (6, 2, 2)]
+        assert spectra == [("_spectrum", lead + (4, 4)), ("_eigenvalues", lead + (6, 2, 2))]
 
 
 @pytest.mark.parametrize("bad, message", [

@@ -19,6 +19,7 @@ from helpers import (
     I2,
     PHI_PLUS,
     proj,
+    random_complex,
     random_density_matrix,
     random_unitary,
     shannon_bits,
@@ -59,6 +60,32 @@ def test_pauli_observable_plus_one_eigenvector_first():
 def test_observable_rejects_non_orthonormal_basis():
     with pytest.raises(ValueError, match="orthonormal"):
         ProjectiveObservable("bad", np.array([[1, 1], [0, 0]], dtype=complex))
+
+
+def test_observable_keeps_a_read_only_copy_of_its_basis():
+    rng = np.random.default_rng(42)
+    basis = random_unitary(rng, 2)
+    q, r = ProjectiveObservable("q", basis), random_observable(rng)
+    with pytest.raises(ValueError, match="read-only"):
+        q.basis[0, 0] = 1.0
+    rho = random_density_matrix(rng, 4)
+    report, dephased = evaluate_eur(q, r, rho), post_measurement_state(q, rho)
+    basis[:] = np.eye(2)  # the caller's array, changed after construction
+    assert evaluate_eur(q, r, rho) == report
+    assert np.array_equal(post_measurement_state(q, rho), dephased)
+
+
+def test_projector_is_the_outer_product_bit_for_bit():
+    rng = np.random.default_rng(43)
+    q, r = np.linalg.qr(random_complex(rng, (20_000, 2, 2)))
+    diagonal = np.diagonal(r, axis1=-2, axis2=-1)
+    haar = q * (diagonal / abs(diagonal))[..., None, :]
+    paulis = [pauli_observable(axis).basis for axis in "xyz"]
+    for basis in [*paulis, -np.eye(2), *haar]:
+        obs = ProjectiveObservable("q", basis)
+        for i in (0, 1):
+            v = obs.basis[:, i]
+            assert obs.projector(i).tobytes() == np.outer(v, v.conj()).tobytes()
 
 
 def test_complementarity_of_unbiased_and_identical_bases():

@@ -14,8 +14,8 @@ import reference
 from eur.bounds import evaluate_eur
 from eur.channels import apply_to_memory, unruh_channel
 from eur.measurement import ProjectiveObservable, pauli_observable
-from eur.states import bell_diagonal_p, x_state
-from helpers import random_complex, random_unitary
+from eur.states import bell_diagonal_p, from_pure, x_state
+from helpers import random_complex, random_pure_state, random_unitary
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -57,6 +57,23 @@ def test_zero_probability_stack_matches_the_reference():
         q, r = (pauli_observable(axis) for axis in pair)
         expected = reference.reports(q.basis, r.basis, states)
         assert not reference.report_outside_budget(evaluate_eur(q, r, states), expected)
+
+
+def test_small_outcome_probabilities_match_the_reference():
+    # probe sqrt(1-e)|+> + sqrt(e) e^{i theta}|->, so the sigma_x outcome "-"
+    # has probability e; dividing its memory block by e magnifies rho's
+    # roundoff, and the conditional state must not be rejected for it
+    rng = np.random.default_rng(0)
+    plus, minus = np.array([1.0, 1.0]) / np.sqrt(2), np.array([1.0, -1.0]) / np.sqrt(2)
+    states = []
+    for e in np.repeat([1e-7, 1e-9, 1e-11], 10):
+        probe = np.sqrt(1 - e) * plus + np.sqrt(e) * np.exp(1j * rng.uniform(0, 2 * np.pi)) * minus
+        psi = np.kron(probe, random_pure_state(rng, 2))
+        states.append(apply_to_memory(unruh_channel(rng.uniform(0.0, 0.78)), from_pure(psi)))
+    states = np.stack(states)
+    q, r = pauli_observable("x"), pauli_observable("y")
+    expected = reference.reports(q.basis, r.basis, states)
+    assert not reference.report_outside_budget(evaluate_eur(q, r, states), expected)
 
 
 def test_reference_reproduces_closed_forms():

@@ -1,4 +1,5 @@
-"""The scripts: reproduce_figures.py (both preset CSVs, its exit codes) and compare_csv.py."""
+"""The scripts: reproduce_figures.py (both preset CSVs, its exit codes) and compare_csv.py
+(CSV bytes and library report bits)."""
 
 import importlib.util
 import shutil
@@ -56,7 +57,7 @@ def test_compare_csv_names_the_first_differing_line(tmp_path, monkeypatch, capsy
     compare_csv = load_script("compare_csv")
     monkeypatch.setattr(compare_csv, "CASES", [("--preset", "fig1", "--steps", "5")])
     assert compare_csv.main([str(compare_csv.SRC)]) == 0
-    assert capsys.readouterr().out == "same    --preset fig1 --steps 5\n"
+    assert capsys.readouterr().out == "same    --preset fig1 --steps 5\nsame    library reports\n"
 
     changed = tmp_path / "src"
     shutil.copytree(compare_csv.SRC, changed, ignore=shutil.ignore_patterns("__pycache__"))
@@ -67,6 +68,7 @@ def test_compare_csv_names_the_first_differing_line(tmp_path, monkeypatch, capsy
         "DIFFERS --preset fig1 --steps 5: line 1: "
         "a,angle,lhs,berta,holevo,delta != a,r,lhs,berta,holevo,delta; "
         "1 cells differ, largest |difference| 0\n"
+        "same    library reports\n"
     )
 
     # shift the delta column by 2**-20 (exact in binary): five cells, one per row
@@ -76,4 +78,30 @@ def test_compare_csv_names_the_first_differing_line(tmp_path, monkeypatch, capsy
     assert compare_csv.main([str(changed)]) == 1
     out = capsys.readouterr().out
     assert out.startswith("DIFFERS --preset fig1 --steps 5: line 2: ")
-    assert out.endswith("; 5 cells differ, largest |difference| 9.54e-07\n")
+    assert out.endswith("; 5 cells differ, largest |difference| 9.54e-07\nsame    library reports\n")
+
+
+def test_compare_csv_names_the_first_differing_report_field(tmp_path, monkeypatch, capsys):
+    compare_csv = load_script("compare_csv")
+    monkeypatch.setattr(compare_csv, "CASES", [])
+    changed = tmp_path / "src"
+    shutil.copytree(compare_csv.SRC, changed, ignore=shutil.ignore_patterns("__pycache__"))
+    bounds = changed / "eur" / "bounds.py"
+    original = bounds.read_text()
+    assert original.count("        i_ab=i_ab,\n") == 1 and original.count("        c=c,\n") == 1
+
+    # a field that no CSV column holds, shifted by 2**-20 at every input
+    bounds.write_text(original.replace("        i_ab=i_ab,\n", "        i_ab=i_ab + 2.0**-20,\n"))
+    assert compare_csv.main([str(changed)]) == 1
+    assert capsys.readouterr().out == "DIFFERS library reports: i_ab of input 0\n"
+
+    # the same value, of another type
+    bounds.write_text(original.replace("        c=c,\n", "        c=np.float64(c),\n"))
+    assert compare_csv.main([str(changed)]) == 1
+    assert capsys.readouterr().out == "DIFFERS library reports: c of input 0\n"
+
+    # a tree whose evaluation fails is named with its exit status
+    bounds.write_text(original.replace("        c=c,\n", "        c=1 / 0,\n"))
+    assert compare_csv.main([str(changed)]) == 1
+    assert capsys.readouterr().out == (
+        "DIFFERS library reports: <exit 1: ZeroDivisionError: division by zero>\n")
