@@ -25,7 +25,7 @@ from .linalg import (
     _require_hermitian,
 )
 from .measurement import ProjectiveObservable, _conditioned, complementarity
-from .states import _checked_spectrum, _xlog2x, from_pure
+from .states import _xlog2x, from_pure
 
 
 @dataclass(frozen=True)
@@ -68,14 +68,9 @@ def evaluate_eur(
 ) -> EurReport:
     """Evaluate the uncertainty sum and every lower bound on one state or a stack.
 
-    rho is checked once, and first: its spectrum by
-    `states._checked_spectrum` (finite, Hermitian, eigenvalues in range),
-    then its trace in `measurement._conditioned`. Everything derived from
-    it is trusted, so the stack of six 2x2 states that `_conditioned`
-    returns (both marginals and the four conditional memory states) is
-    read with the unchecked closed form `linalg._eigenvalues`. A
-    conditional state divides by its outcome probability, which magnifies
-    rho's roundoff; checking it again would reject valid states.
+    rho is checked once, by `measurement._conditioned`. The stack of six
+    2x2 states it returns (both marginals and the four conditional memory
+    states) is read with the unchecked closed form `linalg._eigenvalues`.
 
     The post-measurement state rho_OB is block diagonal, so
     S(OB) = H(p) + sum_i p_i S(rho_B|i) needs no spectrum of its own:
@@ -85,8 +80,7 @@ def evaluate_eur(
     eigenvalues of rho and the 12 of the stack, clipped to [0, 1], and
     the 4 outcome probabilities, clipped at 0.
     """
-    spectrum = _checked_spectrum(rho)  # first, so a bad spectrum is named before a bad trace
-    states, p, kept, _ = _conditioned(rho, (q, r))
+    spectrum, states, p, kept, _ = _conditioned(rho, (q, r))
     lead = p.shape[:-1]
     pairs = lead + (2, 2)  # (..., observable, outcome)
     eigenvalues = np.concatenate([spectrum, _eigenvalues(states).reshape(lead + (12,))], axis=-1)

@@ -5,10 +5,10 @@ puts the left factor on the most significant index: for A of dimension m
 and B of dimension n, the composite basis index is n*i_A + i_B (numpy's
 ``kron`` ordering). Every other module relies on this convention.
 
-`partial_trace`, `_require_hermitian`, `hermitian_eigensystem`,
-`_spectrum` and `_eigenvalues` act on the last two axes and broadcast
-over any leading stack axes, so one call handles a single (d, d) matrix
-or a whole (..., d, d) stack.
+`partial_trace`, `_require_hermitian`, `hermitian_eigensystem` and
+`_eigenvalues` act on the last two axes and broadcast over any leading
+stack axes, so one call handles a single (d, d) matrix or a whole
+(..., d, d) stack.
 
 Input checks, `_require_hermitian` and its peers in the other modules,
 first reject NaN and infinite input by name. Their tests against the
@@ -55,6 +55,8 @@ def partial_trace(m: np.ndarray, keep, dims) -> np.ndarray:
     """
     m = np.asarray(m, dtype=complex)
     dims = [int(d) for d in dims]
+    if min(dims, default=1) < 1:
+        raise ValueError(f"dims must all be >= 1, got {dims}")
     total = math.prod(dims)
     if m.shape[-2:] != (total, total):
         raise ValueError(
@@ -118,13 +120,6 @@ def hermitian_eigensystem(m: np.ndarray):
     m = _require_hermitian(m)
     eigenvalues, eigenvectors = np.linalg.eigh((m + m.conj().swapaxes(-1, -2)) / 2.0)
     return eigenvalues, eigenvectors
-
-
-def _spectrum(m: np.ndarray) -> np.ndarray:
-    """Eigenvalues, ascending along the last axis, of a Hermitian matrix or
-    of each in a stack: `_eigenvalues` after the checks of
-    `_require_hermitian`, the same as `hermitian_eigensystem` makes."""
-    return _eigenvalues(_require_hermitian(m))
 
 
 def _eigenvalues(m: np.ndarray) -> np.ndarray:

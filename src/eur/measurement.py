@@ -5,18 +5,17 @@ memory is conditioned, never measured. This asymmetry is baked into the
 API on purpose so subsystem-convention bugs cannot arise.
 
 `post_measurement_state` takes one 4x4 state or a (..., 4, 4) stack,
-`measurement_ensemble` one state. Both check the state as
-`bounds.evaluate_eur` does: its spectrum with `states._checked_spectrum`,
-its trace in `_conditioned`. `_conditioned` is one contraction that forms
-the memory blocks of every observable given at once; `evaluate_eur`
-reads it for Q and R together.
+`measurement_ensemble` one state. `_conditioned` is the one reader of a
+two-qubit state, for both and for `bounds.evaluate_eur`: it checks the
+state, then forms the memory blocks of every observable given in one
+contraction; `evaluate_eur` reads it for Q and R together.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import ORTHONORMALITY_ATOL, PROBABILITY_FLOOR, TRACE_ATOL
+from .linalg import ORTHONORMALITY_ATOL, PROBABILITY_FLOOR
 from .states import _checked_spectrum
 
 _SQRT2 = np.sqrt(2.0)
@@ -86,43 +85,38 @@ def complementarity(q: ProjectiveObservable, r: ProjectiveObservable) -> float:
 
 
 def _conditioned(rho: np.ndarray, observables) -> tuple:
-    """(states, p, kept, blocks) for every outcome of each observable in turn.
+    """(spectrum, states, p, kept, blocks) for every outcome of each observable in turn.
 
-    One contraction of rho with the stacked rows conj(P_i) = P_i^T, which
-    each `ProjectiveObservable` stores, gives `blocks`, the unnormalized
-    memory blocks <i|rho|i> (|i> the eigenstates on the probe) as a
-    (..., 2k, 2, 2) stack, and p their traces. `states` stacks rho_A and
-    rho_B, taken by trace as in `partial_trace`, on the conditional states
-    rho_B|i: (..., 2 + 2k, 2, 2). `kept` is False where p_i is at or below
+    rho must be one 4x4 state or a (..., 4, 4) stack; its shape is checked
+    first, then the state itself, once, by `states._checked_spectrum`,
+    which gives `spectrum`, rho's eigenvalues. One contraction of rho with
+    the stacked rows conj(P_i) = P_i^T, which each `ProjectiveObservable`
+    stores, gives `blocks`, the unnormalized memory blocks <i|rho|i>
+    (|i> the eigenstates on the probe) as a (..., 2k, 2, 2) stack, and p
+    their traces. `states` stacks rho_A and rho_B, taken by trace as in
+    `partial_trace`, on the conditional states rho_B|i:
+    (..., 2 + 2k, 2, 2). `kept` is False where p_i is at or below
     PROBABILITY_FLOOR; there the normalizing division is suppressed rather
     than amplified into noise, so rho_B|i is the negligible unnormalized
     block, a finite matrix whose entropy a zero weight cancels exactly.
 
-    The caller checks rho's spectrum first (`states._checked_spectrum`);
-    `states` is derived from it and is not checked again. Dividing by a
-    small p_i magnifies rho's roundoff, so a conditional state may sit
-    slightly outside the tolerances a checked input must meet.
-
-    Raises ValueError unless tr rho, read off rho_A, is within TRACE_ATOL
-    of 1 for every state of the stack; the message gives the trace of the
-    first state that fails.
+    `states` is not checked again. Dividing by a small p_i magnifies rho's
+    roundoff, so a conditional state may sit slightly outside the
+    tolerances a checked input must meet.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 two-qubit state, got shape {rho.shape}")
+    spectrum = _checked_spectrum(rho)
     stack = rho.shape[:-2]
     t = rho.reshape(stack + (2, 2, 2, 2))  # rho[..., b, j, c, l] (probe b, c; memory j, l)
     marginals = np.stack([t.trace(axis1=-3, axis2=-1), t.trace(axis1=-4, axis2=-2)], axis=-3)
-    tr = (marginals[..., 0, 0, 0] + marginals[..., 0, 1, 1]).real
-    normalized = abs(tr - 1.0) <= TRACE_ATOL
-    if not normalized.all():
-        raise ValueError(f"state has trace {tr[~normalized].flat[0]:.12g}, expected 1")
     rows = np.concatenate([obs._rows for obs in observables])
     blocks = (rows @ t.swapaxes(-3, -2).reshape(stack + (4, 4))).reshape(stack + (len(rows), 2, 2))
     p = (blocks[..., 0, 0] + blocks[..., 1, 1]).real
     kept = p > PROBABILITY_FLOOR
     states = np.concatenate([marginals, blocks / np.where(kept, p, 1.0)[..., None, None]], axis=-3)
-    return states, p, kept, blocks
+    return spectrum, states, p, kept, blocks
 
 
 def post_measurement_state(obs: ProjectiveObservable, rho: np.ndarray) -> np.ndarray:
@@ -133,9 +127,8 @@ def post_measurement_state(obs: ProjectiveObservable, rho: np.ndarray) -> np.nda
     read out. Block diagonal in the measurement basis, and idempotent for
     a fixed observable.
     """
-    _checked_spectrum(rho)
     projectors = np.stack([obs.projector(0), obs.projector(1)])
-    out = np.einsum("iac,...ijl->...ajcl", projectors, _conditioned(rho, (obs,))[3])
+    out = np.einsum("iac,...ijl->...ajcl", projectors, _conditioned(rho, (obs,))[4])
     return out.reshape(out.shape[:-4] + (4, 4))
 
 
@@ -150,8 +143,7 @@ def measurement_ensemble(obs: ProjectiveObservable, rho: np.ndarray):
     """
     if np.shape(rho) != (4, 4):
         raise ValueError(f"expected one 4x4 two-qubit state, got shape {np.shape(rho)}")
-    _checked_spectrum(rho)
-    states, p, kept, _ = _conditioned(rho, (obs,))
+    _, states, p, kept, _ = _conditioned(rho, (obs,))
     return [
         (float(p_i), conditional) if kept_i else (max(float(p_i), 0.0), None)
         for p_i, conditional, kept_i in zip(p, states[2:], kept)

@@ -5,17 +5,22 @@ significant index and Bob's memory qubit as the least significant one,
 so the computational basis reads |00>, |01>, |10>, |11>. All entropies
 are base-2 (bits).
 
-The constructors check their own parameters. A state handed to the
-pipeline is checked once, where it is read: finiteness, Hermiticity and
-the spectrum in `_checked_spectrum`, the trace in
-`measurement._conditioned`. What the pipeline derives from a checked
-state (its marginals and conditional states) is not checked again.
+The constructors check their own parameters. Every reader of a state
+checks it once, with `_checked_spectrum`.
 """
 
 import numpy as np
 
 from .channels import R_MAX
-from .linalg import EIGENVALUE_FLOOR, NORM_ATOL, _float_or_array, _spectrum, tensor
+from .linalg import (
+    EIGENVALUE_FLOOR,
+    NORM_ATOL,
+    TRACE_ATOL,
+    _eigenvalues,
+    _float_or_array,
+    _require_hermitian,
+    tensor,
+)
 
 PAULI = {
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -26,8 +31,6 @@ PAULI = {
 # sa (x) sa for each Pauli axis a, the terms of a Bell-diagonal state
 _PAULI_PAIRS = {axis: tensor(op, op) for axis, op in PAULI.items()}
 
-_PSI_PLUS = np.array([0, 1, 1, 0], dtype=complex) / np.sqrt(2)  # (|01> + |10>)/sqrt(2)
-
 
 def from_pure(v: np.ndarray) -> np.ndarray:
     """Rank-1 projector |v><v| of a normalized state vector."""
@@ -36,6 +39,11 @@ def from_pure(v: np.ndarray) -> np.ndarray:
     if not abs(norm - 1.0) <= NORM_ATOL:
         raise ValueError(f"state vector has norm {norm:.12g}, expected 1")
     return np.outer(v, v.conj())
+
+
+# |psi+><psi+| with |psi+> = (|01> + |10>)/sqrt(2), and |11><11|: the terms of an X state
+_PSI_PLUS_PROJ = from_pure(np.array([0, 1, 1, 0], dtype=complex) / np.sqrt(2))
+_ELEVEN_PROJ = from_pure(np.array([0, 0, 0, 1], dtype=complex))
 
 
 def bell_diagonal_state(r1: float, r2: float, r3: float) -> np.ndarray:
@@ -84,9 +92,7 @@ def x_state(p: float) -> np.ndarray:
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
-    eleven = np.zeros(4, dtype=complex)
-    eleven[3] = 1.0
-    return p * from_pure(_PSI_PLUS) + (1.0 - p) * from_pure(eleven)
+    return p * _PSI_PLUS_PROJ + (1.0 - p) * _ELEVEN_PROJ
 
 
 def rindler_tripartite_state(r: float) -> np.ndarray:
@@ -124,25 +130,31 @@ def vn_entropy(rho: np.ndarray):
 def _checked_spectrum(rho: np.ndarray) -> np.ndarray:
     """Eigenvalues, ascending, of a density matrix or of each in a stack.
 
-    This is the input check of a state: it raises ValueError unless every
-    matrix is finite and Hermitian with its eigenvalues in
-    [EIGENVALUE_FLOOR, 1 - EIGENVALUE_FLOOR]. Anything farther out, in any
-    matrix of the stack, means the input is not a state and is a hard
-    error, so upstream bugs surface instead of being rounded away. States
-    derived from a checked one are read with the unchecked
-    `linalg._eigenvalues` instead.
+    This is the one check of a state, and every reader of one makes it
+    once: it raises ValueError unless every matrix is finite and
+    Hermitian, with its eigenvalues in [EIGENVALUE_FLOOR,
+    1 - EIGENVALUE_FLOOR] and its trace within TRACE_ATOL of 1, tested in
+    that order; the trace error gives the trace of the first state that
+    fails. Anything farther out means the input is not a state and is a
+    hard error, so upstream bugs surface instead of being rounded away.
+    What a reader derives from a checked state is not checked again.
     """
-    eigenvalues = _spectrum(rho)
-    smallest = float(eigenvalues[..., 0].min(initial=0.0))
+    rho = _require_hermitian(rho)
+    eigenvalues = _eigenvalues(rho)
+    smallest = float(eigenvalues.min(initial=0.0))
     if smallest < EIGENVALUE_FLOOR:
         raise ValueError(
             f"not a density matrix: eigenvalue {smallest:.3e} below tolerance"
         )
-    largest = float(eigenvalues[..., -1].max(initial=1.0))
+    largest = float(eigenvalues.max(initial=1.0))
     if largest > 1.0 - EIGENVALUE_FLOOR:
         raise ValueError(
             f"not a density matrix: eigenvalue {largest:.12g} above 1"
         )
+    tr = rho.trace(axis1=-2, axis2=-1).real
+    normalized = abs(tr - 1.0) <= TRACE_ATOL
+    if not normalized.all():
+        raise ValueError(f"state has trace {tr[~normalized].flat[0]:.12g}, expected 1")
     return eigenvalues
 
 

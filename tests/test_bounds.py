@@ -1,6 +1,7 @@
 """Uncertainty sums, the memory-assisted lower bounds, and the report."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from eur.measurement import (
     pauli_observable,
     post_measurement_state,
 )
-from eur.states import bell_diagonal_p, x_state
+from eur.states import bell_diagonal_p, vn_entropy, x_state
 from helpers import (
     BOUND_GAP_ATOL,
     BOUND_ORDER_ATOL,
@@ -156,11 +157,11 @@ def test_report_matches_standalone_operations_exactly():
 
 
 def test_evaluate_eur_takes_each_spectrum_once(monkeypatch):
-    # one LAPACK spectrum, of rho, checked; both marginals and the four
+    # one LAPACK spectrum, of rho, checked once; both marginals and the four
     # conditional memory states are 2x2, derived from the checked rho, and
     # solved unchecked in closed form as one stack
     rng = np.random.default_rng(36)
-    solved, spectra = [], []
+    solved, spectra, checked = [], [], []
 
     def counted(name):
         solver = getattr(np.linalg, name)
@@ -171,26 +172,29 @@ def test_evaluate_eur_takes_each_spectrum_once(monkeypatch):
 
         return call
 
-    def spectrum(m):
-        spectra.append(("_spectrum", np.shape(m)))
-        return linalg._spectrum(m)
-
     def eigenvalues(m):
         spectra.append(("_eigenvalues", np.shape(m)))
         return linalg._eigenvalues(m)
+
+    def require_hermitian(m, *args):
+        checked.append(np.shape(m))
+        return linalg._require_hermitian(m, *args)
 
     one = apply_to_memory(unruh_channel(0.3), bell_diagonal_p(0.5))
     stack = np.stack([random_density_matrix(rng, 4) for _ in range(7)])
     for name in ("eigh", "eigvalsh", "eig", "eigvals"):
         monkeypatch.setattr(np.linalg, name, counted(name))
-    monkeypatch.setattr(states, "_spectrum", spectrum)
+    monkeypatch.setattr(states, "_eigenvalues", eigenvalues)
     monkeypatch.setattr(bounds, "_eigenvalues", eigenvalues)
+    monkeypatch.setattr(states, "_require_hermitian", require_hermitian)
     for rho, lead in ((one, ()), (stack, (7,))):
         solved.clear()
         spectra.clear()
+        checked.clear()
         evaluate_eur(X_OBS, Y_OBS, rho)
         assert solved == [("eigvalsh", lead + (4, 4))]
-        assert spectra == [("_spectrum", lead + (4, 4)), ("_eigenvalues", lead + (6, 2, 2))]
+        assert spectra == [("_eigenvalues", lead + (4, 4)), ("_eigenvalues", lead + (6, 2, 2))]
+        assert checked == [lead + (4, 4)]
 
 
 @pytest.mark.parametrize("bad, message", [
@@ -226,11 +230,31 @@ def test_every_state_reader_rejects_an_unnormalized_state():
         post_measurement_state(X_OBS, np.zeros((4, 4)))
     with pytest.raises(ValueError, match="state has trace 0.5, expected 1"):
         measurement_ensemble(X_OBS, np.eye(4) / 8)
+    with pytest.raises(ValueError, match="state has trace 2, expected 1"):
+        vn_entropy(np.eye(2))
+    with pytest.raises(ValueError, match="state has trace 0.5, expected 1"):
+        vn_entropy(np.stack([np.eye(4) / 4, np.eye(4) / 8]))
 
 
 def test_evaluate_eur_names_the_shape_of_a_non_two_qubit_input():
     with pytest.raises(ValueError, match=r"\(2, 2\)"):
         evaluate_eur(X_OBS, Y_OBS, np.eye(2) / 2)
+
+
+STATE_READERS = {
+    "evaluate_eur": lambda rho: evaluate_eur(X_OBS, Y_OBS, rho),
+    "post_measurement_state": lambda rho: post_measurement_state(X_OBS, rho),
+    "measurement_ensemble": lambda rho: measurement_ensemble(X_OBS, rho),
+}
+
+
+@pytest.mark.parametrize("rho", [
+    np.full(4, 0.25), np.eye(2) / 2, np.zeros((0, 0)), np.triu(np.ones((3, 3))) / 3,
+], ids=["vector", "one_qubit", "empty", "non_hermitian_3x3"])
+@pytest.mark.parametrize("reader", STATE_READERS)
+def test_every_state_reader_names_the_shape_first(reader, rho):
+    with pytest.raises(ValueError, match=re.escape(f"4x4 two-qubit state, got shape {rho.shape}")):
+        STATE_READERS[reader](rho)
 
 
 def test_report_ordering_at_maximal_mixing():

@@ -104,6 +104,12 @@ def test_partial_trace_rejects_bad_dims_and_empty_keep():
         partial_trace(m, keep=[2], dims=[2, 2])
 
 
+@pytest.mark.parametrize("dims", [[-2, -2], [0, 4], [4, 1, 0]])
+def test_partial_trace_names_a_non_positive_dim(dims):
+    with pytest.raises(ValueError, match=r"dims must all be >= 1, got \["):
+        partial_trace(np.eye(4), keep=0, dims=dims)
+
+
 def test_eigensystem_of_sigma_z():
     values, vectors = hermitian_eigensystem(SZ)
     assert np.allclose(values, [-1.0, 1.0], atol=1e-12)

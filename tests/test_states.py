@@ -158,6 +158,12 @@ def test_vn_entropy_rejects_negative_eigenvalue():
         vn_entropy(np.diag([1.5, -0.5]))
 
 
+@pytest.mark.parametrize("shape", [(0, 0), (3, 0, 0)])
+def test_vn_entropy_rejects_an_empty_matrix_by_its_trace(shape):
+    with pytest.raises(ValueError, match="state has trace 0, expected 1"):
+        vn_entropy(np.zeros(shape))
+
+
 @given(seeds, st.sampled_from([2, 4, 8]))
 @settings(max_examples=60, deadline=None)
 def test_vn_entropy_range_and_basis_invariance(seed, dim):
