@@ -6,8 +6,9 @@
 Runs every case in CASES with `python -m eur sweep`, once with BASE_SRC
 (the `src` directory of another checkout) first on PYTHONPATH and once
 with this checkout's `src`, and compares the two CSV files byte for
-byte. Then evaluates `evaluate_eur` on LIBRARY_INPUTS seeded inputs in
-one subprocess per tree and compares every `EurReport` field's type and
+byte. Then evaluates `evaluate_eur`, `post_measurement_state`,
+`measurement_ensemble` and `apply_to_memory` on LIBRARY_INPUTS seeded
+inputs in one subprocess per tree and compares every result's type and
 bytes. Prints one line per case; exits 1 if any case differs, naming
 its first differing line, how many cells differ and the largest
 absolute difference between two numeric cells (for the library case,
@@ -85,20 +86,50 @@ def library_inputs():
         yield haar_basis(rng), haar_basis(rng), rho
 
 
-def library_report_bytes() -> bytes:
-    """Every `EurReport` field of every library input, evaluated by the
-    `eur` on sys.path, pickled as (name, type, dtype, shape, bytes)."""
-    from eur import ProjectiveObservable, evaluate_eur
+def encoded(name: str, value) -> tuple:
+    """(name, type, dtype, shape, bytes) of one value; None has no bytes."""
+    if value is None:
+        return (name, "NoneType", "", (), b"")
+    array = np.asarray(value)
+    return (name, type(value).__name__, array.dtype.str, array.shape, array.tobytes())
 
+
+def library_report_bytes() -> bytes:
+    """For every library input, evaluated by the `eur` on sys.path: every
+    `EurReport` field and the state `post_measurement_state` gives for q;
+    for one-state inputs also q's `measurement_ensemble` and the states
+    that `apply_to_memory` gives for a stack of seven Unruh channels and
+    for the Kraus family read back from a Choi matrix. Pickled as a list
+    of (name, type, dtype, shape, bytes) per input."""
+    from eur import (
+        ProjectiveObservable,
+        apply_to_memory,
+        choi,
+        evaluate_eur,
+        kraus_from_choi,
+        measurement_ensemble,
+        post_measurement_state,
+        unruh_channel,
+    )
+    from eur.channels import R_MAX
+
+    channels = {
+        "unruh stack": unruh_channel(np.linspace(0.0, R_MAX, 7)),
+        "choi round trip": kraus_from_choi(choi(unruh_channel(0.3))),
+    }
     reports = []
     for q, r, rho in library_inputs():
-        report = evaluate_eur(ProjectiveObservable("q", q), ProjectiveObservable("r", r), rho)
-        fields = []
-        for field in dataclasses.fields(report):
-            value = getattr(report, field.name)
-            array = np.asarray(value)
-            fields.append((field.name, type(value).__name__, array.dtype.str, array.shape,
-                           array.tobytes()))
+        q = ProjectiveObservable("q", q)
+        report = evaluate_eur(q, ProjectiveObservable("r", r), rho)
+        fields = [encoded(field.name, getattr(report, field.name))
+                  for field in dataclasses.fields(report)]
+        fields.append(encoded("post_measurement_state", post_measurement_state(q, rho)))
+        if rho.shape == (4, 4):
+            for i, (p_i, conditional) in enumerate(measurement_ensemble(q, rho)):
+                fields += [encoded(f"measurement_ensemble p_{i}", p_i),
+                           encoded(f"measurement_ensemble rho_B|{i}", conditional)]
+            fields += [encoded(f"apply_to_memory of the {name}", apply_to_memory(kraus, rho))
+                       for name, kraus in channels.items()]
         reports.append(fields)
     return pickle.dumps(reports)
 

@@ -142,7 +142,9 @@ def apply_to_memory(channel, rho: np.ndarray) -> np.ndarray:
     marginal is untouched. Kraus operators of shape (K, ..., 2, 2) and
     states of shape (..., 4, 4) broadcast against each other over the
     stack axes, so one call evolves a stack of states, a stack of
-    channels, or both.
+    channels, or both. One 4x4 state shared by a stack of channels is
+    multiplied by every lifted operator in one product; the product with
+    K_j^dag on the right is taken per matrix.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (4, 4):
@@ -152,7 +154,8 @@ def apply_to_memory(channel, rho: np.ndarray) -> np.ndarray:
     lifted = np.zeros(kraus.shape[:1] + (1,) * (rho.ndim - kraus.ndim + 1) + kraus.shape[1:-2]
                       + (4, 4), dtype=complex)
     lifted[..., :2, :2] = lifted[..., 2:, 2:] = kraus.reshape(lifted.shape[:-2] + (2, 2))
-    return (lifted @ rho @ lifted.conj().swapaxes(-1, -2)).sum(axis=0)
+    left = (lifted.reshape(-1, 4) @ rho).reshape(lifted.shape) if rho.ndim == 2 else lifted @ rho
+    return (left @ lifted.conj().swapaxes(-1, -2)).sum(axis=0)
 
 
 def choi(channel) -> np.ndarray:

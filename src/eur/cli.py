@@ -119,7 +119,11 @@ def run_sweep(cfg: SweepConfig) -> Sweep:
 
 
 def emit_csv(sweep: Sweep, path: str) -> None:
-    """Write the sweep as CSV: 12 significant digits, LF endings, overwrite."""
+    """Write the sweep as CSV: 12 significant digits, LF endings, overwrite.
+
+    The rows are formatted a chunk of at most _SWEEP_CHUNK at a time, each
+    chunk with one `%` operation on a row format repeated once per row.
+    """
     if len(sweep.r) == 0:
         raise ValueError("no rows to write")
     columns = [sweep.r, sweep.lhs, sweep.berta, sweep.holevo, sweep.delta]
@@ -128,10 +132,10 @@ def emit_csv(sweep: Sweep, path: str) -> None:
         columns, fmt = [sweep.a, *columns], "%.12g" + fmt
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")
-        # chunk by chunk, so no Python list spans the whole grid
+        # chunk by chunk, so no Python tuple spans the whole grid
         for start in range(0, len(sweep.r), _SWEEP_CHUNK):
-            rows = zip(*(column[start:start + _SWEEP_CHUNK].tolist() for column in columns))
-            fh.writelines(fmt % row for row in rows)
+            chunk = np.column_stack([column[start:start + _SWEEP_CHUNK] for column in columns])
+            fh.write(fmt * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
 def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:

@@ -61,18 +61,27 @@ class ProjectiveObservable:
         return self._rows[i].conj().reshape(2, 2)
 
 
+# the three Pauli eigenbases, +1 eigenvector first, built once
+_PAULI = {
+    axis: ProjectiveObservable(f"sigma_{axis}", basis) for axis, basis in (
+        ("x", np.array([[1, 1], [1, -1]], dtype=complex) / _SQRT2),
+        ("y", np.array([[1, 1], [1j, -1j]], dtype=complex) / _SQRT2),
+        ("z", np.array([[1, 0], [0, 1]], dtype=complex)),
+    )
+}
+
+
 def pauli_observable(axis: str) -> ProjectiveObservable:
-    """Eigenbasis of a Pauli operator, +1 eigenvector first."""
-    axis = axis.lower()
-    if axis == "z":
-        basis = np.array([[1, 0], [0, 1]], dtype=complex)
-    elif axis == "x":
-        basis = np.array([[1, 1], [1, -1]], dtype=complex) / _SQRT2
-    elif axis == "y":
-        basis = np.array([[1, 1], [1j, -1j]], dtype=complex) / _SQRT2
-    else:
-        raise ValueError(f"unknown Pauli axis {axis!r}; expected 'x', 'y' or 'z'")
-    return ProjectiveObservable(f"sigma_{axis}", basis)
+    """Eigenbasis of a Pauli operator, +1 eigenvector first.
+
+    The observable is shared: every call for one axis, in either case,
+    returns the same frozen instance, whose arrays are read-only.
+    """
+    try:
+        return _PAULI[axis.lower()]
+    except KeyError:
+        raise ValueError(
+            f"unknown Pauli axis {axis.lower()!r}; expected 'x', 'y' or 'z'") from None
 
 
 def complementarity(q: ProjectiveObservable, r: ProjectiveObservable) -> float:
@@ -89,16 +98,20 @@ def _conditioned(rho: np.ndarray, observables) -> tuple:
 
     rho must be one 4x4 state or a (..., 4, 4) stack; its shape is checked
     first, then the state itself, once, by `states._checked_spectrum`,
-    which gives `spectrum`, rho's eigenvalues. One contraction of rho with
-    the stacked rows conj(P_i) = P_i^T, which each `ProjectiveObservable`
-    stores, gives `blocks`, the unnormalized memory blocks <i|rho|i>
-    (|i> the eigenstates on the probe) as a (..., 2k, 2, 2) stack, and p
-    their traces. `states` stacks rho_A and rho_B, taken by trace as in
-    `partial_trace`, on the conditional states rho_B|i:
-    (..., 2 + 2k, 2, 2). `kept` is False where p_i is at or below
-    PROBABILITY_FLOOR; there the normalizing division is suppressed rather
-    than amplified into noise, so rho_B|i is the negligible unnormalized
-    block, a finite matrix whose entropy a zero weight cancels exactly.
+    which gives `spectrum`, rho's eigenvalues. One product of the stacked
+    rows conj(P_i) = P_i^T, which each `ProjectiveObservable` stores, with
+    all of rho as a (4, 4N) matrix, probe indices (b, c) down and stack
+    and memory indices (..., j, l) across, gives `blocks`, the
+    unnormalized memory blocks <i|rho|i> (|i> the eigenstates on the
+    probe), as a (..., 2k, 2, 2) view, and p their traces. The rows stay
+    on the left: swapped, BLAS takes another kernel for two rows, and one
+    observable's blocks would differ in bits from its blocks in a pair.
+    `states` stacks rho_A and rho_B, each the sum of two diagonal blocks
+    of rho, on the conditional states rho_B|i: (..., 2 + 2k, 2, 2).
+    `kept` is False where p_i is at or below PROBABILITY_FLOOR; there the
+    normalizing division is suppressed rather than amplified into noise,
+    so rho_B|i is the negligible unnormalized block, a finite matrix
+    whose entropy a zero weight cancels exactly.
 
     `states` is not checked again. Dividing by a small p_i magnifies rho's
     roundoff, so a conditional state may sit slightly outside the
@@ -109,10 +122,14 @@ def _conditioned(rho: np.ndarray, observables) -> tuple:
         raise ValueError(f"expected a 4x4 two-qubit state, got shape {rho.shape}")
     spectrum = _checked_spectrum(rho)
     stack = rho.shape[:-2]
+    n = len(stack)
     t = rho.reshape(stack + (2, 2, 2, 2))  # rho[..., b, j, c, l] (probe b, c; memory j, l)
-    marginals = np.stack([t.trace(axis1=-3, axis2=-1), t.trace(axis1=-4, axis2=-2)], axis=-3)
+    marginals = np.stack([t[..., :, 0, :, 0] + t[..., :, 1, :, 1],
+                          t[..., 0, :, 0, :] + t[..., 1, :, 1, :]], axis=-3)
     rows = np.concatenate([obs._rows for obs in observables])
-    blocks = (rows @ t.swapaxes(-3, -2).reshape(stack + (4, 4))).reshape(stack + (len(rows), 2, 2))
+    columns = t.transpose((n, n + 2, *range(n), n + 1, n + 3)).reshape(4, -1)
+    blocks = (rows @ columns).reshape((len(rows),) + stack + (2, 2)).transpose(
+        (*range(1, n + 1), 0, n + 1, n + 2))
     p = (blocks[..., 0, 0] + blocks[..., 1, 1]).real
     kept = p > PROBABILITY_FLOOR
     states = np.concatenate([marginals, blocks / np.where(kept, p, 1.0)[..., None, None]], axis=-3)

@@ -9,11 +9,17 @@ from hypothesis import strategies as st
 
 import eur.cli as cli
 from eur.bounds import evaluate_eur
-from eur.channels import apply_to_memory, unruh_channel
+from eur.channels import R_MAX, apply_to_memory, unruh_channel
 from eur.linalg import hermitian_eigensystem, partial_trace
-from eur.measurement import ProjectiveObservable, measurement_ensemble, pauli_observable
+from eur.measurement import (
+    ProjectiveObservable,
+    _conditioned,
+    measurement_ensemble,
+    pauli_observable,
+    post_measurement_state,
+)
 from eur.states import vn_entropy, x_state
-from helpers import random_cptp_kraus, random_density_matrix, random_unitary
+from helpers import random_complex, random_cptp_kraus, random_density_matrix, random_unitary
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -137,3 +143,87 @@ def test_sweep_chunk_seams_do_not_change_rows(monkeypatch, tmp_path, flags):
     assert seen == [4, 4, 3]
     cli.emit_csv(chunked, str(tmp_path / "chunked.csv"))  # written 4, 4 and 3 rows at a time
     assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+
+def random_states(rng, stack):
+    """Random two-qubit density matrices, shape stack + (4, 4)."""
+    states = [random_density_matrix(rng, 4) for _ in range(int(np.prod(stack)))]
+    return np.array(states).reshape(stack + (4, 4))
+
+
+def assert_same_bits(got, expected):
+    """Equal shape and bytes, the sign of every zero included."""
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+    for part in ("real", "imag"):
+        assert np.array_equal(np.signbit(getattr(got, part)), np.signbit(getattr(expected, part)))
+
+
+@pytest.mark.parametrize("stack", [(), (5,), (2, 3), (0,)], ids=str)
+@pytest.mark.parametrize("count", [1, 2])
+def test_conditioned_blocks_equal_the_per_matrix_product(stack, count):
+    rng = np.random.default_rng(17 + len(stack) + 10 * count)
+    observables = [ProjectiveObservable("o", random_unitary(rng, 2)) for _ in range(count)]
+    rho = random_states(rng, stack)
+    # the product of the rows with one 4x4 per state, as a reference formula
+    rows = np.concatenate([obs._rows for obs in observables])
+    t = rho.reshape(stack + (2, 2, 2, 2))
+    expected = (rows @ t.swapaxes(-3, -2).reshape(stack + (4, 4))).reshape(
+        stack + (2 * count, 2, 2))
+    assert_same_bits(_conditioned(rho, observables)[4], expected)
+
+
+@pytest.mark.parametrize("stack", [(), (5,), (2, 3)], ids=str)
+def test_post_measurement_blocks_equal_those_of_the_pair(stack):
+    rng = np.random.default_rng(23 + len(stack))
+    q, r = (ProjectiveObservable(name, random_unitary(rng, 2)) for name in "qr")
+    rho = random_states(rng, stack)
+    pair = _conditioned(rho, (q, r))[4]
+    assert_same_bits(_conditioned(rho, (q,))[4], pair[..., :2, :, :])
+    # post_measurement_state assembles exactly the blocks that evaluate_eur reads
+    projectors = np.stack([q.projector(0), q.projector(1)])
+    expected = np.einsum("iac,...ijl->...ajcl", projectors, pair[..., :2, :, :])
+    assert_same_bits(post_measurement_state(q, rho), expected.reshape(stack + (4, 4)))
+
+
+def lifted_reference(kraus, rho):
+    """sum_j (I (x) K_j) rho (I (x) K_j)^dag with one product per matrix."""
+    lifted = np.zeros(kraus.shape[:-2] + (4, 4), dtype=complex)
+    lifted[..., :2, :2] = lifted[..., 2:, 2:] = kraus
+    return (lifted @ rho @ lifted.conj().swapaxes(-1, -2)).sum(0)
+
+
+@pytest.mark.parametrize("r", [0.3, np.linspace(0.0, R_MAX, 7), np.full((2, 3), 0.2)],
+                         ids=["one", "seven", "2x3"])
+def test_apply_to_memory_on_a_shared_state_equals_the_per_matrix_product(r):
+    rng = np.random.default_rng(29)
+    kraus = unruh_channel(r)
+    for rho in (x_state(0.4), random_density_matrix(rng, 4)):
+        assert_same_bits(apply_to_memory(kraus, rho), lifted_reference(kraus, rho))
+
+
+@pytest.mark.parametrize("stack", [(), (5,), (2, 3)], ids=str)
+@pytest.mark.parametrize("operators", [1, 2, 3, 4])
+def test_apply_to_memory_of_complex_families_equals_the_per_matrix_product(stack, operators):
+    rng = np.random.default_rng(31 + operators + 10 * len(stack))
+    for _ in range(5):
+        kraus = random_complex(rng, (operators,) + stack + (2, 2))
+        rho = random_density_matrix(rng, 4)
+        assert_same_bits(apply_to_memory(kraus, rho), lifted_reference(kraus, rho))
+
+
+@pytest.mark.parametrize("steps", [4, 5, 11])
+@pytest.mark.parametrize("flags", [
+    ["--preset", "fig1"],
+    ["--preset", "fig2", "--sweep-var", "r"],
+], ids=["a-sweep", "r-sweep"])
+def test_emit_csv_writes_each_row_as_percent_formatting_would(monkeypatch, tmp_path, flags, steps):
+    monkeypatch.setattr(cli, "_SWEEP_CHUNK", 4)
+    sweep = cli.run_sweep(cli.parse_args(["sweep", *flags, "--steps", str(steps)]))
+    cli.emit_csv(sweep, str(tmp_path / "sweep.csv"))
+    lines = [cli.CSV_HEADER]
+    for k in range(steps):
+        cells = [sweep.r[k], sweep.lhs[k], sweep.berta[k], sweep.holevo[k], sweep.delta[k]]
+        first = "" if sweep.a is None else "%.12g" % sweep.a[k]
+        lines.append(",".join([first] + ["%.12g" % value for value in cells]))
+    assert (tmp_path / "sweep.csv").read_bytes() == ("\n".join(lines) + "\n").encode("ascii")

@@ -57,6 +57,19 @@ def test_pauli_observable_plus_one_eigenvector_first():
             assert np.allclose(op @ v, eigval * v, atol=1e-12)
 
 
+def test_pauli_observable_is_one_shared_read_only_instance():
+    for axis in "xyz":
+        obs = pauli_observable(axis)
+        assert pauli_observable(axis.upper()) is obs
+        assert obs.name == f"sigma_{axis}"
+        for array in (obs.basis, obs._rows):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 0.0
+    for axis in ("w", "W"):
+        with pytest.raises(ValueError, match="unknown Pauli axis 'w'; expected 'x', 'y' or 'z'"):
+            pauli_observable(axis)
+
+
 def test_observable_rejects_non_orthonormal_basis():
     with pytest.raises(ValueError, match="orthonormal"):
         ProjectiveObservable("bad", np.array([[1, 1], [0, 0]], dtype=complex))
