@@ -8,11 +8,11 @@ Runs every case in CASES with `python -m eur sweep`, once with BASE_SRC
 with this checkout's `src`, and compares the two CSV files byte for
 byte. Then evaluates `evaluate_eur`, `post_measurement_state`,
 `measurement_ensemble` and `apply_to_memory` on LIBRARY_INPUTS seeded
-inputs in one subprocess per tree and compares every result's type and
-bytes. Prints one line per case; exits 1 if any case differs, naming
-its first differing line, how many cells differ and the largest
-absolute difference between two numeric cells (for the library case,
-its first differing field), and 0 otherwise.
+inputs, complex and float64, in one subprocess per tree and compares
+every result's type and bytes. Prints one line per case; exits 1 if any
+case differs, naming its first differing line, how many cells differ and
+the largest absolute difference between two numeric cells (for the
+library case, its first differing field), and 0 otherwise.
 """
 
 import argparse
@@ -99,8 +99,11 @@ def library_report_bytes() -> bytes:
     `EurReport` field and the state `post_measurement_state` gives for q;
     for one-state inputs also q's `measurement_ensemble` and the states
     that `apply_to_memory` gives for a stack of seven Unruh channels and
-    for the Kraus family read back from a Choi matrix. Pickled as a list
-    of (name, type, dtype, shape, bytes) per input."""
+    for the Kraus family read back from a Choi matrix. Then the same
+    input's real part, a real state in float64, gives every `EurReport`
+    field again and, for one state, the state that `apply_to_memory`
+    gives for the real (float64) stack of seven Unruh channels. Pickled
+    as a list of (name, type, dtype, shape, bytes) per input."""
     from eur import (
         ProjectiveObservable,
         apply_to_memory,
@@ -117,10 +120,11 @@ def library_report_bytes() -> bytes:
         "unruh stack": unruh_channel(np.linspace(0.0, R_MAX, 7)),
         "choi round trip": kraus_from_choi(choi(unruh_channel(0.3))),
     }
+    real_channel = np.ascontiguousarray(channels["unruh stack"].real)
     reports = []
     for q, r, rho in library_inputs():
-        q = ProjectiveObservable("q", q)
-        report = evaluate_eur(q, ProjectiveObservable("r", r), rho)
+        q, r = ProjectiveObservable("q", q), ProjectiveObservable("r", r)
+        report = evaluate_eur(q, r, rho)
         fields = [encoded(field.name, getattr(report, field.name))
                   for field in dataclasses.fields(report)]
         fields.append(encoded("post_measurement_state", post_measurement_state(q, rho)))
@@ -130,6 +134,14 @@ def library_report_bytes() -> bytes:
                            encoded(f"measurement_ensemble rho_B|{i}", conditional)]
             fields += [encoded(f"apply_to_memory of the {name}", apply_to_memory(kraus, rho))
                        for name, kraus in channels.items()]
+        # the real part of a state is a real state: symmetric, same trace, PSD
+        real = np.ascontiguousarray(rho.real)
+        report = evaluate_eur(q, r, real)
+        fields += [encoded(f"{field.name} of the real part", getattr(report, field.name))
+                   for field in dataclasses.fields(report)]
+        if rho.shape == (4, 4):
+            fields.append(encoded("apply_to_memory of the real part by the real unruh stack",
+                                  apply_to_memory(real_channel, real)))
         reports.append(fields)
     return pickle.dumps(reports)
 

@@ -1,13 +1,15 @@
 """Qubit channels in Kraus form, and the acceleration-induced noise channel.
 
 A channel is its Kraus operators K_j, which satisfy the trace-preservation
-condition sum_j K_j^dag K_j = I, as one complex array of shape
-(K, ..., 2, 2): operator j sits at index j of the first axis, and any
-axes in between stack one channel per state of a stack of states. A list
-of K 2x2 matrices is accepted wherever a channel is. The Choi matrix uses
-the unnormalized convention C = sum_ij |i><j| (x) E(|i><j|) with the
-channel *input* index as the most significant subsystem, so tr C = 2 and
-tracing out the channel output leaves the identity.
+condition sum_j K_j^dag K_j = I, as one array of shape (K, ..., 2, 2):
+operator j sits at index j of the first axis, and any axes in between
+stack one channel per state of a stack of states. A list of K 2x2
+matrices is accepted wherever a channel is. The constructors return
+complex arrays; a float64 family, such as the `.real` of the real
+acceleration channel, stays float64. The Choi matrix uses the
+unnormalized convention C = sum_ij |i><j| (x) E(|i><j|) with the channel
+*input* index as the most significant subsystem, so tr C = 2 and tracing
+out the channel output leaves the identity.
 """
 
 import math
@@ -19,6 +21,7 @@ from .linalg import (
     EIGENVALUE_FLOOR,
     KRAUS_WEIGHT_CUTOFF,
     _float_or_array,
+    _real_or_complex,
     hermitian_eigensystem,
 )
 
@@ -96,12 +99,13 @@ def amplitude_damping(gamma: float) -> np.ndarray:
 
 
 def _kraus_stack(channel) -> np.ndarray:
-    """The Kraus operators as one complex array of shape (K, ..., 2, 2).
+    """The Kraus operators as one array of shape (K, ..., 2, 2): float64
+    when they are all real numbers, complex128 otherwise.
 
     Raises ValueError for an empty family or for operators that are not 2x2.
     """
     try:
-        kraus = np.asarray(channel, dtype=complex)
+        kraus = _real_or_complex(channel)
     except ValueError:  # operators of unequal shapes do not stack
         shapes = [np.shape(k) for k in channel]
         raise ValueError(f"Kraus operators have shapes {shapes}, expected (2, 2)") from None
@@ -145,14 +149,20 @@ def apply_to_memory(channel, rho: np.ndarray) -> np.ndarray:
     channels, or both. One 4x4 state shared by a stack of channels is
     multiplied by every lifted operator in one product; the product with
     K_j^dag on the right is taken per matrix.
+
+    When both the operators and the state are float64 (or other real
+    numbers), every product runs in float64 and the result is float64;
+    otherwise both are taken as complex128 and so is the result.
     """
-    rho = np.asarray(rho, dtype=complex)
+    rho = _real_or_complex(rho)
     if rho.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {rho.shape}")
     kraus = _kraus_stack(channel)
+    if kraus.dtype != rho.dtype:  # one side is complex: both are
+        kraus, rho = kraus.astype(complex, copy=False), rho.astype(complex, copy=False)
     # I (x) K_j, with the stack axes padded so that K_j's align with rho's
     lifted = np.zeros(kraus.shape[:1] + (1,) * (rho.ndim - kraus.ndim + 1) + kraus.shape[1:-2]
-                      + (4, 4), dtype=complex)
+                      + (4, 4), dtype=kraus.dtype)
     lifted[..., :2, :2] = lifted[..., 2:, 2:] = kraus.reshape(lifted.shape[:-2] + (2, 2))
     left = (lifted.reshape(-1, 4) @ rho).reshape(lifted.shape) if rho.ndim == 2 else lifted @ rho
     return (left @ lifted.conj().swapaxes(-1, -2)).sum(axis=0)

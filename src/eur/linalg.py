@@ -1,4 +1,4 @@
-"""Dense complex linear algebra for small multi-qubit objects.
+"""Dense linear algebra for small multi-qubit objects.
 
 Everything operates on plain numpy arrays. The tensor-product convention
 puts the left factor on the most significant index: for A of dimension m
@@ -8,7 +8,9 @@ and B of dimension n, the composite basis index is n*i_A + i_B (numpy's
 `partial_trace`, `_require_hermitian`, `hermitian_eigensystem` and
 `_eigenvalues` act on the last two axes and broadcast over any leading
 stack axes, so one call handles a single (d, d) matrix or a whole
-(..., d, d) stack.
+(..., d, d) stack. The last three keep a real input real: a float64
+matrix is checked, symmetrized and solved in float64 (LAPACK's real
+symmetric solver), anything else in complex128.
 
 Input checks, `_require_hermitian` and its peers in the other modules,
 first reject NaN and infinite input by name. Their tests against the
@@ -32,6 +34,8 @@ PROBABILITY_FLOOR = 1e-12    # outcome probabilities at or below this count as 0
 BOUND_ORDER_ATOL = 1e-9      # slack allowed in lhs >= berta and lhs >= holevo
 BOUND_GAP_ATOL = 1e-12       # slack allowed in holevo >= berta
 
+_FLOAT64, _COMPLEX128 = np.dtype(float), np.dtype(complex)
+
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product with `a` as the most significant factor."""
@@ -54,6 +58,9 @@ def partial_trace(m: np.ndarray, keep, dims) -> np.ndarray:
         stack axes as `m`. The full trace is preserved.
     """
     m = np.asarray(m, dtype=complex)
+    dims = list(dims)
+    if not all(float(d).is_integer() for d in dims):
+        raise ValueError(f"dims must be integers, got {dims}")
     dims = [int(d) for d in dims]
     if min(dims, default=1) < 1:
         raise ValueError(f"dims must all be >= 1, got {dims}")
@@ -87,11 +94,22 @@ def _float_or_array(x):
     return float(x) if np.ndim(x) == 0 else x
 
 
+def _real_or_complex(m) -> np.ndarray:
+    """`m` as a float64 array when its entries are real numbers (bool,
+    integer or float), otherwise as a complex128 array; no copy when it
+    already is one."""
+    m = np.asarray(m)
+    if m.dtype is _FLOAT64 or m.dtype is _COMPLEX128:  # no cast to decide, and none to make
+        return m
+    return m.astype(float if m.dtype.kind in "biuf" else complex, copy=False)
+
+
 def _require_hermitian(m: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Return `m` as a complex array, or raise ValueError unless it is a
-    finite square matrix, or a stack of them, within HERMITICITY_ATOL of
-    its adjoint everywhere."""
-    m = np.asarray(m, dtype=complex)
+    """Return `m` as a float64 array if it is real, else as a complex one,
+    or raise ValueError unless it is a finite square matrix, or a stack
+    of them, within HERMITICITY_ATOL of its adjoint everywhere. A real
+    matrix is compared with its transpose in float64."""
+    m = _real_or_complex(m)
     if not np.isfinite(m).all():
         raise ValueError(f"{name} is not finite: it holds NaN or inf")
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
@@ -114,8 +132,9 @@ def hermitian_eigensystem(m: np.ndarray):
         (eigenvalues, eigenvectors): real eigenvalues in ascending order
         along the last axis, and unitary matrices whose k-th column is the
         eigenvector for eigenvalue k; both keep the leading stack axes of
-        `m`. Within a degenerate eigenspace the basis choice is arbitrary
-        and callers must not rely on it.
+        `m`; a float64 `m` is solved in float64 and gives real orthogonal
+        eigenvectors. Within a degenerate eigenspace the basis choice is
+        arbitrary and callers must not rely on it.
     """
     m = _require_hermitian(m)
     eigenvalues, eigenvectors = np.linalg.eigh((m + m.conj().swapaxes(-1, -2)) / 2.0)
@@ -123,10 +142,10 @@ def hermitian_eigensystem(m: np.ndarray):
 
 
 def _eigenvalues(m: np.ndarray) -> np.ndarray:
-    """Eigenvalues, ascending along the last axis, of a complex (..., d, d)
-    array whose matrices are already known to be finite and Hermitian;
-    nothing is checked here, so only pass what is derived from a checked
-    input.
+    """Eigenvalues, ascending along the last axis, of a float64 or complex
+    (..., d, d) array whose matrices are already known to be finite and
+    Hermitian; nothing is checked here, so only pass what is derived from
+    a checked input. A float64 array is solved in float64.
 
     A 2x2 spectrum is taken in closed form, (a+d)/2 -+ hypot((a-d)/2, |b|)
     for [[a, b], [b*, d]], with b the mean of the two off-diagonal

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import ORTHONORMALITY_ATOL, PROBABILITY_FLOOR
+from .linalg import ORTHONORMALITY_ATOL, PROBABILITY_FLOOR, _real_or_complex
 from .states import _checked_spectrum
 
 _SQRT2 = np.sqrt(2.0)
@@ -98,26 +98,29 @@ def _conditioned(rho: np.ndarray, observables) -> tuple:
 
     rho must be one 4x4 state or a (..., 4, 4) stack; its shape is checked
     first, then the state itself, once, by `states._checked_spectrum`,
-    which gives `spectrum`, rho's eigenvalues. One product of the stacked
-    rows conj(P_i) = P_i^T, which each `ProjectiveObservable` stores, with
-    all of rho as a (4, 4N) matrix, probe indices (b, c) down and stack
-    and memory indices (..., j, l) across, gives `blocks`, the
-    unnormalized memory blocks <i|rho|i> (|i> the eigenstates on the
-    probe), as a (..., 2k, 2, 2) view, and p their traces. The rows stay
-    on the left: swapped, BLAS takes another kernel for two rows, and one
-    observable's blocks would differ in bits from its blocks in a pair.
-    `states` stacks rho_A and rho_B, each the sum of two diagonal blocks
-    of rho, on the conditional states rho_B|i: (..., 2 + 2k, 2, 2).
-    `kept` is False where p_i is at or below PROBABILITY_FLOOR; there the
-    normalizing division is suppressed rather than amplified into noise,
-    so rho_B|i is the negligible unnormalized block, a finite matrix
-    whose entropy a zero weight cancels exactly.
+    which gives `spectrum`, rho's eigenvalues. A float64 rho stays
+    float64, so its check, its spectrum and its marginals run in float64;
+    the rows are complex, so the blocks and `states` are complex either
+    way. One product of the stacked rows conj(P_i) = P_i^T, which each
+    `ProjectiveObservable` stores, with all of rho as a (4, 4N) matrix,
+    probe indices (b, c) down and stack and memory indices (..., j, l)
+    across, gives `blocks`, the unnormalized memory blocks <i|rho|i> (|i>
+    the eigenstates on the probe), as a (..., 2k, 2, 2) view, and p their
+    traces. The rows stay on the left: swapped, BLAS takes another kernel
+    for two rows, and one observable's blocks would differ in bits from
+    its blocks in a pair. `states` stacks rho_A and rho_B, each the sum
+    of two diagonal blocks of rho, on the conditional states rho_B|i:
+    (..., 2 + 2k, 2, 2). `kept` is False where p_i is at or below
+    PROBABILITY_FLOOR; there the normalizing division is suppressed
+    rather than amplified into noise, so rho_B|i is the negligible
+    unnormalized block, a finite matrix whose entropy a zero weight
+    cancels exactly.
 
     `states` is not checked again. Dividing by a small p_i magnifies rho's
     roundoff, so a conditional state may sit slightly outside the
     tolerances a checked input must meet.
     """
-    rho = np.asarray(rho, dtype=complex)
+    rho = _real_or_complex(rho)
     if rho.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 two-qubit state, got shape {rho.shape}")
     spectrum = _checked_spectrum(rho)

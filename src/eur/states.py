@@ -137,7 +137,9 @@ def _checked_spectrum(rho: np.ndarray) -> np.ndarray:
     that order; the trace error gives the trace of the first state that
     fails. Anything farther out means the input is not a state and is a
     hard error, so upstream bugs surface instead of being rounded away.
-    What a reader derives from a checked state is not checked again.
+    What a reader derives from a checked state is not checked again. A
+    float64 rho is checked and solved in float64, anything else in
+    complex128.
     """
     rho = _require_hermitian(rho)
     eigenvalues = _eigenvalues(rho)

@@ -1,4 +1,6 @@
-"""Stacked evaluation: a (N, 4, 4) stack gives exactly the per-state results."""
+"""Stacked evaluation: a (N, 4, 4) stack gives exactly the per-state results,
+and a real (float64) input gives exactly the bits of the complex path where
+its kernels must agree."""
 
 import dataclasses
 
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eur.cli as cli
+import reference
 from eur.bounds import evaluate_eur
 from eur.channels import R_MAX, apply_to_memory, unruh_channel
 from eur.linalg import hermitian_eigensystem, partial_trace
@@ -18,7 +21,7 @@ from eur.measurement import (
     pauli_observable,
     post_measurement_state,
 )
-from eur.states import vn_entropy, x_state
+from eur.states import bell_diagonal_p, vn_entropy, x_state
 from helpers import random_complex, random_cptp_kraus, random_density_matrix, random_unitary
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -227,3 +230,75 @@ def test_emit_csv_writes_each_row_as_percent_formatting_would(monkeypatch, tmp_p
         first = "" if sweep.a is None else "%.12g" % sweep.a[k]
         lines.append(",".join([first] + ["%.12g" % value for value in cells]))
     assert (tmp_path / "sweep.csv").read_bytes() == ("\n".join(lines) + "\n").encode("ascii")
+
+
+def random_real_state(rng):
+    """A random real two-qubit density matrix, G G^T / tr for a real Gaussian G."""
+    g = rng.normal(size=(4, 4))
+    m = g @ g.T
+    return m / np.trace(m)
+
+
+def real_part(m):
+    """The real part of a complex array, as a new contiguous float64 array."""
+    return np.ascontiguousarray(m.real)
+
+
+@pytest.mark.parametrize("r", [0.3, np.linspace(0.0, R_MAX, 7), np.full((2, 3), 0.2)],
+                         ids=["one", "seven", "2x3"])
+def test_real_apply_to_memory_equals_the_complex_path(r):
+    rng = np.random.default_rng(41)
+    kraus = unruh_channel(r)
+    for rho in (x_state(0.4), bell_diagonal_p(0.5), random_real_state(rng)):
+        real = apply_to_memory(real_part(kraus), real_part(rho))
+        full = apply_to_memory(kraus, rho.astype(complex))
+        assert real.dtype == np.float64 and full.dtype == np.complex128
+        assert_same_bits(real, real_part(full))
+        assert not full.imag.any() and not np.signbit(full.imag).any()  # every one +0
+        # one complex side takes the complex path, bit for bit
+        assert_same_bits(apply_to_memory(real_part(kraus), rho.astype(complex)), full)
+        assert_same_bits(apply_to_memory(kraus, real_part(rho)), full)
+
+
+@pytest.mark.parametrize("pair", [("x", "y"), ("x", "z"), ("z", "z")], ids="".join)
+def test_real_stack_equals_per_state_real_evaluation_and_the_reference(pair):
+    rng = np.random.default_rng(43)
+    q, o = (pauli_observable(axis) for axis in pair)
+    channels = real_part(unruh_channel(np.linspace(0.0, R_MAX, 4)))
+    states = np.concatenate([apply_to_memory(channels, real_part(x_state(0.0))),
+                             apply_to_memory(channels, real_part(bell_diagonal_p(0.5))),
+                             [random_real_state(rng) for _ in range(2)]])
+    assert states.dtype == np.float64
+
+    stacked = evaluate_eur(q, o, states)
+    per_state = [evaluate_eur(q, o, rho) for rho in states]
+    for field in dataclasses.fields(stacked):
+        got = np.broadcast_to(getattr(stacked, field.name), (len(states),))
+        expected = np.array([getattr(report, field.name) for report in per_state])
+        assert got.tobytes() == expected.tobytes(), field.name
+    expected = reference.reports(q.basis, o.basis, states)
+    assert not reference.report_outside_budget(stacked, expected)
+
+
+def test_evaluate_eur_takes_one_real_spectrum_of_a_real_state(monkeypatch):
+    rng = np.random.default_rng(47)
+    solved = []
+
+    def counted(name):
+        solver = getattr(np.linalg, name)
+
+        def call(a, *args, **kwargs):
+            solved.append((name, np.shape(a), np.asarray(a).dtype))
+            return solver(a, *args, **kwargs)
+
+        return call
+
+    one = apply_to_memory(real_part(unruh_channel(0.3)), real_part(bell_diagonal_p(0.5)))
+    stack = np.stack([random_real_state(rng) for _ in range(7)])
+    for name in ("eigh", "eigvalsh", "eig", "eigvals"):
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    x, y = pauli_observable("x"), pauli_observable("y")
+    for rho, lead in ((one, ()), (stack, (7,))):
+        solved.clear()
+        evaluate_eur(x, y, rho)
+        assert solved == [("eigvalsh", lead + (4, 4), np.dtype(np.float64))]

@@ -110,6 +110,17 @@ def test_partial_trace_names_a_non_positive_dim(dims):
         partial_trace(np.eye(4), keep=0, dims=dims)
 
 
+@pytest.mark.parametrize("dims", [[2.7, 2.2], [2, 2.5], [float("nan"), 4], [4, float("inf")]],
+                         ids=["2.7x2.2", "2x2.5", "nan", "inf"])
+def test_partial_trace_names_a_non_integral_dim(dims):
+    # 2.7 and 2.2 truncate to 2 and 2, whose product matches a 4x4 matrix:
+    # the check comes before the shape check
+    with pytest.raises(ValueError, match=r"dims must be integers, got \["):
+        partial_trace(np.eye(4), keep=0, dims=dims)
+    # an integral float is an integer
+    assert np.array_equal(partial_trace(np.eye(4), keep=0, dims=[2.0, 2.0]), 2 * np.eye(2))
+
+
 def test_eigensystem_of_sigma_z():
     values, vectors = hermitian_eigensystem(SZ)
     assert np.allclose(values, [-1.0, 1.0], atol=1e-12)
@@ -136,6 +147,18 @@ def test_eigensystem_of_acceleration_choi_block():
     )
     values, _ = hermitian_eigensystem(m)
     assert np.allclose(values, [0.0, 0.0, s * s, 1 + c * c], atol=1e-12)
+
+
+def test_eigensystem_of_a_real_matrix_is_real():
+    # the same block as float64 is solved in float64: real orthogonal eigenvectors
+    r = np.pi / 6
+    c, s = np.cos(r), np.sin(r)
+    m = np.array([[c * c, 0, 0, c], [0, s * s, 0, 0], [0, 0, 0, 0], [c, 0, 0, 1]])
+    values, vectors = hermitian_eigensystem(m)
+    assert values.dtype == vectors.dtype == np.float64
+    assert np.allclose(values, [0.0, 0.0, s * s, 1 + c * c], atol=1e-12)
+    assert np.allclose(vectors.T @ vectors, np.eye(4), atol=1e-12)
+    assert np.allclose(m @ vectors, vectors @ np.diag(values), atol=1e-12)
 
 
 @given(seeds, st.sampled_from([2, 3, 4, 8]))

@@ -1,5 +1,6 @@
-"""The scripts: reproduce_figures.py (both preset CSVs, its exit codes) and compare_csv.py
-(CSV bytes and library report bits)."""
+"""The scripts: reproduce_figures.py (both preset CSVs, its exit codes), compare_csv.py
+(CSV bytes and library report bits) and check_budget.py (changed values against the
+40-digit reference)."""
 
 import importlib.util
 import shutil
@@ -105,3 +106,46 @@ def test_compare_csv_names_the_first_differing_report_field(tmp_path, monkeypatc
     assert compare_csv.main([str(changed)]) == 1
     assert capsys.readouterr().out == (
         "DIFFERS library reports: <exit 1: ZeroDivisionError: division by zero>\n")
+
+
+def test_check_budget_measures_changed_values_against_the_reference(tmp_path, monkeypatch,
+                                                                    capsys):
+    check_budget = load_script("check_budget")
+    monkeypatch.setattr(check_budget, "STEPS", 3)
+    columns = ("a", "r", "lhs", "berta", "holevo", "delta")
+    assert check_budget.main([str(check_budget.SRC)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"{preset} {column}: 0 changed" for preset in ("fig1", "fig2") for column in columns
+    ] + ["all columns: 0 changed, summed |value - reference| 0 -> 0", "RULE holds"]
+
+    def shifted(name, shift):
+        """A copy of src whose delta column is moved by `shift`."""
+        tree = tmp_path / name
+        shutil.copytree(check_budget.SRC, tree, ignore=shutil.ignore_patterns("__pycache__"))
+        cli = tree / "eur" / "cli.py"
+        original = cli.read_text()
+        assert original.count("report.holevo_bound, report.delta") == 1
+        cli.write_text(original.replace("report.holevo_bound, report.delta",
+                                        f"report.holevo_bound, report.delta + {shift}"))
+        return tree
+
+    # 3 and 4 * 2**-47 are about 96 and 128 eps: inside the budget at every
+    # delta, and far above roundoff, so the summed error goes as 3 to 4
+    three, four = shifted("three", "3 * 2.0**-47"), shifted("four", "4 * 2.0**-47")
+    for base, this, failures in (
+        (four, three, ""),
+        (three, four, "; FAILS: summed error grows"),
+        (check_budget.SRC, shifted("far", "1e-9"),
+         "; FAILS: outside the budget; FAILS: summed error grows"),
+    ):
+        monkeypatch.setattr(check_budget, "SRC", this)  # in place of this checkout's src
+        assert check_budget.main([str(base)]) == (1 if failures else 0)
+        out = capsys.readouterr().out.splitlines()
+        assert out[-1] == ("RULE FAILS" if failures else "RULE holds")
+        assert out[-2].startswith("all columns: 6 changed, summed |value - reference| ")
+        for line in out[:-2]:
+            if line.split(":")[0] in ("fig1 delta", "fig2 delta"):
+                assert ": 3 changed, summed |value - reference| " in line
+                assert line.endswith(failures) and ("FAILS" in line) == bool(failures)
+            else:
+                assert line.endswith(": 0 changed")
