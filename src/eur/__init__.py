@@ -27,7 +27,6 @@ from .measurement import (
     post_measurement_state,
 )
 from .states import (
-    PAULI,
     bell_diagonal_p,
     bell_diagonal_state,
     from_pure,
@@ -40,7 +39,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "EurReport",
-    "PAULI",
     "ProjectiveObservable",
     "amplitude_damping",
     "apply",

@@ -22,6 +22,7 @@ from .linalg import (
     BOUND_ORDER_ATOL,
     _eigenvalues,
     _float_or_array,
+    _real_or_complex,
     _require_hermitian,
 )
 from .measurement import ProjectiveObservable, _conditioned, complementarity
@@ -141,7 +142,7 @@ def robertson_bound(q_op: np.ndarray, r_op: np.ndarray, psi: np.ndarray):
     r_op = _require_hermitian(r_op, "R")
     if q_op.shape != (2, 2) or r_op.shape != (2, 2):
         raise ValueError(f"Q and R must be 2x2 operators, got shapes {q_op.shape} and {r_op.shape}")
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
+    psi = _real_or_complex(psi).reshape(-1)
     if psi.shape != (2,):
         raise ValueError(f"expected a single-qubit state vector, got shape {psi.shape}")
     rho = from_pure(psi)

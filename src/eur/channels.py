@@ -4,9 +4,7 @@ A channel is its Kraus operators K_j, which satisfy the trace-preservation
 condition sum_j K_j^dag K_j = I, as one array of shape (K, ..., 2, 2):
 operator j sits at index j of the first axis, and any axes in between
 stack one channel per state of a stack of states. A list of K 2x2
-matrices is accepted wherever a channel is. The constructors return
-complex arrays; a float64 family, such as the `.real` of the real
-acceleration channel, stays float64. The Choi matrix uses the
+matrices is accepted wherever a channel is. The Choi matrix uses the
 unnormalized convention C = sum_ij |i><j| (x) E(|i><j|) with the channel
 *input* index as the most significant subsystem, so tr C = 2 and tracing
 out the channel output leaves the identity.
@@ -69,13 +67,13 @@ def unruh_channel(r) -> np.ndarray:
     |1> strictly invariant; at r = 0 it is the identity. `r` is one angle
     or an array of angles; the result has shape (2, *r.shape, 2, 2), so
     one angle gives (2, 2, 2) and N angles give the (2, N, 2, 2) stack
-    that `apply_to_memory` takes.
+    that `apply_to_memory` takes, in float64.
     """
     r = np.asarray(r, dtype=float)
     inside = (r >= 0.0) & (r <= R_MAX)  # False for NaN
     if not inside.all():
         raise ValueError(f"r must lie in [0, pi/4], got {r[~inside][0]}")
-    kraus = np.zeros((2, *r.shape, 2, 2), dtype=complex)
+    kraus = np.zeros((2, *r.shape, 2, 2))
     kraus[0, ..., 0, 0] = np.cos(r)
     kraus[0, ..., 1, 1] = 1.0
     kraus[1, ..., 1, 0] = np.sin(r)
@@ -95,7 +93,7 @@ def amplitude_damping(gamma: float) -> np.ndarray:
     return np.array([
         [[1.0, 0.0], [0.0, math.sqrt(1.0 - gamma)]],
         [[0.0, math.sqrt(gamma)], [0.0, 0.0]],
-    ], dtype=complex)
+    ])
 
 
 def _kraus_stack(channel) -> np.ndarray:
@@ -132,7 +130,7 @@ def validate_kraus(channel) -> None:
 
 def apply(channel, rho: np.ndarray) -> np.ndarray:
     """Act with a Kraus channel on a single-qubit operator: sum_j K_j rho K_j^dag."""
-    rho = np.asarray(rho, dtype=complex)
+    rho = _real_or_complex(rho)
     if rho.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {rho.shape}")
     kraus = _kraus_stack(channel)
@@ -174,7 +172,7 @@ def choi(channel) -> np.ndarray:
     tr C = 2 for a qubit channel; complete positivity shows up as C >= 0
     and trace preservation as tr_out C = I.
     """
-    phi = np.array([1, 0, 0, 1], dtype=complex)  # sum_i |ii>, so C = (I (x) E)(|phi><phi|)
+    phi = np.array([1.0, 0.0, 0.0, 1.0])  # sum_i |ii>, so C = (I (x) E)(|phi><phi|)
     return apply_to_memory(channel, np.outer(phi, phi))
 
 
@@ -189,7 +187,9 @@ def kraus_from_choi(c: np.ndarray) -> np.ndarray:
 
     Raises ValueError for eigenvalues below EIGENVALUE_FLOOR (not
     completely positive) and when the reconstructed family fails the
-    completeness check (input was not trace preserving).
+    completeness check (input was not trace preserving). The family is
+    complex even for a real C: a real eigensolver would pick another
+    family of the same channel and move the last bits of its results.
     """
     c = np.asarray(c, dtype=complex)
     if c.shape != (4, 4):

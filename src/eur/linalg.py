@@ -5,12 +5,17 @@ puts the left factor on the most significant index: for A of dimension m
 and B of dimension n, the composite basis index is n*i_A + i_B (numpy's
 ``kron`` ordering). Every other module relies on this convention.
 
+One dtype rule holds across the package: an array is float64 when its
+entries are real and complex128 otherwise (`_real_or_complex`), and no
+function turns a real input complex, so every real constructor returns
+float64 and a float64 matrix is checked, symmetrized and solved in
+float64 (LAPACK's real symmetric solver). What stays complex on purpose
+says why where it is built.
+
 `partial_trace`, `_require_hermitian`, `hermitian_eigensystem` and
 `_eigenvalues` act on the last two axes and broadcast over any leading
 stack axes, so one call handles a single (d, d) matrix or a whole
-(..., d, d) stack. The last three keep a real input real: a float64
-matrix is checked, symmetrized and solved in float64 (LAPACK's real
-symmetric solver), anything else in complex128.
+(..., d, d) stack.
 
 Input checks, `_require_hermitian` and its peers in the other modules,
 first reject NaN and infinite input by name. Their tests against the
@@ -39,7 +44,7 @@ _FLOAT64, _COMPLEX128 = np.dtype(float), np.dtype(complex)
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product with `a` as the most significant factor."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    return np.kron(_real_or_complex(a), _real_or_complex(b))
 
 
 def partial_trace(m: np.ndarray, keep, dims) -> np.ndarray:
@@ -57,7 +62,7 @@ def partial_trace(m: np.ndarray, keep, dims) -> np.ndarray:
         The reduced matrix on the kept subsystems, with the same leading
         stack axes as `m`. The full trace is preserved.
     """
-    m = np.asarray(m, dtype=complex)
+    m = _real_or_complex(m)
     dims = list(dims)
     if not all(float(d).is_integer() for d in dims):
         raise ValueError(f"dims must be integers, got {dims}")

@@ -25,9 +25,11 @@ _SQRT2 = np.sqrt(2.0)
 class ProjectiveObservable:
     """A qubit observable named by its orthonormal eigenbasis.
 
-    `basis` is a 2x2 complex matrix whose columns are the eigenstates.
-    Only the basis enters any computed quantity, so eigenvalues and
-    global column phases are irrelevant by construction.
+    `basis` is a 2x2 matrix whose columns are the eigenstates, complex
+    even when real: the conditional blocks are complex by design, and
+    real rows would take other kernels and move report bits. Only the
+    basis enters any computed quantity, so eigenvalues and global column
+    phases are irrelevant by construction.
 
     The observable keeps a read-only copy of `basis`, so changing the
     caller's array later changes nothing, and builds the read-only rows
@@ -64,9 +66,9 @@ class ProjectiveObservable:
 # the three Pauli eigenbases, +1 eigenvector first, built once
 _PAULI = {
     axis: ProjectiveObservable(f"sigma_{axis}", basis) for axis, basis in (
-        ("x", np.array([[1, 1], [1, -1]], dtype=complex) / _SQRT2),
-        ("y", np.array([[1, 1], [1j, -1j]], dtype=complex) / _SQRT2),
-        ("z", np.array([[1, 0], [0, 1]], dtype=complex)),
+        ("x", np.array([[1, 1], [1, -1]]) / _SQRT2),
+        ("y", np.array([[1, 1], [1j, -1j]]) / _SQRT2),
+        ("z", np.eye(2)),
     )
 }
 

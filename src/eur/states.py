@@ -18,23 +18,14 @@ from .linalg import (
     TRACE_ATOL,
     _eigenvalues,
     _float_or_array,
+    _real_or_complex,
     _require_hermitian,
-    tensor,
 )
-
-PAULI = {
-    "x": np.array([[0, 1], [1, 0]], dtype=complex),
-    "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
-# sa (x) sa for each Pauli axis a, the terms of a Bell-diagonal state
-_PAULI_PAIRS = {axis: tensor(op, op) for axis, op in PAULI.items()}
 
 
 def from_pure(v: np.ndarray) -> np.ndarray:
     """Rank-1 projector |v><v| of a normalized state vector."""
-    v = np.asarray(v, dtype=complex).reshape(-1)
+    v = _real_or_complex(v).reshape(-1)
     norm = float(np.linalg.norm(v))
     if not abs(norm - 1.0) <= NORM_ATOL:
         raise ValueError(f"state vector has norm {norm:.12g}, expected 1")
@@ -42,8 +33,8 @@ def from_pure(v: np.ndarray) -> np.ndarray:
 
 
 # |psi+><psi+| with |psi+> = (|01> + |10>)/sqrt(2), and |11><11|: the terms of an X state
-_PSI_PLUS_PROJ = from_pure(np.array([0, 1, 1, 0], dtype=complex) / np.sqrt(2))
-_ELEVEN_PROJ = from_pure(np.array([0, 0, 0, 1], dtype=complex))
+_PSI_PLUS_PROJ = from_pure(np.array([0, 1, 1, 0]) / np.sqrt(2))
+_ELEVEN_PROJ = from_pure(np.array([0, 0, 0, 1]))
 
 
 def bell_diagonal_state(r1: float, r2: float, r3: float) -> np.ndarray:
@@ -68,9 +59,11 @@ def bell_diagonal_state(r1: float, r2: float, r3: float) -> np.ndarray:
                 f"correlation vector ({r1}, {r2}, {r3}) lies outside the Bell "
                 f"tetrahedron: eigenvalue {w:.6g} of the |{label}> component is negative"
             )
-    rho = 0.25 * np.eye(4, dtype=complex)
-    for coeff, axis in ((r1, "x"), (r2, "y"), (r3, "z")):
-        rho = rho + 0.25 * coeff * _PAULI_PAIRS[axis]
+    rho = np.zeros((4, 4))
+    rho[0, 0] = rho[3, 3] = (1.0 + r3) / 4.0
+    rho[1, 1] = rho[2, 2] = (1.0 - r3) / 4.0
+    rho[0, 3] = rho[3, 0] = (r1 - r2) / 4.0
+    rho[1, 2] = rho[2, 1] = (r1 + r2) / 4.0
     return rho
 
 
@@ -108,7 +101,7 @@ def rindler_tripartite_state(r: float) -> np.ndarray:
     """
     if not 0.0 <= r <= R_MAX:
         raise ValueError(f"r must lie in [0, pi/4], got {r}")
-    v = np.zeros(8, dtype=complex)
+    v = np.zeros(8)
     v[0] = np.cos(r) / np.sqrt(2)  # |0>_A |0>_I |0>_II
     v[3] = np.sin(r) / np.sqrt(2)  # |0>_A |1>_I |1>_II
     v[6] = 1.0 / np.sqrt(2)        # |1>_A |1>_I |0>_II

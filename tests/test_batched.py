@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 import eur.cli as cli
 import reference
 from eur.bounds import evaluate_eur
-from eur.channels import R_MAX, apply_to_memory, unruh_channel
-from eur.linalg import hermitian_eigensystem, partial_trace
+from eur.channels import R_MAX, amplitude_damping, apply, apply_to_memory, choi, unruh_channel
+from eur.linalg import hermitian_eigensystem, partial_trace, tensor
 from eur.measurement import (
     ProjectiveObservable,
     _conditioned,
@@ -21,7 +21,14 @@ from eur.measurement import (
     pauli_observable,
     post_measurement_state,
 )
-from eur.states import bell_diagonal_p, vn_entropy, x_state
+from eur.states import (
+    bell_diagonal_p,
+    bell_diagonal_state,
+    from_pure,
+    rindler_tripartite_state,
+    vn_entropy,
+    x_state,
+)
 from helpers import random_complex, random_cptp_kraus, random_density_matrix, random_unitary
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -190,8 +197,9 @@ def test_post_measurement_blocks_equal_those_of_the_pair(stack):
 
 
 def lifted_reference(kraus, rho):
-    """sum_j (I (x) K_j) rho (I (x) K_j)^dag with one product per matrix."""
-    lifted = np.zeros(kraus.shape[:-2] + (4, 4), dtype=complex)
+    """sum_j (I (x) K_j) rho (I (x) K_j)^dag with one product per matrix,
+    in float64 when both sides are real and in complex128 otherwise."""
+    lifted = np.zeros(kraus.shape[:-2] + (4, 4), dtype=np.result_type(kraus, rho))
     lifted[..., :2, :2] = lifted[..., 2:, 2:] = kraus
     return (lifted @ rho @ lifted.conj().swapaxes(-1, -2)).sum(0)
 
@@ -232,16 +240,34 @@ def test_emit_csv_writes_each_row_as_percent_formatting_would(monkeypatch, tmp_p
     assert (tmp_path / "sweep.csv").read_bytes() == ("\n".join(lines) + "\n").encode("ascii")
 
 
+@pytest.mark.parametrize("flags", [
+    ["--preset", "fig1"],
+    ["--preset", "fig2", "--sweep-var", "r"],
+    ["--state", "x", "--p", "0.3", "--obs", "y,z"],
+], ids=["fig1", "fig2-r", "x-yz"])
+def test_sweep_gives_the_bits_of_the_library_on_the_same_objects(flags):
+    # every real constructor, and every transform of real inputs, is float64
+    for built in (unruh_channel(0.3), amplitude_damping(0.2), bell_diagonal_state(0.1, -0.2, 0.3),
+                  bell_diagonal_p(0.4), x_state(0.4), rindler_tripartite_state(0.3),
+                  from_pure([0.6, 0.8]), choi(unruh_channel(0.3)),
+                  tensor(np.eye(2), x_state(0.4)), partial_trace(x_state(0.4), 1, (2, 2)),
+                  apply(amplitude_damping(0.2), np.eye(2) / 2)):
+        assert built.dtype == np.float64
+    cfg = cli.parse_args(["sweep", *flags, "--steps", "101"])
+    sweep = cli.run_sweep(cfg)
+    family = bell_diagonal_p if cfg.state == "bell" else x_state
+    q, o = (pauli_observable(axis) for axis in cfg.obs)
+    report = evaluate_eur(q, o, apply_to_memory(unruh_channel(sweep.r), family(cfg.p)))
+    for name, value in (("lhs", report.lhs), ("berta", report.berta_bound),
+                        ("holevo", report.holevo_bound), ("delta", report.delta)):
+        assert value.tobytes() == getattr(sweep, name).tobytes(), name
+
+
 def random_real_state(rng):
     """A random real two-qubit density matrix, G G^T / tr for a real Gaussian G."""
     g = rng.normal(size=(4, 4))
     m = g @ g.T
     return m / np.trace(m)
-
-
-def real_part(m):
-    """The real part of a complex array, as a new contiguous float64 array."""
-    return np.ascontiguousarray(m.real)
 
 
 @pytest.mark.parametrize("r", [0.3, np.linspace(0.0, R_MAX, 7), np.full((2, 3), 0.2)],
@@ -250,23 +276,23 @@ def test_real_apply_to_memory_equals_the_complex_path(r):
     rng = np.random.default_rng(41)
     kraus = unruh_channel(r)
     for rho in (x_state(0.4), bell_diagonal_p(0.5), random_real_state(rng)):
-        real = apply_to_memory(real_part(kraus), real_part(rho))
-        full = apply_to_memory(kraus, rho.astype(complex))
+        real = apply_to_memory(kraus, rho)
+        full = apply_to_memory(kraus.astype(complex), rho.astype(complex))
         assert real.dtype == np.float64 and full.dtype == np.complex128
-        assert_same_bits(real, real_part(full))
+        assert_same_bits(real, full.real)
         assert not full.imag.any() and not np.signbit(full.imag).any()  # every one +0
         # one complex side takes the complex path, bit for bit
-        assert_same_bits(apply_to_memory(real_part(kraus), rho.astype(complex)), full)
-        assert_same_bits(apply_to_memory(kraus, real_part(rho)), full)
+        assert_same_bits(apply_to_memory(kraus, rho.astype(complex)), full)
+        assert_same_bits(apply_to_memory(kraus.astype(complex), rho), full)
 
 
 @pytest.mark.parametrize("pair", [("x", "y"), ("x", "z"), ("z", "z")], ids="".join)
 def test_real_stack_equals_per_state_real_evaluation_and_the_reference(pair):
     rng = np.random.default_rng(43)
     q, o = (pauli_observable(axis) for axis in pair)
-    channels = real_part(unruh_channel(np.linspace(0.0, R_MAX, 4)))
-    states = np.concatenate([apply_to_memory(channels, real_part(x_state(0.0))),
-                             apply_to_memory(channels, real_part(bell_diagonal_p(0.5))),
+    channels = unruh_channel(np.linspace(0.0, R_MAX, 4))
+    states = np.concatenate([apply_to_memory(channels, x_state(0.0)),
+                             apply_to_memory(channels, bell_diagonal_p(0.5)),
                              [random_real_state(rng) for _ in range(2)]])
     assert states.dtype == np.float64
 
@@ -293,7 +319,7 @@ def test_evaluate_eur_takes_one_real_spectrum_of_a_real_state(monkeypatch):
 
         return call
 
-    one = apply_to_memory(real_part(unruh_channel(0.3)), real_part(bell_diagonal_p(0.5)))
+    one = apply_to_memory(unruh_channel(0.3), bell_diagonal_p(0.5))
     stack = np.stack([random_real_state(rng) for _ in range(7)])
     for name in ("eigh", "eigvalsh", "eig", "eigvals"):
         monkeypatch.setattr(np.linalg, name, counted(name))

@@ -320,6 +320,10 @@ def test_robertson_rejects_bad_inputs():
         robertson_bound(np.array([[0, 1], [0, 0]]), SY, np.array([1.0, 0.0]))
     with pytest.raises(ValueError, match="norm"):
         robertson_bound(SX, SY, np.array([1.0, 1.0]))
+    with pytest.raises(ValueError, match="must be 2x2 operators"):
+        robertson_bound(SX, np.eye(3), np.array([1.0, 0.0]))
+    with pytest.raises(ValueError, match="single-qubit state vector"):
+        robertson_bound(SX, SY, np.array([1.0, 0.0, 0.0]))
 
 
 @given(seeds)

@@ -321,6 +321,8 @@ def test_kraus_from_choi_rejects_non_positive():
     bad = np.diag([1.5, 0.5, 0.5, -0.5]).astype(complex)
     with pytest.raises(ValueError, match="not completely positive"):
         kraus_from_choi(bad)
+    with pytest.raises(ValueError, match="expected a 4x4 Choi matrix"):
+        kraus_from_choi(np.eye(2))
 
 
 def test_kraus_from_choi_rejects_non_trace_preserving():

@@ -340,3 +340,8 @@ def test_sweep_config_validates_directly():
             state="ghz", p=0.5, obs=("x", "y"), omega=0.1,
             a_min=0.0, a_max=1.0, steps=5, sweep_var="a", out_path="out.csv",
         )
+    with pytest.raises(ValueError, match="sweep-var must be 'a' or 'r'"):
+        SweepConfig(
+            state="bell", p=0.5, obs=("x", "y"), omega=0.1,
+            a_min=0.0, a_max=1.0, steps=5, sweep_var="omega", out_path="out.csv",
+        )

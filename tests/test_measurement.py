@@ -73,6 +73,8 @@ def test_pauli_observable_is_one_shared_read_only_instance():
 def test_observable_rejects_non_orthonormal_basis():
     with pytest.raises(ValueError, match="orthonormal"):
         ProjectiveObservable("bad", np.array([[1, 1], [0, 0]], dtype=complex))
+    with pytest.raises(ValueError, match="basis must be 2x2"):
+        ProjectiveObservable("bad", np.eye(3))
 
 
 def test_observable_keeps_a_read_only_copy_of_its_basis():
