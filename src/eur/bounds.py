@@ -69,31 +69,27 @@ def evaluate_eur(
 ) -> EurReport:
     """Evaluate the uncertainty sum and every lower bound on one state or a stack.
 
-    rho is checked once, by `measurement._conditioned`. The stack of six
-    2x2 states it returns (both marginals and the four conditional memory
-    states) is read with the unchecked closed form `linalg._eigenvalues`.
+    rho is checked once, by `measurement._conditioned`. The six 2x2
+    states it stacks along the first axis (both marginals, then the four
+    conditional memory states) are read by index, with the unchecked
+    closed form `linalg._eigenvalues`.
 
     The post-measurement state rho_OB is block diagonal, so
     S(OB) = H(p) + sum_i p_i S(rho_B|i) needs no spectrum of its own:
     I(O;B) = S(B) - sum_i p_i S(rho_B|i) and S(O|B) = H(p) - I(O;B), where
     a zero-probability outcome gets weight 0 and contributes exactly
-    nothing. Every entropy comes from one w log2 w pass over the 4
-    eigenvalues of rho and the 12 of the stack, clipped to [0, 1], and
-    the 4 outcome probabilities, clipped at 0.
+    nothing. Eigenvalues are clipped to [0, 1] and the outcome
+    probabilities at 0 before w log2 w is taken.
     """
     spectrum, states, p, kept, _ = _conditioned(rho, (q, r))
-    lead = p.shape[:-1]
-    pairs = lead + (2, 2)  # (..., observable, outcome)
-    eigenvalues = np.concatenate([spectrum, _eigenvalues(states).reshape(lead + (12,))], axis=-1)
-    terms = _xlog2x(np.concatenate([eigenvalues.clip(0.0, 1.0), p.clip(0.0, None)], axis=-1))
-    s_ab = -terms[..., :4].sum(axis=-1)
-    s = -terms[..., 4:16].reshape(lead + (6, 2)).sum(axis=-1)
-    h = -terms[..., 16:].reshape(pairs).sum(axis=-1)
-    s_a, s_b = s[..., 0], s[..., 1]
-    i_ob = s_b[..., None] - (np.where(kept, p, 0.0) * s[..., 2:]).reshape(pairs).sum(axis=-1)
-    s_cond, i_ab = _float_or_array(s_ab - s_b), _float_or_array(s_a + s_b - s_ab)
-    i_qb, i_rb = _float_or_array(i_ob[..., 0]), _float_or_array(i_ob[..., 1])
-    h_q, h_r = _float_or_array(h[..., 0]), _float_or_array(h[..., 1])
+    pairs = (2, 2) + p.shape[1:]  # (observable, outcome, ...)
+    s_ab = -_xlog2x(spectrum.clip(0.0, 1.0)).sum(axis=-1)
+    s = -_xlog2x(_eigenvalues(states).clip(0.0, 1.0)).sum(axis=-1)
+    h = -_xlog2x(p.clip(0.0, None)).reshape(pairs).sum(axis=1)
+    i_ob = s[1] - (np.where(kept, p, 0.0) * s[2:]).reshape(pairs).sum(axis=1)
+    s_cond, i_ab = _float_or_array(s_ab - s[1]), _float_or_array(s[0] + s[1] - s_ab)
+    i_qb, i_rb = map(_float_or_array, i_ob)
+    h_q, h_r = map(_float_or_array, h)
     c = complementarity(q, r)
     mu = math.log2(1.0 / c)
     berta = mu + s_cond

@@ -74,8 +74,9 @@ def partial_trace(m: np.ndarray, keep, dims) -> np.ndarray:
         raise ValueError(
             f"matrix shape {m.shape} does not match subsystem dims {dims}"
         )
-    if isinstance(keep, int):
-        keep = [keep]
+    keep = [keep] if np.ndim(keep) == 0 else list(keep)
+    if not all(float(k).is_integer() for k in keep):
+        raise ValueError(f"keep must be integers, got {keep}")
     keep = sorted(set(int(k) for k in keep))
     if not keep:
         raise ValueError("keep must name at least one subsystem")

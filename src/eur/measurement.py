@@ -8,7 +8,8 @@ API on purpose so subsystem-convention bugs cannot arise.
 `measurement_ensemble` one state. `_conditioned` is the one reader of a
 two-qubit state, for both and for `bounds.evaluate_eur`: it checks the
 state, then forms the memory blocks of every observable given in one
-contraction; `evaluate_eur` reads it for Q and R together.
+contraction and keeps them outcome first, along axis 0, as it makes
+them; `evaluate_eur` reads it for Q and R together.
 """
 
 from dataclasses import dataclass, field
@@ -107,16 +108,16 @@ def _conditioned(rho: np.ndarray, observables) -> tuple:
     `ProjectiveObservable` stores, with all of rho as a (4, 4N) matrix,
     probe indices (b, c) down and stack and memory indices (..., j, l)
     across, gives `blocks`, the unnormalized memory blocks <i|rho|i> (|i>
-    the eigenstates on the probe), as a (..., 2k, 2, 2) view, and p their
-    traces. The rows stay on the left: swapped, BLAS takes another kernel
-    for two rows, and one observable's blocks would differ in bits from
-    its blocks in a pair. `states` stacks rho_A and rho_B, each the sum
-    of two diagonal blocks of rho, on the conditional states rho_B|i:
-    (..., 2 + 2k, 2, 2). `kept` is False where p_i is at or below
-    PROBABILITY_FLOOR; there the normalizing division is suppressed
-    rather than amplified into noise, so rho_B|i is the negligible
-    unnormalized block, a finite matrix whose entropy a zero weight
-    cancels exactly.
+    the eigenstates on the probe), outcome first as the product makes
+    them: (2k, ..., 2, 2), and p their traces, (2k, ...). The rows stay on
+    the left: swapped, BLAS takes another kernel for two rows, and one
+    observable's blocks would differ in bits from its blocks in a pair.
+    `states` is (2 + 2k, ..., 2, 2): rho_A and rho_B, each the sum of two
+    diagonal blocks of rho, then each conditional state rho_B|i. `kept`
+    is False where p_i is at or below PROBABILITY_FLOOR; there the
+    normalizing division is suppressed rather than amplified into noise,
+    so rho_B|i is the negligible unnormalized block, a finite matrix
+    whose entropy a zero weight cancels exactly.
 
     `states` is not checked again. Dividing by a small p_i magnifies rho's
     roundoff, so a conditional state may sit slightly outside the
@@ -130,14 +131,13 @@ def _conditioned(rho: np.ndarray, observables) -> tuple:
     n = len(stack)
     t = rho.reshape(stack + (2, 2, 2, 2))  # rho[..., b, j, c, l] (probe b, c; memory j, l)
     marginals = np.stack([t[..., :, 0, :, 0] + t[..., :, 1, :, 1],
-                          t[..., 0, :, 0, :] + t[..., 1, :, 1, :]], axis=-3)
+                          t[..., 0, :, 0, :] + t[..., 1, :, 1, :]])
     rows = np.concatenate([obs._rows for obs in observables])
     columns = t.transpose((n, n + 2, *range(n), n + 1, n + 3)).reshape(4, -1)
-    blocks = (rows @ columns).reshape((len(rows),) + stack + (2, 2)).transpose(
-        (*range(1, n + 1), 0, n + 1, n + 2))
+    blocks = (rows @ columns).reshape((len(rows),) + stack + (2, 2))
     p = (blocks[..., 0, 0] + blocks[..., 1, 1]).real
     kept = p > PROBABILITY_FLOOR
-    states = np.concatenate([marginals, blocks / np.where(kept, p, 1.0)[..., None, None]], axis=-3)
+    states = np.concatenate([marginals, blocks / np.where(kept, p, 1.0)[..., None, None]])
     return spectrum, states, p, kept, blocks
 
 
@@ -150,7 +150,7 @@ def post_measurement_state(obs: ProjectiveObservable, rho: np.ndarray) -> np.nda
     a fixed observable.
     """
     projectors = np.stack([obs.projector(0), obs.projector(1)])
-    out = np.einsum("iac,...ijl->...ajcl", projectors, _conditioned(rho, (obs,))[4])
+    out = np.einsum("iac,i...jl->...ajcl", projectors, _conditioned(rho, (obs,))[4])
     return out.reshape(out.shape[:-4] + (4, 4))
 
 

@@ -180,7 +180,8 @@ def test_conditioned_blocks_equal_the_per_matrix_product(stack, count):
     t = rho.reshape(stack + (2, 2, 2, 2))
     expected = (rows @ t.swapaxes(-3, -2).reshape(stack + (4, 4))).reshape(
         stack + (2 * count, 2, 2))
-    assert_same_bits(_conditioned(rho, observables)[4], expected)
+    # outcome first, as the one product over the whole stack makes them
+    assert_same_bits(_conditioned(rho, observables)[4], np.moveaxis(expected, -3, 0))
 
 
 @pytest.mark.parametrize("stack", [(), (5,), (2, 3)], ids=str)
@@ -189,10 +190,11 @@ def test_post_measurement_blocks_equal_those_of_the_pair(stack):
     q, r = (ProjectiveObservable(name, random_unitary(rng, 2)) for name in "qr")
     rho = random_states(rng, stack)
     pair = _conditioned(rho, (q, r))[4]
-    assert_same_bits(_conditioned(rho, (q,))[4], pair[..., :2, :, :])
-    # post_measurement_state assembles exactly the blocks that evaluate_eur reads
+    assert_same_bits(_conditioned(rho, (q,))[4], pair[:2])
+    # post_measurement_state assembles exactly the blocks that evaluate_eur
+    # reads; the reference formula takes them with the outcome axis last
     projectors = np.stack([q.projector(0), q.projector(1)])
-    expected = np.einsum("iac,...ijl->...ajcl", projectors, pair[..., :2, :, :])
+    expected = np.einsum("iac,...ijl->...ajcl", projectors, np.moveaxis(pair[:2], 0, -3))
     assert_same_bits(post_measurement_state(q, rho), expected.reshape(stack + (4, 4)))
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import reference
 from eur import bounds, linalg, states
 from eur.bounds import bound_violations, evaluate_eur, robertson_bound
-from eur.channels import apply_to_memory, unruh_channel
+from eur.channels import R_MAX, amplitude_damping, apply_to_memory, unruh_channel
 from eur.linalg import tensor
 from eur.measurement import (
     ProjectiveObservable,
@@ -193,7 +193,7 @@ def test_evaluate_eur_takes_each_spectrum_once(monkeypatch):
         checked.clear()
         evaluate_eur(X_OBS, Y_OBS, rho)
         assert solved == [("eigvalsh", lead + (4, 4))]
-        assert spectra == [("_eigenvalues", lead + (4, 4)), ("_eigenvalues", lead + (6, 2, 2))]
+        assert spectra == [("_eigenvalues", lead + (4, 4)), ("_eigenvalues", (6,) + lead + (2, 2))]
         assert checked == [lead + (4, 4)]
 
 
@@ -288,6 +288,35 @@ def test_bounds_grow_with_mixing_angle(make_state):
     for earlier, later in zip(reports, reports[1:]):
         assert later.berta_bound >= earlier.berta_bound - 1e-9
         assert later.holevo_bound >= earlier.holevo_bound - 1e-9
+
+
+def steps_down(values) -> list:
+    """(k, step) for every step from values[k] to values[k + 1] that goes
+    down by more than twice the budget of the larger of the two."""
+    return [(k, b - a) for k, (a, b) in enumerate(zip(values.tolist(), values[1:].tolist()))
+            if b < a - 2.0 * max(reference.budget(a), reference.budget(b))]
+
+
+@given(seeds)
+@settings(max_examples=30, deadline=None)
+def test_data_processing_along_the_mixing_angle(seed):
+    # unruh_channel(r2) is unruh_channel(r1) followed by amplitude damping
+    # conjugated by sigma_x, cos^2 r2 = cos^2 r1 (1 - g), so a larger r can
+    # only lose what the memory knows about A; rho_A, and so H(Q) and H(R),
+    # stay fixed (Nielsen and Chuang, sections 8.3.5 and 11.4)
+    rng = np.random.default_rng(seed)
+    rho = random_density_matrix(rng, 4) if rng.integers(2) else proj(random_pure_state(rng, 4))
+    q, r = random_observable(rng), random_observable(rng)
+    report = evaluate_eur(q, r, apply_to_memory(unruh_channel(np.linspace(0.0, R_MAX, 65)), rho))
+    for name in ("lhs", "berta_bound", "s_cond"):
+        assert not steps_down(getattr(report, name)), name
+    for name in ("i_ab", "i_qb", "i_rb"):
+        assert not steps_down(-getattr(report, name)), name
+    r1, r2 = sorted(rng.uniform(0.0, R_MAX, size=2))
+    damping = SX @ amplitude_damping(1.0 - np.cos(r2) ** 2 / np.cos(r1) ** 2) @ SX
+    direct = apply_to_memory(unruh_channel(r2), rho)
+    composed = apply_to_memory(damping, apply_to_memory(unruh_channel(r1), rho))
+    assert all(abs(v - x) <= reference.budget(abs(x)) for v, x in zip(composed.flat, direct.flat))
 
 
 def test_robertson_equality_case():

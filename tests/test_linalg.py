@@ -121,6 +121,22 @@ def test_partial_trace_names_a_non_integral_dim(dims):
     assert np.array_equal(partial_trace(np.eye(4), keep=0, dims=[2.0, 2.0]), 2 * np.eye(2))
 
 
+@pytest.mark.parametrize("keep", [[0.7], [1.9], [float("inf")], [float("nan")], 0.5, [0, 1.5]],
+                         ids=["0.7", "1.9", "inf", "nan", "scalar 0.5", "0 and 1.5"])
+def test_partial_trace_names_a_non_integral_keep(keep):
+    # 0.7 and 1.9 would truncate to the valid indices 0 and 1: the check
+    # comes before the range check
+    with pytest.raises(ValueError, match=r"keep must be integers, got \["):
+        partial_trace(np.eye(4), keep=keep, dims=[2, 2])
+
+
+def test_partial_trace_takes_numpy_and_integral_float_keep():
+    rho = np.kron(np.diag([0.75, 0.25]), np.diag([0.6, 0.4]))
+    for keep, expected in ((0, np.diag([0.75, 0.25])), (1, np.diag([0.6, 0.4]))):
+        for same in (np.int64(keep), np.array(keep), float(keep), [np.int32(keep)], np.array([keep])):
+            assert np.array_equal(partial_trace(rho, keep=same, dims=[2, 2]), expected)
+
+
 def test_eigensystem_of_sigma_z():
     values, vectors = hermitian_eigensystem(SZ)
     assert np.allclose(values, [-1.0, 1.0], atol=1e-12)
