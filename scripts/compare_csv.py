@@ -8,11 +8,12 @@ Runs every case in CASES with `python -m eur sweep`, once with BASE_SRC
 with this checkout's `src`, and compares the two CSV files byte for
 byte. Then evaluates `evaluate_eur`, `post_measurement_state`,
 `measurement_ensemble` and `apply_to_memory` on LIBRARY_INPUTS seeded
-inputs, complex and float64, in one subprocess per tree and compares
-every result's type and bytes. Prints one line per case; exits 1 if any
-case differs, naming its first differing line, how many cells differ and
-the largest absolute difference between two numeric cells (for the
-library case, its first differing field), and 0 otherwise.
+inputs, complex and float64, and runs each one-state input through the
+Choi route at its own Unruh angle, in one subprocess per tree, and
+compares every result's type and bytes. Prints one line per case; exits
+1 if any case differs, naming its first differing line, how many cells
+differ and the largest absolute difference between two numeric cells
+(for the library case, its first differing field), and 0 otherwise.
 """
 
 import argparse
@@ -50,6 +51,9 @@ CASES = [
 LIBRARY_INPUTS = 300
 LIBRARY_SEED = 12
 LIBRARY_KINDS = (((), 4), ((5,), 4), ((2, 3), 4), ((0,), 4), ((), 1))
+# the Unruh angles of the Choi route, one per one-state input, from their
+# own stream so that the inputs above stay as they are
+ROUTE_SEED = 13
 
 
 def tree_env(src: Path) -> dict:
@@ -99,7 +103,10 @@ def library_report_bytes() -> bytes:
     `EurReport` field and the state `post_measurement_state` gives for q;
     for one-state inputs also q's `measurement_ensemble` and the states
     that `apply_to_memory` gives for a stack of seven Unruh channels and
-    for the Kraus family read back from a Choi matrix. Then the same
+    for the Kraus family read back from a Choi matrix, and every step of
+    the Choi route at an angle r drawn for the input: the Choi matrix of
+    `unruh_channel(r)`, the family `kraus_from_choi` reads from it, that
+    family applied to the input and the input's `EurReport`. Then the same
     input's real part, a real state in float64, gives every `EurReport`
     field again and, for one state, the state that `apply_to_memory`
     gives for the real (float64) stack of seven Unruh channels. Pickled
@@ -121,6 +128,7 @@ def library_report_bytes() -> bytes:
         "choi round trip": kraus_from_choi(choi(unruh_channel(0.3))),
     }
     real_channel = np.ascontiguousarray(channels["unruh stack"].real)
+    angles = np.random.default_rng(ROUTE_SEED)
     reports = []
     for q, r, rho in library_inputs():
         q, r = ProjectiveObservable("q", q), ProjectiveObservable("r", r)
@@ -134,6 +142,14 @@ def library_report_bytes() -> bytes:
                            encoded(f"measurement_ensemble rho_B|{i}", conditional)]
             fields += [encoded(f"apply_to_memory of the {name}", apply_to_memory(kraus, rho))
                        for name, kraus in channels.items()]
+            c = choi(unruh_channel(angles.uniform(0.0, R_MAX)))
+            kraus = kraus_from_choi(c)
+            evolved = apply_to_memory(kraus, rho)
+            report = evaluate_eur(q, r, evolved)
+            fields += [encoded("route choi", c), encoded("route kraus_from_choi", kraus),
+                       encoded("route apply_to_memory", evolved)]
+            fields += [encoded(f"route {field.name}", getattr(report, field.name))
+                       for field in dataclasses.fields(report)]
         # the real part of a state is a real state: symmetric, same trace, PSD
         real = np.ascontiguousarray(rho.real)
         report = evaluate_eur(q, r, real)

@@ -25,6 +25,12 @@ from .linalg import (
 
 R_MAX = math.pi / 4
 
+# the qubit identity, and |phi><phi| for phi = sum_i |ii>, whose image under
+# I (x) E is the Choi matrix: built once, read-only
+_IDENTITY = np.eye(2)
+_PHI_PROJECTOR = np.outer([1.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 1.0])
+_IDENTITY.flags.writeable = _PHI_PROJECTOR.flags.writeable = False
+
 
 def unruh_r(a, omega: float):
     """Mixing angle r in [0, pi/4] for a uniformly accelerated observer.
@@ -116,12 +122,13 @@ def _kraus_stack(channel) -> np.ndarray:
 
 def validate_kraus(channel) -> None:
     """Raise ValueError unless the operators are finite and sum_j K_j^dag K_j = I
-    within COMPLETENESS_ATOL."""
+    within COMPLETENESS_ATOL. The operators are only read, and the
+    identity they are compared with is built once, at import, read-only."""
     kraus = _kraus_stack(channel)
     if not np.isfinite(kraus).all():
         raise ValueError("Kraus family is not finite: it holds NaN or inf")
     total = (kraus.conj().swapaxes(-1, -2) @ kraus).sum(axis=0)
-    deviation = float(abs(total - np.eye(2)).max())
+    deviation = float(abs(total - _IDENTITY).max())
     if not deviation <= COMPLETENESS_ATOL:
         raise ValueError(
             f"Kraus family is not trace preserving: max |sum K^dag K - I| = {deviation:.3e}"
@@ -150,7 +157,9 @@ def apply_to_memory(channel, rho: np.ndarray) -> np.ndarray:
 
     When both the operators and the state are float64 (or other real
     numbers), every product runs in float64 and the result is float64;
-    otherwise both are taken as complex128 and so is the result.
+    otherwise both are taken as complex128 and so is the result. Neither
+    input is written to. Stacks that do not broadcast raise ValueError
+    naming both stack shapes.
     """
     rho = _real_or_complex(rho)
     if rho.shape[-2:] != (4, 4):
@@ -162,18 +171,23 @@ def apply_to_memory(channel, rho: np.ndarray) -> np.ndarray:
     lifted = np.zeros(kraus.shape[:1] + (1,) * (rho.ndim - kraus.ndim + 1) + kraus.shape[1:-2]
                       + (4, 4), dtype=kraus.dtype)
     lifted[..., :2, :2] = lifted[..., 2:, 2:] = kraus.reshape(lifted.shape[:-2] + (2, 2))
-    left = (lifted.reshape(-1, 4) @ rho).reshape(lifted.shape) if rho.ndim == 2 else lifted @ rho
-    return (left @ lifted.conj().swapaxes(-1, -2)).sum(axis=0)
+    try:
+        left = (lifted.reshape(-1, 4) @ rho).reshape(lifted.shape) if rho.ndim == 2 else lifted @ rho
+        return (left @ lifted.conj().swapaxes(-1, -2)).sum(axis=0)
+    except ValueError:  # the stacks do not broadcast: only these products can tell
+        raise ValueError(f"channel stack {kraus.shape[1:-2]} does not broadcast against "
+                         f"state stack {rho.shape[:-2]}") from None
 
 
 def choi(channel) -> np.ndarray:
     """Choi matrix C = sum_ij |i><j| (x) E(|i><j|), input index first.
 
     tr C = 2 for a qubit channel; complete positivity shows up as C >= 0
-    and trace preservation as tr_out C = I.
+    and trace preservation as tr_out C = I. C is `apply_to_memory` of the
+    channel on |phi><phi|, phi = sum_i |ii>, which is built once, at
+    import, and read-only; C itself is a new array on every call.
     """
-    phi = np.array([1.0, 0.0, 0.0, 1.0])  # sum_i |ii>, so C = (I (x) E)(|phi><phi|)
-    return apply_to_memory(channel, np.outer(phi, phi))
+    return apply_to_memory(channel, _PHI_PROJECTOR)
 
 
 def kraus_from_choi(c: np.ndarray) -> np.ndarray:

@@ -155,7 +155,8 @@ def _eigenvalues(m: np.ndarray) -> np.ndarray:
 
     A 2x2 spectrum is taken in closed form, (a+d)/2 -+ hypot((a-d)/2, |b|)
     for [[a, b], [b*, d]], with b the mean of the two off-diagonal
-    entries; a larger one with `np.linalg.eigvalsh` of (M + M^dag)/2.
+    entries, both roots written into one new float64 (..., 2) array; a
+    larger one with `np.linalg.eigvalsh` of (M + M^dag)/2.
     """
     if m.shape[-1] != 2:
         return np.linalg.eigvalsh((m + m.conj().swapaxes(-1, -2)) / 2.0)
@@ -165,4 +166,7 @@ def _eigenvalues(m: np.ndarray) -> np.ndarray:
     # |b| as a real hypot: numpy's complex abs rounds differently on arrays
     # than on scalars, and a stack must give each matrix's own bits
     radius = np.hypot((a - d) / 2.0, np.hypot(b.real, b.imag))
-    return np.stack([mean - radius, mean + radius], axis=-1)
+    spectrum = np.empty(mean.shape + (2,))
+    np.subtract(mean, radius, out=spectrum[..., 0])
+    np.add(mean, radius, out=spectrum[..., 1])
+    return spectrum

@@ -60,7 +60,13 @@ class ProjectiveObservable:
         object.__setattr__(self, "_rows", rows)
 
     def projector(self, i: int) -> np.ndarray:
-        """P_i = |v_i><v_i| for eigenstate i, as a new 2x2 array."""
+        """P_i = |v_i><v_i| for eigenstate i, as a new 2x2 array.
+
+        Raises ValueError unless i is the integer 0 or 1 (a numpy integer
+        included; a bool is not taken for one).
+        """
+        if isinstance(i, bool) or not isinstance(i, (int, np.integer)) or i not in (0, 1):
+            raise ValueError(f"eigenstate index must be 0 or 1, got {i!r}")
         return self._rows[i].conj().reshape(2, 2)
 
 
@@ -112,8 +118,9 @@ def _conditioned(rho: np.ndarray, observables) -> tuple:
     them: (2k, ..., 2, 2), and p their traces, (2k, ...). The rows stay on
     the left: swapped, BLAS takes another kernel for two rows, and one
     observable's blocks would differ in bits from its blocks in a pair.
-    `states` is (2 + 2k, ..., 2, 2): rho_A and rho_B, each the sum of two
-    diagonal blocks of rho, then each conditional state rho_B|i. `kept`
+    `states` is one complex128 array, (2 + 2k, ..., 2, 2), allocated once
+    and written in place: rho_A and rho_B, each the sum of two diagonal
+    blocks of rho, then each conditional state rho_B|i. `kept`
     is False where p_i is at or below PROBABILITY_FLOOR; there the
     normalizing division is suppressed rather than amplified into noise,
     so rho_B|i is the negligible unnormalized block, a finite matrix
@@ -130,14 +137,15 @@ def _conditioned(rho: np.ndarray, observables) -> tuple:
     stack = rho.shape[:-2]
     n = len(stack)
     t = rho.reshape(stack + (2, 2, 2, 2))  # rho[..., b, j, c, l] (probe b, c; memory j, l)
-    marginals = np.stack([t[..., :, 0, :, 0] + t[..., :, 1, :, 1],
-                          t[..., 0, :, 0, :] + t[..., 1, :, 1, :]])
     rows = np.concatenate([obs._rows for obs in observables])
     columns = t.transpose((n, n + 2, *range(n), n + 1, n + 3)).reshape(4, -1)
     blocks = (rows @ columns).reshape((len(rows),) + stack + (2, 2))
     p = (blocks[..., 0, 0] + blocks[..., 1, 1]).real
     kept = p > PROBABILITY_FLOOR
-    states = np.concatenate([marginals, blocks / np.where(kept, p, 1.0)[..., None, None]])
+    states = np.empty((2 + len(rows),) + stack + (2, 2), dtype=complex)
+    np.add(t[..., :, 0, :, 0], t[..., :, 1, :, 1], out=states[0])
+    np.add(t[..., 0, :, 0, :], t[..., 1, :, 1, :], out=states[1])
+    np.divide(blocks, np.where(kept, p, 1.0)[..., None, None], out=states[2:])
     return spectrum, states, p, kept, blocks
 
 

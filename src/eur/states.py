@@ -154,5 +154,6 @@ def _checked_spectrum(rho: np.ndarray) -> np.ndarray:
 
 
 def _xlog2x(weights: np.ndarray) -> np.ndarray:
-    """w log2 w for each of an array of nonnegative weights, with 0 log 0 = 0."""
-    return weights * np.log2(weights, out=np.zeros_like(weights), where=weights > 0.0)
+    """w log2 w for each of a float64 array of nonnegative weights, with
+    0 log 0 = 0; the log is taken into a new float64 array of zeros."""
+    return weights * np.log2(weights, out=np.zeros(weights.shape), where=weights > 0.0)

@@ -12,8 +12,17 @@ from hypothesis import strategies as st
 import eur.cli as cli
 import reference
 from eur.bounds import evaluate_eur
-from eur.channels import R_MAX, amplitude_damping, apply, apply_to_memory, choi, unruh_channel
-from eur.linalg import hermitian_eigensystem, partial_trace, tensor
+from eur.channels import (
+    R_MAX,
+    amplitude_damping,
+    apply,
+    apply_to_memory,
+    choi,
+    kraus_from_choi,
+    unruh_channel,
+    validate_kraus,
+)
+from eur.linalg import _eigenvalues, hermitian_eigensystem, partial_trace, tensor
 from eur.measurement import (
     ProjectiveObservable,
     _conditioned,
@@ -182,6 +191,77 @@ def test_conditioned_blocks_equal_the_per_matrix_product(stack, count):
         stack + (2 * count, 2, 2))
     # outcome first, as the one product over the whole stack makes them
     assert_same_bits(_conditioned(rho, observables)[4], np.moveaxis(expected, -3, 0))
+
+
+@pytest.mark.parametrize("stack", [(), (7,), (2, 3)], ids=str)
+@pytest.mark.parametrize("count", [1, 2])
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "float64"])
+def test_conditioned_states_are_both_marginals_then_the_conditional_states(stack, count, real):
+    rng = np.random.default_rng(19 + len(stack) + 10 * count)
+    observables = [ProjectiveObservable("o", random_unitary(rng, 2)) for _ in range(count)]
+    rho = random_states(rng, stack)
+    if real:  # the real part of a state is a state
+        rho = np.ascontiguousarray(rho.real)
+    _, states, p, _, blocks = _conditioned(rho, observables)
+    # the stacked and concatenated form, as a reference formula; no p of a
+    # random state is near the floor
+    t = rho.reshape(stack + (2, 2, 2, 2))
+    marginals = np.stack([t[..., :, 0, :, 0] + t[..., :, 1, :, 1],
+                          t[..., 0, :, 0, :] + t[..., 1, :, 1, :]])
+    expected = np.concatenate([marginals, blocks / p[..., None, None]])
+    assert states.dtype == np.complex128 and states.flags.c_contiguous
+    assert_same_bits(states, expected)
+    # rho_A and rho_B in that order, each the partial trace
+    assert np.allclose(states[0], partial_trace(rho, 0, (2, 2)), rtol=0, atol=1e-15)
+    assert np.allclose(states[1], partial_trace(rho, 1, (2, 2)), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("stack", [(), (5,), (2, 3)], ids=str)
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "float64"])
+def test_2x2_spectrum_is_one_new_float64_array_of_both_roots(stack, real):
+    rng = np.random.default_rng(37 + len(stack))
+    m = np.ascontiguousarray(random_states(rng, stack)[..., :2, :2])  # Hermitian blocks
+    if real:
+        m = np.ascontiguousarray(m.real)
+    got = _eigenvalues(m)
+    # both roots stacked along a new last axis, as a reference formula
+    a, d = m[..., 0, 0].real, m[..., 1, 1].real
+    b = (m[..., 0, 1] + m[..., 1, 0].conj()) / 2.0
+    mean = (a + d) / 2.0
+    radius = np.hypot((a - d) / 2.0, np.hypot(b.real, b.imag))
+    expected = np.stack([mean - radius, mean + radius], axis=-1)
+    assert got.dtype == np.float64 and got.flags.writeable and got.flags.c_contiguous
+    assert_same_bits(got, expected)
+    assert np.allclose(got, np.linalg.eigvalsh(m), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("channel", ["real", "complex"])
+def test_choi_is_a_new_writable_array_on_every_call(channel):
+    kraus = unruh_channel(0.3)
+    if channel == "complex":
+        kraus = kraus_from_choi(choi(kraus))
+    first = choi(kraus)
+    expected = first.copy()
+    assert first.flags.writeable
+    first[...] = np.nan
+    assert_same_bits(choi(kraus), expected)
+    assert np.isnan(first).all()  # the second call wrote into a new array
+
+
+@pytest.mark.parametrize("complex_kraus", [False, True], ids=["float64 kraus", "complex kraus"])
+@pytest.mark.parametrize("complex_rho", [False, True], ids=["float64 rho", "complex rho"])
+def test_apply_to_memory_and_validate_kraus_take_read_only_inputs(complex_kraus, complex_rho):
+    rng = np.random.default_rng(47)
+    kraus = unruh_channel(np.full(3, 0.4))
+    if complex_kraus:
+        kraus = kraus_from_choi(choi(unruh_channel(0.4)))
+    rho = random_density_matrix(rng, 4)
+    if not complex_rho:
+        rho = np.ascontiguousarray(rho.real)
+    expected = apply_to_memory(kraus.copy(), rho.copy())
+    kraus.flags.writeable = rho.flags.writeable = False
+    validate_kraus(kraus)
+    assert_same_bits(apply_to_memory(kraus, rho), expected)
 
 
 @pytest.mark.parametrize("stack", [(), (5,), (2, 3)], ids=str)

@@ -12,6 +12,7 @@ import reference
 from eur import bounds, linalg, states
 from eur.bounds import bound_violations, evaluate_eur, robertson_bound
 from eur.channels import R_MAX, amplitude_damping, apply_to_memory, unruh_channel
+from eur.cli import SweepConfig, run_sweep
 from eur.linalg import tensor
 from eur.measurement import (
     ProjectiveObservable,
@@ -317,6 +318,20 @@ def test_data_processing_along_the_mixing_angle(seed):
     direct = apply_to_memory(unruh_channel(r2), rho)
     composed = apply_to_memory(damping, apply_to_memory(unruh_channel(r1), rho))
     assert all(abs(v - x) <= reference.budget(abs(x)) for v, x in zip(composed.flat, direct.flat))
+
+
+@given(state=st.sampled_from(["bell", "x"]), p=st.floats(0.0, 1.0),
+       obs=st.tuples(*[st.sampled_from("xyz")] * 2), sweep_var=st.sampled_from("ar"),
+       omega=st.floats(-3.0, 3.0).map(lambda e: 10.0**e), scale=st.floats(0.0, 1.0))
+@settings(max_examples=300, deadline=None)
+def test_data_processing_along_the_sweep_columns(state, p, obs, sweep_var, omega, scale):
+    # the CLI's a and r grids ascend in r, so the data processing inequality
+    # above holds along its lhs and berta columns, on every flag set
+    a_max = scale * R_MAX if sweep_var == "r" else omega * 10.0 ** (6.0 * scale - 2.0)
+    sweep = run_sweep(SweepConfig(state=state, p=p, obs=obs, omega=omega, a_min=0.0, a_max=a_max,
+                                  steps=257, sweep_var=sweep_var, out_path="unused.csv"))
+    assert not steps_down(sweep.lhs)
+    assert not steps_down(sweep.berta)
 
 
 def test_robertson_equality_case():

@@ -1,6 +1,7 @@
 """Kraus channels, the Choi representation, and the acceleration channel."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
+from eur import channels
 from eur.channels import (
     R_MAX,
     amplitude_damping,
@@ -257,6 +259,23 @@ def test_apply_to_memory_is_local(seed, r, general):
     assert np.max(np.abs(
         partial_trace(out, keep=[1], dims=[2, 2]) - apply(ch, partial_trace(rho, keep=[1], dims=[2, 2]))
     )) < 1e-12
+
+
+@pytest.mark.parametrize("kraus_stack, state_stack", [((2,), (3,)), ((2, 3), (4,)), ((5,), (2, 3))],
+                         ids=str)
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_apply_to_memory_names_both_stacks_that_do_not_broadcast(kraus_stack, state_stack, dtype):
+    kraus = unruh_channel(np.zeros(kraus_stack)).astype(dtype)
+    rho = np.broadcast_to(np.eye(4) / 4, state_stack + (4, 4))
+    message = f"channel stack {kraus_stack} does not broadcast against state stack {state_stack}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        apply_to_memory(kraus, rho)
+
+
+def test_channel_constants_are_read_only():
+    for constant in (channels._IDENTITY, channels._PHI_PROJECTOR):
+        with pytest.raises(ValueError, match="read-only"):
+            constant[0, 0] = 2.0
 
 
 def test_choi_of_identity_channel():

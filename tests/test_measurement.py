@@ -1,5 +1,7 @@
 """Projective observables, post-measurement states and the Holevo quantities."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -101,6 +103,20 @@ def test_projector_is_the_outer_product_bit_for_bit():
         for i in (0, 1):
             v = obs.basis[:, i]
             assert obs.projector(i).tobytes() == np.outer(v, v.conj()).tobytes()
+
+
+@pytest.mark.parametrize("i", [-1, 2, 1.0, True, False, np.int64(2), np.bool_(True), "0",
+                               None, np.array(1)], ids=repr)
+def test_projector_takes_only_the_index_0_or_1(i):
+    with pytest.raises(ValueError, match=re.escape(f"eigenstate index must be 0 or 1, got {i!r}")):
+        pauli_observable("x").projector(i)
+
+
+def test_projector_takes_numpy_integers():
+    obs = pauli_observable("y")
+    for i in (0, 1):
+        for index in (np.int64(i), np.uint8(i), np.intp(i)):
+            assert obs.projector(index).tobytes() == obs.projector(i).tobytes()
 
 
 def test_complementarity_of_unbiased_and_identical_bases():
