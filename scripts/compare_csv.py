@@ -8,12 +8,14 @@ Runs every case in CASES with `python -m eur sweep`, once with BASE_SRC
 with this checkout's `src`, and compares the two CSV files byte for
 byte. Then evaluates `evaluate_eur`, `post_measurement_state`,
 `measurement_ensemble` and `apply_to_memory` on LIBRARY_INPUTS seeded
-inputs, complex and float64, and runs each one-state input through the
-Choi route at its own Unruh angle, in one subprocess per tree, and
-compares every result's type and bytes. Prints one line per case; exits
-1 if any case differs, naming its first differing line, how many cells
-differ and the largest absolute difference between two numeric cells
-(for the library case, its first differing field), and 0 otherwise.
+inputs, complex and float64, runs each one-state input through the
+Choi route at its own Unruh angle, and runs KRAUS_FAMILIES seeded Kraus
+families, complex and float64, one channel or a stack, through `choi`
+and `kraus_from_choi`, in one subprocess per tree, and compares every
+result's type and bytes. Prints one line per case; exits 1 if any case
+differs, naming its first differing line, how many cells differ and the
+largest absolute difference between two numeric cells (for the library
+case, its first differing field), and 0 otherwise.
 """
 
 import argparse
@@ -54,6 +56,12 @@ LIBRARY_KINDS = (((), 4), ((5,), 4), ((2, 3), 4), ((0,), 4), ((), 1))
 # the Unruh angles of the Choi route, one per one-state input, from their
 # own stream so that the inputs above stay as they are
 ROUTE_SEED = 13
+# the Kraus families of the Choi case, (stack shape, number of operators)
+# in turn, complex128 for the first len(FAMILY_KINDS) and float64 for the
+# next, and so on; from their own stream, so the inputs above stay as they are
+KRAUS_FAMILIES = 48
+FAMILY_SEED = 14
+FAMILY_KINDS = (((), 1), ((), 2), ((), 3), ((), 4), ((3,), 2), ((2, 2), 4))
 
 
 def tree_env(src: Path) -> dict:
@@ -90,6 +98,20 @@ def library_inputs():
         yield haar_basis(rng), haar_basis(rng), rho
 
 
+def kraus_families():
+    """The seeded trace-preserving (K, ..., 2, 2) families of the Choi case,
+    built with numpy alone: the 2x2 row blocks of the orthonormal columns Q
+    of a Gaussian (..., 2K, 2) matrix, so that sum_j K_j^dag K_j = Q^dag Q = I."""
+    rng = np.random.default_rng(FAMILY_SEED)
+    for n in range(KRAUS_FAMILIES):
+        lead, count = FAMILY_KINDS[n % len(FAMILY_KINDS)]
+        g = rng.normal(size=lead + (2 * count, 2))
+        if n // len(FAMILY_KINDS) % 2 == 0:
+            g = g + 1j * rng.normal(size=g.shape)
+        q, _ = np.linalg.qr(g)
+        yield np.moveaxis(q.reshape(lead + (count, 2, 2)), -3, 0)
+
+
 def encoded(name: str, value) -> tuple:
     """(name, type, dtype, shape, bytes) of one value; None has no bytes."""
     if value is None:
@@ -109,8 +131,10 @@ def library_report_bytes() -> bytes:
     family applied to the input and the input's `EurReport`. Then the same
     input's real part, a real state in float64, gives every `EurReport`
     field again and, for one state, the state that `apply_to_memory`
-    gives for the real (float64) stack of seven Unruh channels. Pickled
-    as a list of (name, type, dtype, shape, bytes) per input."""
+    gives for the real (float64) stack of seven Unruh channels. After the
+    inputs, for every Kraus family, its `choi` and the family that
+    `kraus_from_choi` reads from each of its Choi matrices. Pickled as a
+    list of (name, type, dtype, shape, bytes) per input and per family."""
     from eur import (
         ProjectiveObservable,
         apply_to_memory,
@@ -159,6 +183,12 @@ def library_report_bytes() -> bytes:
             fields.append(encoded("apply_to_memory of the real part by the real unruh stack",
                                   apply_to_memory(real_channel, real)))
         reports.append(fields)
+    for kraus in kraus_families():
+        c = choi(kraus)
+        fields = [encoded("choi", c)]
+        fields += [encoded(f"kraus_from_choi of choi {index}", kraus_from_choi(c[index]))
+                   for index in np.ndindex(c.shape[:-2])]
+        reports.append(fields)
     return pickle.dumps(reports)
 
 
@@ -174,15 +204,18 @@ def library_reports(src: Path):
 
 
 def first_report_difference(base, this) -> "str | None":
-    """'<field> of input N' for the first field whose type or bytes differ,
-    or the failure of either tree; None when all are equal."""
+    """'<field> of input N' (or 'of Kraus family N') for the first field
+    whose type or bytes differ, or the failure of either tree; None when
+    all are equal."""
     for reports in (base, this):
         if isinstance(reports, str):
             return reports
     for n, (old, new) in enumerate(zip(base, this)):
         for old_field, new_field in zip(old, new):
             if old_field != new_field:
-                return f"{old_field[0]} of input {n}"
+                source = (f"input {n}" if n < LIBRARY_INPUTS
+                          else f"Kraus family {n - LIBRARY_INPUTS}")
+                return f"{old_field[0]} of {source}"
     return None
 
 

@@ -21,7 +21,6 @@ from .linalg import (
     BOUND_GAP_ATOL,
     BOUND_ORDER_ATOL,
     _eigenvalues,
-    _float_or_array,
     _real_or_complex,
     _require_hermitian,
 )
@@ -80,6 +79,13 @@ def evaluate_eur(
     a zero-probability outcome gets weight 0 and contributes exactly
     nothing. Eigenvalues are clipped to [0, 1] and the outcome
     probabilities at 0 before w log2 w is taken.
+
+    For one state, S(AB), the six entropies, both H(p) and both I(O;B)
+    are turned into Python floats once, and the fields are combined from
+    them in float arithmetic: the same IEEE operations in the same order
+    as on a stack, so element k of a stack's report has the bits of state
+    k's own report. `max(delta, 0.0)` stands for `np.maximum(0.0, delta)`,
+    whose -0.0 and NaN it keeps.
     """
     spectrum, states, p, kept, _ = _conditioned(rho, (q, r))
     pairs = (2, 2) + p.shape[1:]  # (observable, outcome, ...)
@@ -87,9 +93,11 @@ def evaluate_eur(
     s = -_xlog2x(_eigenvalues(states).clip(0.0, 1.0)).sum(axis=-1)
     h = -_xlog2x(p.clip(0.0, None)).reshape(pairs).sum(axis=1)
     i_ob = s[1] - (np.where(kept, p, 0.0) * s[2:]).reshape(pairs).sum(axis=1)
-    s_cond, i_ab = _float_or_array(s_ab - s[1]), _float_or_array(s[0] + s[1] - s_ab)
-    i_qb, i_rb = map(_float_or_array, i_ob)
-    h_q, h_r = map(_float_or_array, h)
+    one_state = s_ab.ndim == 0
+    if one_state:
+        s_ab, s, h, i_ob = float(s_ab), s.tolist(), h.tolist(), i_ob.tolist()
+    s_cond, i_ab = s_ab - s[1], s[0] + s[1] - s_ab
+    (h_q, h_r), (i_qb, i_rb) = h, i_ob
     c = complementarity(q, r)
     mu = math.log2(1.0 / c)
     berta = mu + s_cond
@@ -98,7 +106,7 @@ def evaluate_eur(
         lhs=(h_q - i_qb) + (h_r - i_rb),
         mu_bound=mu,
         berta_bound=berta,
-        holevo_bound=_float_or_array(berta + np.maximum(0.0, d)),
+        holevo_bound=berta + (max(d, 0.0) if one_state else np.maximum(0.0, d)),
         delta=d,
         c=c,
         s_cond=s_cond,

@@ -18,18 +18,17 @@ from .linalg import (
     COMPLETENESS_ATOL,
     EIGENVALUE_FLOOR,
     KRAUS_WEIGHT_CUTOFF,
+    _eigensystem,
     _float_or_array,
     _real_or_complex,
-    hermitian_eigensystem,
+    _require_hermitian,
 )
 
 R_MAX = math.pi / 4
 
-# the qubit identity, and |phi><phi| for phi = sum_i |ii>, whose image under
-# I (x) E is the Choi matrix: built once, read-only
+# the qubit identity, which trace preservation compares with: built once, read-only
 _IDENTITY = np.eye(2)
-_PHI_PROJECTOR = np.outer([1.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 1.0])
-_IDENTITY.flags.writeable = _PHI_PROJECTOR.flags.writeable = False
+_IDENTITY.flags.writeable = False
 
 
 def unruh_r(a, omega: float):
@@ -183,11 +182,16 @@ def choi(channel) -> np.ndarray:
     """Choi matrix C = sum_ij |i><j| (x) E(|i><j|), input index first.
 
     tr C = 2 for a qubit channel; complete positivity shows up as C >= 0
-    and trace preservation as tr_out C = I. C is `apply_to_memory` of the
-    channel on |phi><phi|, phi = sum_i |ii>, which is built once, at
-    import, and read-only; C itself is a new array on every call.
+    and trace preservation as tr_out C = I. C = sum_j |K_j>><<K_j| is one
+    contraction of the vectorized operators, |K_j>>[2i + m] = K_j[m, i],
+    and equals `apply_to_memory` of the channel on |phi><phi|,
+    phi = sum_i |ii>, bit for bit. A (K, ..., 2, 2) stack of channels gives
+    a (..., 4, 4) stack of Choi matrices, float64 for real operators and
+    complex128 otherwise; C is a new array on every call.
     """
-    return apply_to_memory(channel, _PHI_PROJECTOR)
+    kraus = _kraus_stack(channel)
+    vec = kraus.swapaxes(-1, -2).reshape(kraus.shape[:-2] + (4,))
+    return np.einsum("k...a,k...b->...ab", vec, vec.conj())
 
 
 def kraus_from_choi(c: np.ndarray) -> np.ndarray:
@@ -199,23 +203,35 @@ def kraus_from_choi(c: np.ndarray) -> np.ndarray:
     only up to an isometric remixing, so two representations of the same
     channel must be compared on their action, not operator by operator.
 
-    Raises ValueError for eigenvalues below EIGENVALUE_FLOOR (not
-    completely positive) and when the reconstructed family fails the
-    completeness check (input was not trace preserving). The family is
-    complex even for a real C: a real eigensolver would pick another
+    C is checked once, as the "Choi matrix": finite and Hermitian. Then,
+    in this order, ValueError is raised for an eigenvalue below
+    EIGENVALUE_FLOOR (not completely positive), for no eigenvalue above
+    KRAUS_WEIGHT_CUTOFF (no Kraus operators), and when C is not trace
+    preserving: max |tr_out C - I| plus the summed |eigenvalue| dropped at
+    the cutoff exceeds COMPLETENESS_ATOL. The family's sum K^dag K differs
+    from (tr_out C)^T by at most that dropped weight, so the family passes
+    `validate_kraus` up to roundoff and is not checked again. The family
+    is complex even for a real C: a real eigensolver would pick another
     family of the same channel and move the last bits of its results.
     """
     c = np.asarray(c, dtype=complex)
     if c.shape != (4, 4):
         raise ValueError(f"expected a 4x4 Choi matrix, got shape {c.shape}")
-    eigenvalues, eigenvectors = hermitian_eigensystem(c)
-    if float(eigenvalues[0]) < EIGENVALUE_FLOOR:
+    eigenvalues, eigenvectors = _eigensystem(_require_hermitian(c, "Choi matrix"))
+    values = eigenvalues.tolist()
+    if values[0] < EIGENVALUE_FLOOR:
+        raise ValueError(f"not completely positive: Choi eigenvalue {values[0]:.3e}")
+    # the eigenvalues ascend, so those at or below the cutoff come first
+    dropped = sum(value <= KRAUS_WEIGHT_CUTOFF for value in values)
+    if dropped == len(values):
+        raise ValueError("channel has no Kraus operators")
+    marginal = c.reshape(2, 2, 2, 2).trace(axis1=1, axis2=3)
+    deviation = float(abs(marginal - _IDENTITY).max()) + sum(abs(value) for value in values[:dropped])
+    if not deviation <= COMPLETENESS_ATOL:
         raise ValueError(
-            f"not completely positive: Choi eigenvalue {float(eigenvalues[0]):.3e}"
+            "Choi matrix is not trace preserving: "
+            f"max |tr_out C - I| + dropped weight = {deviation:.3e}"
         )
-    keep = eigenvalues > KRAUS_WEIGHT_CUTOFF
-    vectors = eigenvectors.T[keep].reshape(-1, 2, 2).swapaxes(-1, -2)
-    kraus = np.sqrt(eigenvalues[keep])[:, None, None] * vectors
-    validate_kraus(kraus)
-    return kraus
+    vectors = eigenvectors.T[dropped:].reshape(-1, 2, 2).swapaxes(-1, -2)
+    return np.sqrt(eigenvalues[dropped:])[:, None, None] * vectors
 

@@ -142,9 +142,13 @@ def hermitian_eigensystem(m: np.ndarray):
         eigenvectors. Within a degenerate eigenspace the basis choice is
         arbitrary and callers must not rely on it.
     """
-    m = _require_hermitian(m)
-    eigenvalues, eigenvectors = np.linalg.eigh((m + m.conj().swapaxes(-1, -2)) / 2.0)
-    return eigenvalues, eigenvectors
+    return _eigensystem(_require_hermitian(m))
+
+
+def _eigensystem(m: np.ndarray):
+    """`hermitian_eigensystem` without the checks: `np.linalg.eigh` of
+    (M + M^dag)/2, for an array already known to be finite and Hermitian."""
+    return np.linalg.eigh((m + m.conj().swapaxes(-1, -2)) / 2.0)
 
 
 def _eigenvalues(m: np.ndarray) -> np.ndarray:

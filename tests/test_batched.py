@@ -3,6 +3,7 @@ and a real (float64) input gives exactly the bits of the complex path where
 its kernels must agree."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -113,6 +114,34 @@ def test_single_state_gives_floats_and_stack_gives_arrays():
                 assert type(value) is float, field.name
             else:
                 assert isinstance(value, np.ndarray) and value.shape == stack.shape[:-2], field.name
+
+
+@pytest.mark.parametrize("pair", ["zz", "zx", "xy"])
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "float64"])
+def test_one_state_report_has_the_bits_of_its_stack_element(pair, real):
+    rng = np.random.default_rng(53)
+    states = [x_state(0.0), x_state(1.0), x_state(0.3), bell_diagonal_p(0.0), bell_diagonal_p(0.7)]
+    states += [random_density_matrix(rng, 4) for _ in range(4)]
+    states = np.stack([rho.real if real else rho for rho in states])
+    q, r = pauli_observable(pair[0]), pauli_observable(pair[1])
+    stacked = evaluate_eur(q, r, states)
+    signed_zeros = 0
+    for k, rho in enumerate(states):
+        single = evaluate_eur(q, r, rho)
+        for field in dataclasses.fields(single):
+            value, column = getattr(single, field.name), getattr(stacked, field.name)
+            assert type(value) is float, field.name
+            if field.name in ("mu_bound", "c"):  # the observables' own, a float for stacks too
+                assert type(column) is float and column == value
+            else:
+                assert isinstance(column, np.ndarray) and column.shape == (len(states),)
+                assert_same_bits(column[k], np.float64(value))
+            signed_zeros += value == 0.0 and math.copysign(1.0, value) < 0.0
+        assert_same_bits(np.float64(single.holevo_bound),
+                         np.float64(single.berta_bound) + np.maximum(0.0, single.delta))
+    # |11><11| (x_state(0)) gives -0.0 in i_qb and i_rb: the comparison
+    # above tells it from 0.0
+    assert signed_zeros > 0
 
 
 def test_checks_cover_every_matrix_of_a_stack():

@@ -34,8 +34,10 @@ from helpers import (
     is_density_matrix,
     proj,
     random_choi,
+    random_complex,
     random_cptp_kraus,
     random_density_matrix,
+    random_hermitian,
 )
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -273,9 +275,8 @@ def test_apply_to_memory_names_both_stacks_that_do_not_broadcast(kraus_stack, st
 
 
 def test_channel_constants_are_read_only():
-    for constant in (channels._IDENTITY, channels._PHI_PROJECTOR):
-        with pytest.raises(ValueError, match="read-only"):
-            constant[0, 0] = 2.0
+    with pytest.raises(ValueError, match="read-only"):
+        channels._IDENTITY[0, 0] = 2.0
 
 
 def test_choi_of_identity_channel():
@@ -352,6 +353,94 @@ def test_kraus_from_choi_rejects_non_trace_preserving():
     # no eigenvalue above the cutoff leaves no operator at all
     with pytest.raises(ValueError, match="channel has no Kraus operators"):
         kraus_from_choi(np.zeros((4, 4), dtype=complex))
+
+
+def random_family(rng, count, stack=(), real=False):
+    """`count` Gaussian 2x2 operators per channel, shape (count, *stack, 2, 2)."""
+    shape = (count, *stack, 2, 2)
+    return rng.normal(size=shape) if real else random_complex(rng, shape)
+
+
+def assert_same_bytes(got, expected):
+    assert (got.dtype, got.shape) == (expected.dtype, expected.shape)
+    assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 4])
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "float64"])
+def test_choi_is_the_channel_on_phi_bit_for_bit(count, real):
+    # C = (I (x) E)(|phi><phi|) for phi = sum_i |ii>, taken by apply_to_memory
+    phi_projector = np.outer([1.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 1.0])
+    rng = np.random.default_rng(60 + count + 10 * real)
+    for _ in range(25):
+        one, stack = random_family(rng, count, real=real), random_family(rng, count, (5,), real)
+        for channel in (one, stack, list(one)):
+            assert_same_bytes(choi(channel), apply_to_memory(channel, phi_projector))
+        for k in range(5):
+            assert_same_bytes(choi(stack)[k], choi(stack[:, k]))
+
+
+def isometry_kraus(rng, count):
+    """A random trace-preserving family of `count` operators: the 2x2 row
+    blocks of a (2 count, 2) matrix with orthonormal columns."""
+    q, _ = np.linalg.qr(random_complex(rng, (2 * count, 2)))
+    return q.reshape(count, 2, 2)
+
+
+@given(seeds, st.integers(1, 4), st.sampled_from([0.0, 1e-13, 1e-12, 1e-11, 5e-11, 1e-10, 2e-10]),
+       st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_kraus_from_choi_accepts_only_what_validate_kraus_accepts(seed, rank, size, hermitian):
+    # random Choi matrices of every rank, moved by about the tolerances: a
+    # Hermitian shift moves the eigenvalues across EIGENVALUE_FLOOR and
+    # KRAUS_WEIGHT_CUTOFF and tr_out C across COMPLETENESS_ATOL
+    rng = np.random.default_rng(seed)
+    c = random_choi(rng) if rank == 4 else choi(isometry_kraus(rng, rank))
+    shift = random_hermitian(rng, 4) if hermitian else random_complex(rng, (4, 4)) / 2
+    try:
+        family = kraus_from_choi(c + size * shift)
+    except ValueError:
+        assert size > 0.0  # every CPTP Choi matrix is accepted as it is
+        return
+    validate_kraus(family)
+
+
+def test_kraus_from_choi_reports_its_trace_deviation():
+    # tr_out C = diag(2, 0): max |tr_out C - I| = 1, nothing dropped
+    with pytest.raises(ValueError, match=re.escape(
+            "Choi matrix is not trace preserving: max |tr_out C - I| + dropped weight = 1.000e+00")):
+        kraus_from_choi(np.diag([2.0, 0.0, 0.0, 0.0]))
+    # the identity channel's Choi matrix less 8e-11 on |01><01|: tr_out C is
+    # 8e-11 from I, and the eigenvalue -8e-11 is dropped at the cutoff; the
+    # family it would give, [I], is exactly trace preserving
+    c = 2 * proj(PHI_PLUS)
+    c[1, 1] -= 8e-11
+    with pytest.raises(ValueError, match=re.escape("dropped weight = 1.600e-10")):
+        kraus_from_choi(c)
+    c[1, 1] = 5e-13  # a weight dropped at the cutoff, within the tolerance
+    assert kraus_from_choi(c).shape == (1, 2, 2)
+
+
+@pytest.mark.parametrize("c, message", [
+    # not CP, and not trace preserving either
+    (np.diag([2.5, -0.5, 0.0, 0.0]), "not completely positive: Choi eigenvalue -5.000e-01"),
+    # CP, but no weight above the cutoff, and not trace preserving either
+    (np.zeros((4, 4)), "channel has no Kraus operators"),
+    (np.diag([1e-12, 1e-12, 0.0, 0.0]), "channel has no Kraus operators"),
+    (-np.eye(4), "not completely positive: Choi eigenvalue -1.000e+00"),
+], ids=["not_cp", "zero", "below_cutoff", "negative"])
+def test_kraus_from_choi_raises_the_first_failing_check(c, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        kraus_from_choi(c)
+
+
+def test_kraus_from_choi_names_the_choi_matrix():
+    skew = 2 * proj(PHI_PLUS)
+    skew[0, 1] += 1e-6
+    with pytest.raises(ValueError, match=r"^Choi matrix is not Hermitian: max \|M - M\^dag\| = 1\.000e-06$"):
+        kraus_from_choi(skew)
+    with pytest.raises(ValueError, match="^Choi matrix is not finite: it holds NaN or inf$"):
+        kraus_from_choi(np.full((4, 4), np.nan))
 
 
 @given(seeds)

@@ -1,9 +1,13 @@
 """Argument parsing, sweeps, CSV emission and exit codes."""
 
+import contextlib
+import io
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eur.bounds import bound_violations
 from eur.cli import (
@@ -345,3 +349,66 @@ def test_sweep_config_validates_directly():
             state="bell", p=0.5, obs=("x", "y"), omega=0.1,
             a_min=0.0, a_max=1.0, steps=5, sweep_var="omega", out_path="out.csv",
         )
+
+
+# edge values for the number flags: non-finite, signed zero, subnormal,
+# overflowing to inf, and negative in exponent form, which reaches the
+# checks because every flag is given as --flag=value (see the epilog)
+HOSTILE_NUMBERS = ["nan", "inf", "-inf", "-0.0", "5e-324", "1e309", "-1e-3"]
+HOSTILE_OBS = ["", "x", "x,y,z"]
+
+
+@st.composite
+def sweep_argv(draw):
+    """(argv, steps): `eur sweep` flags over the domain of cli_config in
+    perfbench/workloads.py, some of them replaced by a hostile value."""
+    omega = 10.0 ** draw(st.floats(-3.0, 3.0))
+    sweep_var = draw(st.sampled_from(["a", "r"]))
+    if sweep_var == "a":
+        a_max = omega * 10.0 ** draw(st.floats(-2.0, 18.0))
+    else:
+        a_max = draw(st.floats(0.0, math.pi / 4))
+    flags = {
+        "state": draw(st.sampled_from(["bell", "x"])),
+        "p": repr(draw(st.floats(0.0, 1.0))),
+        "obs": draw(st.sampled_from([f"{q},{r}" for q in "xyz" for r in "xyz"])),
+        "omega": repr(omega),
+        "a-min": repr(draw(st.one_of(st.just(0.0), st.floats(0.0, a_max)))),
+        "a-max": repr(a_max),
+        "sweep-var": sweep_var,
+    }
+    for flag in ("p", "omega", "a-min", "a-max"):
+        if draw(st.integers(0, 5)) == 0:
+            flags[flag] = draw(st.sampled_from(HOSTILE_NUMBERS))
+    if draw(st.integers(0, 5)) == 0:
+        flags["obs"] = draw(st.sampled_from(HOSTILE_OBS))
+    if draw(st.integers(0, 3)) == 0:
+        del flags["a-max"]  # the default, which depends on omega and the sweep variable
+    steps = draw(st.integers(2, 32))
+    return ["sweep", *(f"--{flag}={value}" for flag, value in flags.items()), f"--steps={steps}"], steps
+
+
+@pytest.fixture(scope="module")
+def fuzz_csv(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "sweep.csv"
+
+
+@given(case=sweep_argv())
+@settings(max_examples=300, deadline=None)
+def test_main_never_shows_a_traceback(fuzz_csv, case):
+    argv, steps = case
+    fuzz_csv.unlink(missing_ok=True)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            code = main([*argv, f"--out={fuzz_csv}"])
+        except SystemExit as exc:  # argparse's exit; any other exception fails the test
+            code = exc.code
+    stderr = err.getvalue()
+    assert code in (EXIT_OK, 2), stderr
+    assert "Traceback" not in stderr
+    if code == EXIT_OK:
+        lines = fuzz_csv.read_text(encoding="ascii").split("\n")
+        assert lines[0] == CSV_HEADER and lines[-1] == "" and len(lines) == steps + 2
+    else:
+        assert stderr.splitlines()[-1].startswith("eur: error:"), stderr
