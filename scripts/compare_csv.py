@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Check that `eur` gives the same CSV bytes and reports as another source tree.
+"""Check that `eur` gives the bits of another source tree, or keeps the RULE.
 
     python scripts/compare_csv.py BASE_SRC
 
@@ -12,10 +12,21 @@ inputs, complex and float64, runs each one-state input through the
 Choi route at its own Unruh angle, and runs KRAUS_FAMILIES seeded Kraus
 families, complex and float64, one channel or a stack, through `choi`
 and `kraus_from_choi`, in one subprocess per tree, and compares every
-result's type and bytes. Prints one line per case; exits 1 if any case
-differs, naming its first differing line, how many cells differ and the
-largest absolute difference between two numeric cells (for the library
-case, its first differing field), and 0 otherwise.
+result's type and bytes. Prints one line per case; a case that differs
+names its first differing line, how many cells differ and the largest
+absolute difference between two numeric cells (for the library case,
+its first differing field).
+
+The same subprocess runs both PRESETS through `eur.cli.run_sweep` at
+STEPS grid points. For each `Sweep` column the script prints how many
+values differ in bits between the trees and, where some do, their
+summed |value - reference| for the base tree and for this one, against
+the 40-digit pipeline of `tests/reference.py` (run only for a preset
+with a changed value), and this tree's worst error as a share of the
+budget `reference.budget`. Then it prints the sums over all columns and
+`RULE holds`, or `RULE FAILS` if a changed value leaves the budget or a
+column's summed error grows. Exits 1 if any case differs or the RULE
+fails, and 0 otherwise.
 """
 
 import argparse
@@ -27,11 +38,13 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
 SCRIPTS = Path(__file__).resolve().parent
 SRC = SCRIPTS.parent / "src"
+TESTS = SCRIPTS.parent / "tests"
 
 # argv after `eur sweep`: six flag sets at three grid sizes (4099 steps
 # spans five 1024-point chunks), then two long fig1 sweeps
@@ -62,6 +75,9 @@ ROUTE_SEED = 13
 KRAUS_FAMILIES = 48
 FAMILY_SEED = 14
 FAMILY_KINDS = (((), 1), ((), 2), ((), 3), ((), 4), ((3,), 2), ((2, 2), 4))
+# the sweeps that the RULE is checked on
+PRESETS = ("fig1", "fig2")
+STEPS = 10**3
 
 
 def tree_env(src: Path) -> dict:
@@ -120,6 +136,26 @@ def encoded(name: str, value) -> tuple:
     return (name, type(value).__name__, array.dtype.str, array.shape, array.tobytes())
 
 
+def report_fields(report, name: str = "{}") -> list:
+    """`encoded` of every field of an `EurReport`, named name.format(field)."""
+    return [encoded(name.format(field.name), getattr(report, field.name))
+            for field in dataclasses.fields(report)]
+
+
+def sweeps() -> dict:
+    """{preset: (config fields, {column: list of floats, or None})} of both
+    PRESETS' `run_sweep` at STEPS grid points, by the `eur` on sys.path."""
+    import eur.cli as cli
+
+    out = {}
+    for preset in PRESETS:
+        cfg = cli.parse_args(["sweep", "--preset", preset, "--steps", str(STEPS)])
+        columns = {name: None if column is None else column.tolist()
+                   for name, column in vars(cli.run_sweep(cfg)).items()}
+        out[preset] = (dataclasses.asdict(cfg), columns)
+    return out
+
+
 def library_report_bytes() -> bytes:
     """For every library input, evaluated by the `eur` on sys.path: every
     `EurReport` field and the state `post_measurement_state` gives for q;
@@ -130,11 +166,12 @@ def library_report_bytes() -> bytes:
     `unruh_channel(r)`, the family `kraus_from_choi` reads from it, that
     family applied to the input and the input's `EurReport`. Then the same
     input's real part, a real state in float64, gives every `EurReport`
-    field again and, for one state, the state that `apply_to_memory`
-    gives for the real (float64) stack of seven Unruh channels. After the
-    inputs, for every Kraus family, its `choi` and the family that
-    `kraus_from_choi` reads from each of its Choi matrices. Pickled as a
-    list of (name, type, dtype, shape, bytes) per input and per family."""
+    field again, under q and r and under the real Pauli pair (x, z), and,
+    for one state, the state that `apply_to_memory` gives for the real
+    (float64) stack of seven Unruh channels. After the inputs, for every
+    Kraus family, its `choi` and the family that `kraus_from_choi` reads
+    from each of its Choi matrices. Pickled as (a list of (name, type,
+    dtype, shape, bytes) per input and per family, `sweeps()`)."""
     from eur import (
         ProjectiveObservable,
         apply_to_memory,
@@ -142,6 +179,7 @@ def library_report_bytes() -> bytes:
         evaluate_eur,
         kraus_from_choi,
         measurement_ensemble,
+        pauli_observable,
         post_measurement_state,
         unruh_channel,
     )
@@ -152,13 +190,12 @@ def library_report_bytes() -> bytes:
         "choi round trip": kraus_from_choi(choi(unruh_channel(0.3))),
     }
     real_channel = np.ascontiguousarray(channels["unruh stack"].real)
+    real_pair = (pauli_observable("x"), pauli_observable("z"))
     angles = np.random.default_rng(ROUTE_SEED)
     reports = []
     for q, r, rho in library_inputs():
         q, r = ProjectiveObservable("q", q), ProjectiveObservable("r", r)
-        report = evaluate_eur(q, r, rho)
-        fields = [encoded(field.name, getattr(report, field.name))
-                  for field in dataclasses.fields(report)]
+        fields = report_fields(evaluate_eur(q, r, rho))
         fields.append(encoded("post_measurement_state", post_measurement_state(q, rho)))
         if rho.shape == (4, 4):
             for i, (p_i, conditional) in enumerate(measurement_ensemble(q, rho)):
@@ -169,16 +206,14 @@ def library_report_bytes() -> bytes:
             c = choi(unruh_channel(angles.uniform(0.0, R_MAX)))
             kraus = kraus_from_choi(c)
             evolved = apply_to_memory(kraus, rho)
-            report = evaluate_eur(q, r, evolved)
             fields += [encoded("route choi", c), encoded("route kraus_from_choi", kraus),
                        encoded("route apply_to_memory", evolved)]
-            fields += [encoded(f"route {field.name}", getattr(report, field.name))
-                       for field in dataclasses.fields(report)]
-        # the real part of a state is a real state: symmetric, same trace, PSD
+            fields += report_fields(evaluate_eur(q, r, evolved), "route {}")
+        # the real part of a state is a real state: symmetric, same trace,
+        # PSD; under (x, z) it takes real bases on a real state
         real = np.ascontiguousarray(rho.real)
-        report = evaluate_eur(q, r, real)
-        fields += [encoded(f"{field.name} of the real part", getattr(report, field.name))
-                   for field in dataclasses.fields(report)]
+        fields += report_fields(evaluate_eur(q, r, real), "{} of the real part")
+        fields += report_fields(evaluate_eur(*real_pair, real), "{} of the real part under x, z")
         if rho.shape == (4, 4):
             fields.append(encoded("apply_to_memory of the real part by the real unruh stack",
                                   apply_to_memory(real_channel, real)))
@@ -189,13 +224,15 @@ def library_report_bytes() -> bytes:
         fields += [encoded(f"kraus_from_choi of choi {index}", kraus_from_choi(c[index]))
                    for index in np.ndindex(c.shape[:-2])]
         reports.append(fields)
-    return pickle.dumps(reports)
+    return pickle.dumps((reports, sweeps()))
 
 
 def library_reports(src: Path):
     """`library_report_bytes` unpickled, computed in a subprocess that
-    imports `eur` from `src`; a '<exit N: ...>' string if it fails."""
+    imports `eur` from `src`, at this module's STEPS; a '<exit N: ...>'
+    string if it fails."""
     program = (f"import sys; sys.path.append({str(SCRIPTS)!r}); import compare_csv; "
+               f"compare_csv.STEPS = {STEPS!r}; "
                "sys.stdout.buffer.write(compare_csv.library_report_bytes())")
     done = subprocess.run([sys.executable, "-c", program], env=tree_env(src), capture_output=True)
     if done.returncode != 0:
@@ -205,18 +242,59 @@ def library_reports(src: Path):
 
 def first_report_difference(base, this) -> "str | None":
     """'<field> of input N' (or 'of Kraus family N') for the first field
-    whose type or bytes differ, or the failure of either tree; None when
-    all are equal."""
+    whose type or bytes differ between two `library_reports`, or the
+    failure of either tree; None when all are equal."""
     for reports in (base, this):
         if isinstance(reports, str):
             return reports
-    for n, (old, new) in enumerate(zip(base, this)):
+    for n, (old, new) in enumerate(zip(base[0], this[0])):
         for old_field, new_field in zip(old, new):
             if old_field != new_field:
                 source = (f"input {n}" if n < LIBRARY_INPUTS
                           else f"Kraus family {n - LIBRARY_INPUTS}")
                 return f"{old_field[0]} of {source}"
     return None
+
+
+def rule_holds(base: dict, this: dict) -> bool:
+    """Print, per `Sweep` column of two trees' `sweeps()`, its changed
+    values and their error against the 40-digit reference before and
+    after, then the totals and the verdict; True if the RULE holds."""
+    holds, changed_total, before_total, after_total = True, 0, 0.0, 0.0
+    for preset in PRESETS:
+        cfg, columns = this[preset]
+        expected = None  # the reference sweep, run at the preset's first changed value
+        for name, column in columns.items():
+            if column is None:
+                continue  # an r-sweep has no a column
+            old = base[preset][1][name]
+            changed = [k for k, (v, w) in enumerate(zip(old, column)) if v.hex() != w.hex()]
+            if not changed:
+                print(f"{preset} {name}: 0 changed")
+                continue
+            if expected is None:
+                if str(TESTS) not in sys.path:
+                    sys.path.insert(0, str(TESTS))
+                import reference
+
+                expected, _ = reference.sweep(SimpleNamespace(**cfg))
+            x = expected[name]
+            new_errors = [abs(reference.MP.mpf(column[k]) - x[k]) for k in changed]
+            before = float(sum(abs(reference.MP.mpf(old[k]) - x[k]) for k in changed))
+            after = float(sum(new_errors))
+            worst = max(float(e) / reference.budget(x[k]) for e, k in zip(new_errors, changed))
+            problems = [text for text, bad in (("outside the budget", worst > 1.0),
+                                               ("summed error grows", after > before)) if bad]
+            print(f"{preset} {name}: {len(changed)} changed, summed |value - reference| "
+                  f"{before:.3g} -> {after:.3g}, worst {worst:.3g} of the budget"
+                  + "".join(f"; FAILS: {text}" for text in problems))
+            holds = holds and not problems
+            changed_total += len(changed)
+            before_total, after_total = before_total + before, after_total + after
+    print(f"all columns: {changed_total} changed, summed |value - reference| "
+          f"{before_total:.3g} -> {after_total:.3g}")
+    print("RULE holds" if holds else "RULE FAILS")
+    return holds
 
 
 def first_difference(base: bytes, this: bytes) -> str:
@@ -260,13 +338,17 @@ def main(argv=None) -> int:
                 count, largest = cell_differences(base, this)
                 print(f"DIFFERS {' '.join(case)}: {first_difference(base, this)}; "
                       f"{count} cells differ, largest |difference| {largest:.3g}")
-    report_difference = first_report_difference(library_reports(base_src), library_reports(SRC))
+    base_reports, this_reports = library_reports(base_src), library_reports(SRC)
+    report_difference = first_report_difference(base_reports, this_reports)
     if report_difference is None:
         print("same    library reports")
     else:
         differing += 1
         print(f"DIFFERS library reports: {report_difference}")
-    return 1 if differing else 0
+    if isinstance(base_reports, str) or isinstance(this_reports, str):
+        return 1  # a tree that fails has no sweeps to hold to the RULE
+    holds = rule_holds(base_reports[1], this_reports[1])
+    return 0 if holds and not differing else 1
 
 
 if __name__ == "__main__":

@@ -78,7 +78,8 @@ def evaluate_eur(
     I(O;B) = S(B) - sum_i p_i S(rho_B|i) and S(O|B) = H(p) - I(O;B), where
     a zero-probability outcome gets weight 0 and contributes exactly
     nothing. Eigenvalues are clipped to [0, 1] and the outcome
-    probabilities at 0 before w log2 w is taken.
+    probabilities at 0 before w log2 w is taken, and each entropy is
+    0.0 minus its sum of w log2 w, so that a zero entropy is +0.0.
 
     For one state, S(AB), the six entropies, both H(p) and both I(O;B)
     are turned into Python floats once, and the fields are combined from
@@ -89,9 +90,9 @@ def evaluate_eur(
     """
     spectrum, states, p, kept, _ = _conditioned(rho, (q, r))
     pairs = (2, 2) + p.shape[1:]  # (observable, outcome, ...)
-    s_ab = -_xlog2x(spectrum.clip(0.0, 1.0)).sum(axis=-1)
-    s = -_xlog2x(_eigenvalues(states).clip(0.0, 1.0)).sum(axis=-1)
-    h = -_xlog2x(p.clip(0.0, None)).reshape(pairs).sum(axis=1)
+    s_ab = 0.0 - _xlog2x(spectrum.clip(0.0, 1.0)).sum(axis=-1)
+    s = 0.0 - _xlog2x(_eigenvalues(states).clip(0.0, 1.0)).sum(axis=-1)
+    h = 0.0 - _xlog2x(p.clip(0.0, None)).reshape(pairs).sum(axis=1)
     i_ob = s[1] - (np.where(kept, p, 0.0) * s[2:]).reshape(pairs).sum(axis=1)
     one_state = s_ab.ndim == 0
     if one_state:

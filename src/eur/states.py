@@ -115,9 +115,10 @@ def vn_entropy(rho: np.ndarray):
     and returns an array of the stack's shape. Eigenvalues in
     [EIGENVALUE_FLOOR, 0) are clamped to 0 and those in
     (1, 1 + |EIGENVALUE_FLOOR|] to 1; anything farther out is rejected by
-    `_checked_spectrum`.
+    `_checked_spectrum`. The sum is subtracted from 0.0 rather than
+    negated, so a pure state's entropy is +0.0, not -0.0.
     """
-    return _float_or_array(-_xlog2x(_checked_spectrum(rho).clip(0.0, 1.0)).sum(axis=-1))
+    return _float_or_array(0.0 - _xlog2x(_checked_spectrum(rho).clip(0.0, 1.0)).sum(axis=-1))
 
 
 def _checked_spectrum(rho: np.ndarray) -> np.ndarray:

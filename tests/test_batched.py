@@ -125,7 +125,6 @@ def test_one_state_report_has_the_bits_of_its_stack_element(pair, real):
     states = np.stack([rho.real if real else rho for rho in states])
     q, r = pauli_observable(pair[0]), pauli_observable(pair[1])
     stacked = evaluate_eur(q, r, states)
-    signed_zeros = 0
     for k, rho in enumerate(states):
         single = evaluate_eur(q, r, rho)
         for field in dataclasses.fields(single):
@@ -136,12 +135,23 @@ def test_one_state_report_has_the_bits_of_its_stack_element(pair, real):
             else:
                 assert isinstance(column, np.ndarray) and column.shape == (len(states),)
                 assert_same_bits(column[k], np.float64(value))
-            signed_zeros += value == 0.0 and math.copysign(1.0, value) < 0.0
         assert_same_bits(np.float64(single.holevo_bound),
                          np.float64(single.berta_bound) + np.maximum(0.0, single.delta))
-    # |11><11| (x_state(0)) gives -0.0 in i_qb and i_rb: the comparison
-    # above tells it from 0.0
-    assert signed_zeros > 0
+    # |11><11| (x_state(0)) gives +0.0 in i_qb and i_rb on both paths: the
+    # comparison above tells it from -0.0
+    assert_same_bits(np.array([stacked.i_qb[0], stacked.i_rb[0]]), np.zeros(2))
+
+
+@pytest.mark.parametrize("pair", ["zz", "zx", "xy", "xx"])
+def test_a_zero_quantity_of_a_pure_product_state_is_positive_zero(pair):
+    # |11><11| holds no correlation: every zero field is +0.0, never -0.0,
+    # for one state and for each state of a stack
+    q, r = pauli_observable(pair[0]), pauli_observable(pair[1])
+    single = evaluate_eur(q, r, x_state(0.0))
+    stacked = evaluate_eur(q, r, np.stack([x_state(0.0), x_state(0.3), x_state(0.0)]))
+    for name in ("s_cond", "i_ab", "i_qb", "i_rb", "delta"):
+        assert getattr(single, name) == 0.0 and math.copysign(1.0, getattr(single, name)) == 1.0
+        assert_same_bits(getattr(stacked, name)[::2], np.zeros(2))
 
 
 def test_checks_cover_every_matrix_of_a_stack():

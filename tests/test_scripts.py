@@ -1,6 +1,6 @@
-"""The scripts: reproduce_figures.py (both preset CSVs, its exit codes), compare_csv.py
-(CSV bytes and library report bits) and check_budget.py (changed values against the
-40-digit reference)."""
+"""The scripts: reproduce_figures.py (both preset CSVs, its exit codes) and compare_csv.py
+(CSV bytes, library report bits, and changed sweep values against the 40-digit
+reference)."""
 
 import importlib.util
 import shutil
@@ -8,9 +8,15 @@ from pathlib import Path
 
 import pytest
 
+import reference
 from eur.cli import EXIT_IO, EXIT_OK, main
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+COLUMNS = ("a", "r", "lhs", "berta", "holevo", "delta")
+# compare_csv's RULE lines for two trees whose sweeps have the same bits
+RULE_HOLDS_UNCHANGED = "".join(
+    f"{preset} {column}: 0 changed\n" for preset in ("fig1", "fig2") for column in COLUMNS
+) + "all columns: 0 changed, summed |value - reference| 0 -> 0\nRULE holds\n"
 
 
 def load_script(name):
@@ -54,11 +60,19 @@ def test_script_rejects_bad_steps_before_creating_outdir(tmp_path, reproduce_fig
     assert "steps must lie in [2, " in err
 
 
-def test_compare_csv_names_the_first_differing_line(tmp_path, monkeypatch, capsys):
-    compare_csv = load_script("compare_csv")
+@pytest.fixture
+def compare_csv(monkeypatch):
+    """compare_csv.py, its RULE sweeps at 3 grid points."""
+    module = load_script("compare_csv")
+    monkeypatch.setattr(module, "STEPS", 3)
+    return module
+
+
+def test_compare_csv_names_the_first_differing_line(tmp_path, monkeypatch, capsys, compare_csv):
     monkeypatch.setattr(compare_csv, "CASES", [("--preset", "fig1", "--steps", "5")])
     assert compare_csv.main([str(compare_csv.SRC)]) == 0
-    assert capsys.readouterr().out == "same    --preset fig1 --steps 5\nsame    library reports\n"
+    assert capsys.readouterr().out == (
+        "same    --preset fig1 --steps 5\nsame    library reports\n" + RULE_HOLDS_UNCHANGED)
 
     changed = tmp_path / "src"
     shutil.copytree(compare_csv.SRC, changed, ignore=shutil.ignore_patterns("__pycache__"))
@@ -69,7 +83,7 @@ def test_compare_csv_names_the_first_differing_line(tmp_path, monkeypatch, capsy
         "DIFFERS --preset fig1 --steps 5: line 1: "
         "a,angle,lhs,berta,holevo,delta != a,r,lhs,berta,holevo,delta; "
         "1 cells differ, largest |difference| 0\n"
-        "same    library reports\n"
+        "same    library reports\n" + RULE_HOLDS_UNCHANGED
     )
 
     # shift the delta column by 2**-20 (exact in binary): five cells, one per row
@@ -79,11 +93,15 @@ def test_compare_csv_names_the_first_differing_line(tmp_path, monkeypatch, capsy
     assert compare_csv.main([str(changed)]) == 1
     out = capsys.readouterr().out
     assert out.startswith("DIFFERS --preset fig1 --steps 5: line 2: ")
-    assert out.endswith("; 5 cells differ, largest |difference| 9.54e-07\nsame    library reports\n")
+    assert "; 5 cells differ, largest |difference| 9.54e-07\nsame    library reports\n" in out
+    # the base tree's delta is 2**-20 off the reference and this tree's is
+    # not: the RULE holds, and the differing CSV alone gives exit 1
+    assert out.count(": 3 changed, ") == 2 and "FAILS" not in out
+    assert out.endswith("\nRULE holds\n")
 
 
-def test_compare_csv_names_the_first_differing_report_field(tmp_path, monkeypatch, capsys):
-    compare_csv = load_script("compare_csv")
+def test_compare_csv_names_the_first_differing_report_field(tmp_path, monkeypatch, capsys,
+                                                           compare_csv):
     monkeypatch.setattr(compare_csv, "CASES", [])
     changed = tmp_path / "src"
     shutil.copytree(compare_csv.SRC, changed, ignore=shutil.ignore_patterns("__pycache__"))
@@ -94,34 +112,45 @@ def test_compare_csv_names_the_first_differing_report_field(tmp_path, monkeypatc
     # a field that no CSV column holds, shifted by 2**-20 at every input
     bounds.write_text(original.replace("        i_ab=i_ab,\n", "        i_ab=i_ab + 2.0**-20,\n"))
     assert compare_csv.main([str(changed)]) == 1
-    assert capsys.readouterr().out == "DIFFERS library reports: i_ab of input 0\n"
+    assert capsys.readouterr().out == (
+        "DIFFERS library reports: i_ab of input 0\n" + RULE_HOLDS_UNCHANGED)
 
     # the same value, of another type
     bounds.write_text(original.replace("        c=c,\n", "        c=np.float64(c),\n"))
     assert compare_csv.main([str(changed)]) == 1
-    assert capsys.readouterr().out == "DIFFERS library reports: c of input 0\n"
+    assert capsys.readouterr().out == (
+        "DIFFERS library reports: c of input 0\n" + RULE_HOLDS_UNCHANGED)
 
-    # a tree whose evaluation fails is named with its exit status
+    # a tree whose evaluation fails is named with its exit status, and has
+    # no sweeps to hold to the RULE
     bounds.write_text(original.replace("        c=c,\n", "        c=1 / 0,\n"))
     assert compare_csv.main([str(changed)]) == 1
     assert capsys.readouterr().out == (
         "DIFFERS library reports: <exit 1: ZeroDivisionError: division by zero>\n")
 
 
-def test_check_budget_measures_changed_values_against_the_reference(tmp_path, monkeypatch,
-                                                                    capsys):
-    check_budget = load_script("check_budget")
-    monkeypatch.setattr(check_budget, "STEPS", 3)
-    columns = ("a", "r", "lhs", "berta", "holevo", "delta")
-    assert check_budget.main([str(check_budget.SRC)]) == 0
-    assert capsys.readouterr().out.splitlines() == [
-        f"{preset} {column}: 0 changed" for preset in ("fig1", "fig2") for column in columns
+def test_compare_csv_runs_no_reference_for_an_unchanged_tree(monkeypatch, capsys, compare_csv):
+    def refuse(cfg):
+        raise AssertionError("the reference ran on an unchanged tree")
+
+    monkeypatch.setattr(reference, "sweep", refuse)
+    monkeypatch.setattr(compare_csv, "CASES", [])
+    assert compare_csv.main([str(compare_csv.SRC)]) == 0
+    assert capsys.readouterr().out == "same    library reports\n" + RULE_HOLDS_UNCHANGED
+
+
+def test_compare_csv_measures_changed_values_against_the_reference(tmp_path, monkeypatch,
+                                                                   capsys, compare_csv):
+    monkeypatch.setattr(compare_csv, "CASES", [])
+    assert compare_csv.main([str(compare_csv.SRC)]) == 0
+    assert capsys.readouterr().out.splitlines() == ["same    library reports"] + [
+        f"{preset} {column}: 0 changed" for preset in ("fig1", "fig2") for column in COLUMNS
     ] + ["all columns: 0 changed, summed |value - reference| 0 -> 0", "RULE holds"]
 
     def shifted(name, shift):
         """A copy of src whose delta column is moved by `shift`."""
         tree = tmp_path / name
-        shutil.copytree(check_budget.SRC, tree, ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copytree(compare_csv.SRC, tree, ignore=shutil.ignore_patterns("__pycache__"))
         cli = tree / "eur" / "cli.py"
         original = cli.read_text()
         assert original.count("report.holevo_bound, report.delta") == 1
@@ -135,15 +164,16 @@ def test_check_budget_measures_changed_values_against_the_reference(tmp_path, mo
     for base, this, failures in (
         (four, three, ""),
         (three, four, "; FAILS: summed error grows"),
-        (check_budget.SRC, shifted("far", "1e-9"),
+        (compare_csv.SRC, shifted("far", "1e-9"),
          "; FAILS: outside the budget; FAILS: summed error grows"),
     ):
-        monkeypatch.setattr(check_budget, "SRC", this)  # in place of this checkout's src
-        assert check_budget.main([str(base)]) == (1 if failures else 0)
+        monkeypatch.setattr(compare_csv, "SRC", this)  # in place of this checkout's src
+        assert compare_csv.main([str(base)]) == (1 if failures else 0)
         out = capsys.readouterr().out.splitlines()
         assert out[-1] == ("RULE FAILS" if failures else "RULE holds")
         assert out[-2].startswith("all columns: 6 changed, summed |value - reference| ")
-        for line in out[:-2]:
+        assert out[0] == "same    library reports"
+        for line in out[1:-2]:
             if line.split(":")[0] in ("fig1 delta", "fig2 delta"):
                 assert ": 3 changed, summed |value - reference| " in line
                 assert line.endswith(failures) and ("FAILS" in line) == bool(failures)

@@ -1,5 +1,7 @@
 """State constructors, their validity, and the von Neumann entropy."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -147,6 +149,15 @@ def test_tracing_out_region_two_equals_channel_on_memory(r):
 def test_vn_entropy_of_pure_state_is_zero():
     rng = np.random.default_rng(11)
     assert vn_entropy(proj(random_pure_state(rng, 4))) == pytest.approx(0.0, abs=1e-10)
+
+
+def test_vn_entropy_of_a_pure_state_is_positive_zero():
+    # 0.0 minus a sum of 0 log 0 and 1 log 1 terms: +0.0, never -0.0
+    for psi in ([1, 0], [0, 1], [1, 0, 0, 0], [0, 0, 0, 1]):
+        entropy = vn_entropy(from_pure(psi))
+        assert entropy == 0.0 and math.copysign(1.0, entropy) == 1.0
+    stack = vn_entropy(np.stack([from_pure([1, 0]), from_pure([0, 1])]))
+    assert stack.tolist() == [0.0, 0.0] and not np.signbit(stack).any()
 
 
 def test_vn_entropy_of_maximally_mixed_qubit():
