@@ -11,11 +11,12 @@ byte. Then evaluates `evaluate_eur`, `post_measurement_state`,
 inputs, complex and float64, runs each one-state input through the
 Choi route at its own Unruh angle, and runs KRAUS_FAMILIES seeded Kraus
 families, complex and float64, one channel or a stack, through `choi`
-and `kraus_from_choi`, in one subprocess per tree, and compares every
-result's type and bytes. Prints one line per case; a case that differs
-names its first differing line, how many cells differ and the largest
-absolute difference between two numeric cells (for the library case,
-its first differing field).
+and `kraus_from_choi` and applies each to one complex state and to its
+real part, in one subprocess per tree, and compares every result's type
+and bytes. Prints one line per case; a case that differs names its
+first differing line, how many cells differ and the largest absolute
+difference between two numeric cells (for the library case, its first
+differing field).
 
 The same subprocess runs both PRESETS through `eur.cli.run_sweep` at
 STEPS grid points. For each `Sweep` column the script prints how many
@@ -169,9 +170,11 @@ def library_report_bytes() -> bytes:
     field again, under q and r and under the real Pauli pair (x, z), and,
     for one state, the state that `apply_to_memory` gives for the real
     (float64) stack of seven Unruh channels. After the inputs, for every
-    Kraus family, its `choi` and the family that `kraus_from_choi` reads
-    from each of its Choi matrices. Pickled as (a list of (name, type,
-    dtype, shape, bytes) per input and per family, `sweeps()`)."""
+    Kraus family, its `choi`, the family that `kraus_from_choi` reads
+    from each of its Choi matrices, and `apply_to_memory` of the family
+    on the first library input and on that input's real part. Pickled
+    as (a list of (name, type, dtype, shape, bytes) per input and per
+    family, `sweeps()`)."""
     from eur import (
         ProjectiveObservable,
         apply_to_memory,
@@ -218,11 +221,16 @@ def library_report_bytes() -> bytes:
             fields.append(encoded("apply_to_memory of the real part by the real unruh stack",
                                   apply_to_memory(real_channel, real)))
         reports.append(fields)
+    # from a fresh generator, so that no draw above moves
+    shared = next(library_inputs())[2]
     for kraus in kraus_families():
         c = choi(kraus)
         fields = [encoded("choi", c)]
         fields += [encoded(f"kraus_from_choi of choi {index}", kraus_from_choi(c[index]))
                    for index in np.ndindex(c.shape[:-2])]
+        fields += [encoded("apply_to_memory", apply_to_memory(kraus, shared)),
+                   encoded("apply_to_memory on a real state",
+                           apply_to_memory(kraus, np.ascontiguousarray(shared.real)))]
         reports.append(fields)
     return pickle.dumps((reports, sweeps()))
 

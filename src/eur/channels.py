@@ -150,30 +150,28 @@ def apply_to_memory(channel, rho: np.ndarray) -> np.ndarray:
     marginal is untouched. Kraus operators of shape (K, ..., 2, 2) and
     states of shape (..., 4, 4) broadcast against each other over the
     stack axes, so one call evolves a stack of states, a stack of
-    channels, or both. One 4x4 state shared by a stack of channels is
-    multiplied by every lifted operator in one product; the product with
-    K_j^dag on the right is taken per matrix.
+    channels, or both. One expression serves every shape, and each of its
+    products is taken per 4x4 matrix, so a state shared by a stack of
+    channels gets the bits that each channel gives it alone.
 
     When both the operators and the state are float64 (or other real
     numbers), every product runs in float64 and the result is float64;
-    otherwise both are taken as complex128 and so is the result. Neither
-    input is written to. Stacks that do not broadcast raise ValueError
-    naming both stack shapes.
+    otherwise every product runs in complex128 and the result is
+    complex128, with the bits it has when both inputs are complex.
+    Neither input is written to. Stacks that do not broadcast raise
+    ValueError naming both stack shapes.
     """
     rho = _real_or_complex(rho)
     if rho.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {rho.shape}")
     kraus = _kraus_stack(channel)
-    if kraus.dtype != rho.dtype:  # one side is complex: both are
-        kraus, rho = kraus.astype(complex, copy=False), rho.astype(complex, copy=False)
     # I (x) K_j, with the stack axes padded so that K_j's align with rho's
     lifted = np.zeros(kraus.shape[:1] + (1,) * (rho.ndim - kraus.ndim + 1) + kraus.shape[1:-2]
                       + (4, 4), dtype=kraus.dtype)
     lifted[..., :2, :2] = lifted[..., 2:, 2:] = kraus.reshape(lifted.shape[:-2] + (2, 2))
     try:
-        left = (lifted.reshape(-1, 4) @ rho).reshape(lifted.shape) if rho.ndim == 2 else lifted @ rho
-        return (left @ lifted.conj().swapaxes(-1, -2)).sum(axis=0)
-    except ValueError:  # the stacks do not broadcast: only these products can tell
+        return (lifted @ rho @ lifted.conj().swapaxes(-1, -2)).sum(axis=0)
+    except ValueError:  # the stacks do not broadcast: only the product can tell
         raise ValueError(f"channel stack {kraus.shape[1:-2]} does not broadcast against "
                          f"state stack {rho.shape[:-2]}") from None
 

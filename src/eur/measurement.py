@@ -84,13 +84,14 @@ def pauli_observable(axis: str) -> ProjectiveObservable:
     """Eigenbasis of a Pauli operator, +1 eigenvector first.
 
     The observable is shared: every call for one axis, in either case,
-    returns the same frozen instance, whose arrays are read-only.
+    returns the same frozen instance, whose arrays are read-only. Any
+    other axis, a string or not, raises ValueError naming it.
     """
+    key = axis.lower() if isinstance(axis, str) else axis
     try:
-        return _PAULI[axis.lower()]
-    except KeyError:
-        raise ValueError(
-            f"unknown Pauli axis {axis.lower()!r}; expected 'x', 'y' or 'z'") from None
+        return _PAULI[key]
+    except (KeyError, TypeError):  # TypeError: an unhashable axis
+        raise ValueError(f"unknown Pauli axis {key!r}; expected 'x', 'y' or 'z'") from None
 
 
 def complementarity(q: ProjectiveObservable, r: ProjectiveObservable) -> float:

@@ -26,6 +26,13 @@ TOMO_INPUTS = [
 ]
 
 
+def assert_same_bits(got, expected):
+    """Equal dtype, shape and bytes; equal bytes also mean an equal sign
+    for every zero."""
+    assert (got.dtype, got.shape) == (expected.dtype, expected.shape)
+    assert got.tobytes() == expected.tobytes()
+
+
 def proj(v):
     v = np.asarray(v, dtype=complex)
     return np.outer(v, v.conj())

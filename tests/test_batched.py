@@ -39,7 +39,13 @@ from eur.states import (
     vn_entropy,
     x_state,
 )
-from helpers import random_complex, random_cptp_kraus, random_density_matrix, random_unitary
+from helpers import (
+    assert_same_bits,
+    random_complex,
+    random_cptp_kraus,
+    random_density_matrix,
+    random_unitary,
+)
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -207,14 +213,6 @@ def random_states(rng, stack):
     """Random two-qubit density matrices, shape stack + (4, 4)."""
     states = [random_density_matrix(rng, 4) for _ in range(int(np.prod(stack)))]
     return np.array(states).reshape(stack + (4, 4))
-
-
-def assert_same_bits(got, expected):
-    """Equal shape and bytes, the sign of every zero included."""
-    assert got.shape == expected.shape
-    assert got.tobytes() == expected.tobytes()
-    for part in ("real", "imag"):
-        assert np.array_equal(np.signbit(getattr(got, part)), np.signbit(getattr(expected, part)))
 
 
 @pytest.mark.parametrize("stack", [(), (5,), (2, 3), (0,)], ids=str)

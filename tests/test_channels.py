@@ -31,6 +31,7 @@ from helpers import (
     TOMO_INPUTS,
     apply_kraus,
     apply_kraus_to_memory,
+    assert_same_bits,
     is_density_matrix,
     proj,
     random_choi,
@@ -361,11 +362,6 @@ def random_family(rng, count, stack=(), real=False):
     return rng.normal(size=shape) if real else random_complex(rng, shape)
 
 
-def assert_same_bytes(got, expected):
-    assert (got.dtype, got.shape) == (expected.dtype, expected.shape)
-    assert got.tobytes() == expected.tobytes()
-
-
 @pytest.mark.parametrize("count", [1, 2, 3, 4])
 @pytest.mark.parametrize("real", [False, True], ids=["complex", "float64"])
 def test_choi_is_the_channel_on_phi_bit_for_bit(count, real):
@@ -375,9 +371,9 @@ def test_choi_is_the_channel_on_phi_bit_for_bit(count, real):
     for _ in range(25):
         one, stack = random_family(rng, count, real=real), random_family(rng, count, (5,), real)
         for channel in (one, stack, list(one)):
-            assert_same_bytes(choi(channel), apply_to_memory(channel, phi_projector))
+            assert_same_bits(choi(channel), apply_to_memory(channel, phi_projector))
         for k in range(5):
-            assert_same_bytes(choi(stack)[k], choi(stack[:, k]))
+            assert_same_bits(choi(stack)[k], choi(stack[:, k]))
 
 
 def isometry_kraus(rng, count):

@@ -67,9 +67,14 @@ def test_pauli_observable_is_one_shared_read_only_instance():
         for array in (obs.basis, obs._rows):
             with pytest.raises(ValueError, match="read-only"):
                 array[0, 0] = 0.0
-    for axis in ("w", "W"):
-        with pytest.raises(ValueError, match="unknown Pauli axis 'w'; expected 'x', 'y' or 'z'"):
-            pauli_observable(axis)
+
+
+@pytest.mark.parametrize("axis, named", [
+    ("w", "'w'"), ("W", "'w'"), (1, "1"), (None, "None"), (["x"], r"\['x'\]"),
+], ids=["w", "W", "int", "None", "list"])
+def test_pauli_observable_names_an_axis_that_is_not_x_y_or_z(axis, named):
+    with pytest.raises(ValueError, match=f"^unknown Pauli axis {named}; expected 'x', 'y' or 'z'$"):
+        pauli_observable(axis)
 
 
 def test_observable_rejects_non_orthonormal_basis():
