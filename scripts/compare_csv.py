@@ -3,20 +3,22 @@
 
     python scripts/compare_csv.py BASE_SRC
 
-Runs every case in CASES with `python -m eur sweep`, once with BASE_SRC
-(the `src` directory of another checkout) first on PYTHONPATH and once
-with this checkout's `src`, and compares the two CSV files byte for
-byte. Then evaluates `evaluate_eur`, `post_measurement_state`,
-`measurement_ensemble` and `apply_to_memory` on LIBRARY_INPUTS seeded
-inputs, complex and float64, runs each one-state input through the
-Choi route at its own Unruh angle, and runs KRAUS_FAMILIES seeded Kraus
-families, complex and float64, one channel or a stack, through `choi`
-and `kraus_from_choi` and applies each to one complex state and to its
-real part, in one subprocess per tree, and compares every result's type
-and bytes. Prints one line per case; a case that differs names its
+Runs each tree in one subprocess: once with BASE_SRC (the `src`
+directory of another checkout) first on PYTHONPATH and once with this
+checkout's `src`. There every case in CASES runs through
+`eur.cli.main(["sweep", *case, ...])`, and the two CSV files are
+compared byte for byte. Then it evaluates `evaluate_eur`,
+`post_measurement_state`, `measurement_ensemble` and `apply_to_memory`
+on LIBRARY_INPUTS seeded inputs, complex and float64, runs each
+one-state input through the Choi route at its own Unruh angle, and runs
+KRAUS_FAMILIES seeded Kraus families, complex and float64, one channel
+or a stack, through `choi` and `kraus_from_choi` and applies each to
+one complex state and to its real part, and compares every result's
+type and bytes. Prints one line per case; a case that differs names its
 first differing line, how many cells differ and the largest absolute
 difference between two numeric cells (for the library case, its first
-differing field).
+differing field). A tree whose subprocess fails is named once, on the
+library line, with its exit status and last stderr line.
 
 The same subprocess runs both PRESETS through `eur.cli.run_sweep` at
 STEPS grid points. For each `Sweep` column the script prints how many
@@ -31,7 +33,9 @@ fails, and 0 otherwise.
 """
 
 import argparse
+import contextlib
 import dataclasses
+import io
 import itertools
 import os
 import pickle
@@ -79,21 +83,6 @@ FAMILY_KINDS = (((), 1), ((), 2), ((), 3), ((), 4), ((3,), 2), ((2, 2), 4))
 # the sweeps that the RULE is checked on
 PRESETS = ("fig1", "fig2")
 STEPS = 10**3
-
-
-def tree_env(src: Path) -> dict:
-    """The environment that puts `src` first on PYTHONPATH."""
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-
-
-def sweep_bytes(src: Path, case: tuple, out: Path) -> bytes:
-    """The CSV that `eur sweep` imported from `src` writes for `case`."""
-    done = subprocess.run([sys.executable, "-m", "eur", "sweep", *case, "--out", str(out)],
-                          env=tree_env(src), capture_output=True, text=True)
-    if done.returncode != 0:
-        return f"<exit {done.returncode}: {done.stderr.strip()}>\n".encode()
-    return out.read_bytes()
 
 
 def haar_basis(rng) -> np.ndarray:
@@ -157,7 +146,29 @@ def sweeps() -> dict:
     return out
 
 
-def library_report_bytes() -> bytes:
+def case_csvs() -> list:
+    """The CSV bytes that `eur.cli.main`, imported from sys.path, writes
+    for each case in CASES; for a case that exits non-zero,
+    '<exit N: last stderr line>'. A case that raises fails the whole run."""
+    import eur.cli as cli
+
+    csvs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "sweep.csv"
+        for case in CASES:
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                try:
+                    code = cli.main(["sweep", *case, "--out", str(out)])
+                except SystemExit as exc:
+                    code = exc.code
+            if code:
+                csvs.append(f"<exit {code}: {err.getvalue().strip().splitlines()[-1]}>\n".encode())
+            else:
+                csvs.append(out.read_bytes())
+    return csvs
+
+
+def tree_result_bytes() -> bytes:
     """For every library input, evaluated by the `eur` on sys.path: every
     `EurReport` field and the state `post_measurement_state` gives for q;
     for one-state inputs also q's `measurement_ensemble` and the states
@@ -174,7 +185,7 @@ def library_report_bytes() -> bytes:
     from each of its Choi matrices, and `apply_to_memory` of the family
     on the first library input and on that input's real part. Pickled
     as (a list of (name, type, dtype, shape, bytes) per input and per
-    family, `sweeps()`)."""
+    family, `sweeps()`, `case_csvs()`)."""
     from eur import (
         ProjectiveObservable,
         apply_to_memory,
@@ -232,17 +243,19 @@ def library_report_bytes() -> bytes:
                    encoded("apply_to_memory on a real state",
                            apply_to_memory(kraus, np.ascontiguousarray(shared.real)))]
         reports.append(fields)
-    return pickle.dumps((reports, sweeps()))
+    return pickle.dumps((reports, sweeps(), case_csvs()))
 
 
-def library_reports(src: Path):
-    """`library_report_bytes` unpickled, computed in a subprocess that
-    imports `eur` from `src`, at this module's STEPS; a '<exit N: ...>'
-    string if it fails."""
+def tree_results(src: Path):
+    """`tree_result_bytes` unpickled, computed in one subprocess that
+    imports `eur` from `src`, at this module's STEPS and CASES; a
+    '<exit N: ...>' string if it fails."""
     program = (f"import sys; sys.path.append({str(SCRIPTS)!r}); import compare_csv; "
-               f"compare_csv.STEPS = {STEPS!r}; "
-               "sys.stdout.buffer.write(compare_csv.library_report_bytes())")
-    done = subprocess.run([sys.executable, "-c", program], env=tree_env(src), capture_output=True)
+               f"compare_csv.STEPS = {STEPS!r}; compare_csv.CASES = {CASES!r}; "
+               "sys.stdout.buffer.write(compare_csv.tree_result_bytes())")
+    pythonpath = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", program], capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=pythonpath))
     if done.returncode != 0:
         return f"<exit {done.returncode}: {done.stderr.decode().strip().splitlines()[-1]}>"
     return pickle.loads(done.stdout)
@@ -250,7 +263,7 @@ def library_reports(src: Path):
 
 def first_report_difference(base, this) -> "str | None":
     """'<field> of input N' (or 'of Kraus family N') for the first field
-    whose type or bytes differ between two `library_reports`, or the
+    whose type or bytes differ between two `tree_results`, or the
     failure of either tree; None when all are equal."""
     for reports in (base, this):
         if isinstance(reports, str):
@@ -334,28 +347,26 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base_src", type=Path, help="the src directory to compare against")
     base_src = parser.parse_args(argv).base_src.resolve()
+    base, this = tree_results(base_src), tree_results(SRC)
+    failed = isinstance(base, str) or isinstance(this, str)
     differing = 0
-    with tempfile.TemporaryDirectory() as tmp:
-        for case in CASES:
-            base = sweep_bytes(base_src, case, Path(tmp) / "base.csv")
-            this = sweep_bytes(SRC, case, Path(tmp) / "this.csv")
-            if base == this:
-                print(f"same    {' '.join(case)}")
-            else:
-                differing += 1
-                count, largest = cell_differences(base, this)
-                print(f"DIFFERS {' '.join(case)}: {first_difference(base, this)}; "
-                      f"{count} cells differ, largest |difference| {largest:.3g}")
-    base_reports, this_reports = library_reports(base_src), library_reports(SRC)
-    report_difference = first_report_difference(base_reports, this_reports)
+    for case, old, new in () if failed else zip(CASES, base[2], this[2]):
+        if old == new:
+            print(f"same    {' '.join(case)}")
+        else:
+            differing += 1
+            count, largest = cell_differences(old, new)
+            print(f"DIFFERS {' '.join(case)}: {first_difference(old, new)}; "
+                  f"{count} cells differ, largest |difference| {largest:.3g}")
+    report_difference = first_report_difference(base, this)
     if report_difference is None:
         print("same    library reports")
     else:
         differing += 1
         print(f"DIFFERS library reports: {report_difference}")
-    if isinstance(base_reports, str) or isinstance(this_reports, str):
-        return 1  # a tree that fails has no sweeps to hold to the RULE
-    holds = rule_holds(base_reports[1], this_reports[1])
+    if failed:
+        return 1  # a tree that fails has no CSVs to compare and no sweeps to hold to the RULE
+    holds = rule_holds(base[1], this[1])
     return 0 if holds and not differing else 1
 
 

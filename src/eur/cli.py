@@ -10,6 +10,7 @@ meaningful.
 
 import argparse
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -78,6 +79,8 @@ class SweepConfig:
             raise ValueError(f"sweep-var must be 'a' or 'r', got {self.sweep_var!r}")
         if self.sweep_var == "r" and self.a_max > R_MAX:
             raise ValueError(f"r sweep bound must lie in [0, pi/4], got a-max {self.a_max}")
+        if not isinstance(self.steps, numbers.Integral):
+            raise ValueError(f"steps must be an integer, got {self.steps!r}")
         if not 2 <= self.steps <= MAX_STEPS:
             raise ValueError(f"steps must lie in [2, {MAX_STEPS}], got {self.steps}")
 

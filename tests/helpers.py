@@ -1,10 +1,13 @@
 """Shared constants and random generators for the test suite.
 
 Everything here is built with raw numpy, never with package code, so the
-tests keep an independent route to the objects they check.
+tests keep an independent route to the objects they check;
+`random_observable` only wraps such a basis in the package's type.
 """
 
 import numpy as np
+
+from eur.measurement import ProjectiveObservable
 
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -57,6 +60,10 @@ def random_unitary(rng, dim):
     q, r = np.linalg.qr(random_complex(rng, (dim, dim)))
     phases = np.diag(r) / np.abs(np.diag(r))
     return q @ np.diag(phases)
+
+
+def random_observable(rng) -> ProjectiveObservable:
+    return ProjectiveObservable("random", random_unitary(rng, 2))
 
 
 def random_hermitian(rng, dim):

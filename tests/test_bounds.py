@@ -15,7 +15,6 @@ from eur.channels import R_MAX, amplitude_damping, apply_to_memory, unruh_channe
 from eur.cli import SweepConfig, run_sweep
 from eur.linalg import tensor
 from eur.measurement import (
-    ProjectiveObservable,
     measurement_ensemble,
     pauli_observable,
     post_measurement_state,
@@ -30,8 +29,8 @@ from helpers import (
     SZ,
     proj,
     random_density_matrix,
+    random_observable,
     random_pure_state,
-    random_unitary,
     reference_bound_violations,
     shannon_bits,
 )
@@ -47,10 +46,6 @@ LHS_BD_HALF = 1.0 + H_QUARTER                # 1.811278124459...
 X_OBS = pauli_observable("x")
 Y_OBS = pauli_observable("y")
 Z_OBS = pauli_observable("z")
-
-
-def random_observable(rng) -> ProjectiveObservable:
-    return ProjectiveObservable("random", random_unitary(rng, 2))
 
 
 def xy_report(rho):
@@ -158,9 +153,10 @@ def test_report_matches_standalone_operations_exactly():
 
 
 def test_evaluate_eur_takes_each_spectrum_once(monkeypatch):
-    # one LAPACK spectrum, of rho, checked once; both marginals and the four
-    # conditional memory states are 2x2, derived from the checked rho, and
-    # solved unchecked in closed form as one stack
+    # one LAPACK spectrum, of rho, checked once, in rho's own dtype (a real
+    # state is never made complex); both marginals and the four conditional
+    # memory states are 2x2, derived from the checked rho, and solved
+    # unchecked in closed form as one stack
     rng = np.random.default_rng(36)
     solved, spectra, checked = [], [], []
 
@@ -168,7 +164,7 @@ def test_evaluate_eur_takes_each_spectrum_once(monkeypatch):
         solver = getattr(np.linalg, name)
 
         def call(a, *args, **kwargs):
-            solved.append((name, np.shape(a)))
+            solved.append((name, np.shape(a), np.asarray(a).dtype))
             return solver(a, *args, **kwargs)
 
         return call
@@ -188,12 +184,12 @@ def test_evaluate_eur_takes_each_spectrum_once(monkeypatch):
     monkeypatch.setattr(states, "_eigenvalues", eigenvalues)
     monkeypatch.setattr(bounds, "_eigenvalues", eigenvalues)
     monkeypatch.setattr(states, "_require_hermitian", require_hermitian)
-    for rho, lead in ((one, ()), (stack, (7,))):
+    for rho, lead, dtype in ((one, (), np.float64), (stack, (7,), np.complex128)):
         solved.clear()
         spectra.clear()
         checked.clear()
         evaluate_eur(X_OBS, Y_OBS, rho)
-        assert solved == [("eigvalsh", lead + (4, 4))]
+        assert solved == [("eigvalsh", lead + (4, 4), np.dtype(dtype))]
         assert spectra == [("_eigenvalues", lead + (4, 4)), ("_eigenvalues", (6,) + lead + (2, 2))]
         assert checked == [lead + (4, 4)]
 

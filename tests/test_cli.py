@@ -329,26 +329,18 @@ def test_module_entry_point(tmp_path):
 
 
 def test_sweep_config_validates_directly():
-    with pytest.raises(ValueError, match="steps"):
-        SweepConfig(
-            state="bell", p=0.5, obs=("x", "y"), omega=0.1,
-            a_min=0.0, a_max=1.0, steps=1, sweep_var="a", out_path="out.csv",
-        )
-    with pytest.raises(ValueError, match="steps"):
-        SweepConfig(
-            state="bell", p=0.5, obs=("x", "y"), omega=0.1,
-            a_min=0.0, a_max=1.0, steps=10**12, sweep_var="a", out_path="out.csv",
-        )
-    with pytest.raises(ValueError, match="state"):
-        SweepConfig(
-            state="ghz", p=0.5, obs=("x", "y"), omega=0.1,
-            a_min=0.0, a_max=1.0, steps=5, sweep_var="a", out_path="out.csv",
-        )
-    with pytest.raises(ValueError, match="sweep-var must be 'a' or 'r'"):
-        SweepConfig(
-            state="bell", p=0.5, obs=("x", "y"), omega=0.1,
-            a_min=0.0, a_max=1.0, steps=5, sweep_var="omega", out_path="out.csv",
-        )
+    valid = dict(state="bell", p=0.5, obs=("x", "y"), omega=0.1, a_min=0.0, a_max=1.0,
+                 steps=5, sweep_var="a", out_path="out.csv")
+    for field, value, match in (
+        ("steps", 1, "steps"),
+        ("steps", 10**12, "steps"),
+        ("steps", 10.5, "steps"),  # the grid's np.linspace takes an integer
+        ("state", "ghz", "state"),
+        ("sweep_var", "omega", "sweep-var must be 'a' or 'r'"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            SweepConfig(**{**valid, field: value})
+    assert SweepConfig(**{**valid, "steps": np.int64(5)}).steps == 5
 
 
 # edge values for the number flags: non-finite, signed zero, subnormal,

@@ -23,6 +23,7 @@ from helpers import (
     proj,
     random_complex,
     random_density_matrix,
+    random_observable,
     random_unitary,
     shannon_bits,
 )
@@ -30,10 +31,6 @@ from helpers import (
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 H_QUARTER = 0.8112781244591328  # binary entropy of 1/4
-
-
-def random_observable(rng) -> ProjectiveObservable:
-    return ProjectiveObservable("random", random_unitary(rng, 2))
 
 
 def test_pauli_observable_bases():

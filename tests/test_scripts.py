@@ -99,6 +99,17 @@ def test_compare_csv_names_the_first_differing_line(tmp_path, monkeypatch, capsy
     assert out.count(": 3 changed, ") == 2 and "FAILS" not in out
     assert out.endswith("\nRULE holds\n")
 
+    # a case that exits non-zero in one tree is named by its exit status and
+    # last stderr line; one that exits 2 with the same message in both is the same
+    cli.write_text((compare_csv.SRC / "eur" / "cli.py").read_text().replace(
+        "MAX_STEPS = 10**7", "MAX_STEPS = 4"))
+    monkeypatch.setattr(compare_csv, "CASES", [("--preset", "fig1", "--steps", "5"), ("--p", "2")])
+    assert compare_csv.main([str(changed)]) == 1
+    assert capsys.readouterr().out == (
+        "DIFFERS --preset fig1 --steps 5: line 1: <exit 2: eur: error: steps must lie in "
+        "[2, 4], got 5> != a,r,lhs,berta,holevo,delta; 36 cells differ, largest |difference| 0\n"
+        "same    --p 2\nsame    library reports\n" + RULE_HOLDS_UNCHANGED)
+
 
 def test_compare_csv_names_the_first_differing_report_field(tmp_path, monkeypatch, capsys,
                                                            compare_csv):
@@ -121,8 +132,9 @@ def test_compare_csv_names_the_first_differing_report_field(tmp_path, monkeypatc
     assert capsys.readouterr().out == (
         "DIFFERS library reports: c of input 0\n" + RULE_HOLDS_UNCHANGED)
 
-    # a tree whose evaluation fails is named with its exit status, and has
-    # no sweeps to hold to the RULE
+    # a tree whose evaluation fails is named with its exit status, once: it
+    # has no CSVs to compare and no sweeps to hold to the RULE
+    monkeypatch.setattr(compare_csv, "CASES", [("--preset", "fig1", "--steps", "5")])
     bounds.write_text(original.replace("        c=c,\n", "        c=1 / 0,\n"))
     assert compare_csv.main([str(changed)]) == 1
     assert capsys.readouterr().out == (
