@@ -143,51 +143,54 @@ def emit_csv(sweep: Sweep, path: str) -> None:
             fh.write(fmt * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
-    """The `eur` parser and its `sweep` subparser, whose defaults a preset replaces."""
+def _build_parser() -> argparse.ArgumentParser:
+    """The one `eur` parser: the `sweep` command and its flags, whose
+    defaults a preset replaces. Built afresh on every call, so no preset
+    outlives the call that set it.
+    """
     parser = argparse.ArgumentParser(
         prog="eur",
         description="Uncertainty-bound sweeps for a qubit memory degraded by acceleration.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    sweep = sub.add_parser(
-        "sweep", help="evaluate bounds over an acceleration grid and write CSV",
         epilog="A negative number in exponent form needs the = form, e.g. --a-min=-1e-3: "
                "after a space, -1e-3 reads as a flag.",
     )
-    sweep.add_argument("--preset", choices=sorted(PRESETS),
-                       help="named parameter set; explicit flags override its values")
-    sweep.add_argument("--state", choices=["bell", "x"], default="bell",
-                       help="initial two-qubit family (default %(default)s)")
-    sweep.add_argument("--p", type=float, default=0.5,
-                       help="family parameter in [0, 1] (default %(default)s)")
-    sweep.add_argument("--obs", default="x,y",
-                       help="comma-separated Pauli axes, e.g. x,z (default %(default)s)")
-    sweep.add_argument("--omega", type=float, default=0.1,
-                       help="Dirac mode frequency > 0 (default %(default)s)")
-    sweep.add_argument("--a-min", type=float, default=0.0,
-                       help="lower sweep bound (default %(default)s)")
-    sweep.add_argument("--a-max", type=float,
-                       help="upper sweep bound (default 20*omega*2pi, or pi/4 when sweeping r)")
-    sweep.add_argument("--steps", type=int, default=101,
-                       help=f"number of grid points, 2 to {MAX_STEPS} (default %(default)s)")
-    sweep.add_argument("--sweep-var", choices=["a", "r"], default="a",
-                       help="sweep the acceleration or the mixing angle directly (default %(default)s)")
-    sweep.add_argument("--out", default="eur_sweep.csv", dest="out_path", metavar="PATH",
-                       help="output CSV path (default %(default)s)")
-    return parser, sweep
+    parser.add_argument("command", choices=["sweep"],
+                        help="evaluate bounds over an acceleration grid and write CSV")
+    parser.add_argument("--preset", choices=sorted(PRESETS),
+                        help="named parameter set; explicit flags override its values")
+    parser.add_argument("--state", choices=["bell", "x"], default="bell",
+                        help="initial two-qubit family (default %(default)s)")
+    parser.add_argument("--p", type=float, default=0.5,
+                        help="family parameter in [0, 1] (default %(default)s)")
+    parser.add_argument("--obs", default="x,y",
+                        help="comma-separated Pauli axes, e.g. x,z (default %(default)s)")
+    parser.add_argument("--omega", type=float, default=0.1,
+                        help="Dirac mode frequency > 0 (default %(default)s)")
+    parser.add_argument("--a-min", type=float, default=0.0,
+                        help="lower sweep bound (default %(default)s)")
+    parser.add_argument("--a-max", type=float,
+                        help="upper sweep bound (default 20*omega*2pi, or pi/4 when sweeping r)")
+    parser.add_argument("--steps", type=int, default=101,
+                        help=f"number of grid points, 2 to {MAX_STEPS} (default %(default)s)")
+    parser.add_argument("--sweep-var", choices=["a", "r"], default="a",
+                        help="sweep the acceleration or the mixing angle directly (default %(default)s)")
+    parser.add_argument("--out", default="eur_sweep.csv", dest="out_path", metavar="PATH",
+                        help="output CSV path (default %(default)s)")
+    return parser
 
 
 def parse_args(argv=None) -> SweepConfig:
     """Resolve flags, preset and defaults into a validated SweepConfig.
 
-    Exits with code 2 (via argparse) on unknown flags, malformed numbers
-    or constraint violations, naming the offending field.
+    A preset replaces the parser's defaults and the arguments are parsed
+    again, so a flag given explicitly wins wherever it stands. Every usage
+    error, argparse's own or a constraint violation naming the offending
+    field, exits with code 2 and a last line `eur: error: ...`.
     """
-    parser, sweep = _build_parser()
+    parser = _build_parser()
     ns = parser.parse_args(argv)
     if ns.preset is not None:
-        sweep.set_defaults(**PRESETS[ns.preset])
+        parser.set_defaults(**PRESETS[ns.preset])
         ns = parser.parse_args(argv)
     del ns.command, ns.preset
 

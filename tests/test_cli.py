@@ -78,6 +78,15 @@ def test_explicit_flags_override_preset():
         assert cfg.p == 0.5
 
 
+def test_parse_args_keeps_no_preset_between_calls():
+    fig1, fig2 = ("bell", 0.5, ("x", "y"), 0.1), ("x", 1.0, ("x", "y"), 0.1)
+    for first, second, expected in ((["sweep", "--preset", "fig2"], ["sweep"], fig1),
+                                    (["sweep"], ["sweep", "--preset", "fig2"], fig2)):
+        parse_args(first)
+        cfg = parse_args(second)
+        assert (cfg.state, cfg.p, cfg.obs, cfg.omega) == expected, (first, second)
+
+
 def test_parse_rejects_out_of_range_p(capsys):
     with pytest.raises(SystemExit) as exc:
         parse_args(["sweep", "--state", "x", "--p", "1.5"])
@@ -98,12 +107,16 @@ def test_parse_rejects_malformed_number():
 
 
 def test_sweep_help_lists_each_default(capsys):
-    with pytest.raises(SystemExit) as exc:
-        parse_args(["sweep", "--help"])
-    assert exc.value.code == 0
-    text = " ".join(capsys.readouterr().out.split())
-    for default in ("bell", "0.5", "x,y", "0.1", "0.0", "101", "a", "eur_sweep.csv"):
-        assert f"(default {default})" in text
+    texts = []
+    for argv in (["--help"], ["sweep", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            parse_args(argv)
+        assert exc.value.code == 0
+        texts.append(capsys.readouterr().out)
+        text = " ".join(texts[-1].split())
+        for default in ("bell", "0.5", "x,y", "0.1", "0.0", "101", "a", "eur_sweep.csv"):
+            assert f"(default {default})" in text, argv
+    assert texts[0] == texts[1]
 
 
 def test_parse_rejects_bad_ranges(capsys):
@@ -137,7 +150,7 @@ def test_parse_rejects_bad_ranges(capsys):
 def test_negative_exponent_form_exits_with_one_line_error(capsys):
     # argparse reads -1e-3 after a space as a flag; --help names the = form
     for argv, last in (
-        (["sweep", "--a-min", "-1e-3"], "eur sweep: error: argument --a-min: expected one argument"),
+        (["sweep", "--a-min", "-1e-3"], "eur: error: argument --a-min: expected one argument"),
         (["sweep", "--a-min=-1e-3"], "eur: error: a-min must be finite and >= 0, got -0.001"),
     ):
         with pytest.raises(SystemExit) as exc:
@@ -345,8 +358,10 @@ def test_sweep_config_validates_directly():
 
 # edge values for the number flags: non-finite, signed zero, subnormal,
 # overflowing to inf, and negative in exponent form, which reaches the
-# checks because every flag is given as --flag=value (see the epilog)
-HOSTILE_NUMBERS = ["nan", "inf", "-inf", "-0.0", "5e-324", "1e309", "-1e-3"]
+# checks because every flag is given as --flag=value (see the epilog);
+# then values argparse itself rejects
+HOSTILE_NUMBERS = ["nan", "inf", "-inf", "-0.0", "5e-324", "1e309", "-1e-3", "abc", "", "1e"]
+HOSTILE_STEPS = ["1e3", "2.5"]
 HOSTILE_OBS = ["", "x", "x,y,z"]
 
 
@@ -374,10 +389,13 @@ def sweep_argv(draw):
             flags[flag] = draw(st.sampled_from(HOSTILE_NUMBERS))
     if draw(st.integers(0, 5)) == 0:
         flags["obs"] = draw(st.sampled_from(HOSTILE_OBS))
+    if draw(st.integers(0, 5)) == 0:
+        flags["state"] = "ghz"
     if draw(st.integers(0, 3)) == 0:
         del flags["a-max"]  # the default, which depends on omega and the sweep variable
     steps = draw(st.integers(2, 32))
-    return ["sweep", *(f"--{flag}={value}" for flag, value in flags.items()), f"--steps={steps}"], steps
+    flags["steps"] = draw(st.sampled_from(HOSTILE_STEPS)) if draw(st.integers(0, 5)) == 0 else steps
+    return ["sweep", *(f"--{flag}={value}" for flag, value in flags.items())], steps
 
 
 @pytest.fixture(scope="module")
@@ -404,3 +422,4 @@ def test_main_never_shows_a_traceback(fuzz_csv, case):
         assert lines[0] == CSV_HEADER and lines[-1] == "" and len(lines) == steps + 2
     else:
         assert stderr.splitlines()[-1].startswith("eur: error:"), stderr
+        assert stderr.count("error:") == 1, stderr
