@@ -9,8 +9,10 @@ meaningful.
 """
 
 import argparse
+import functools
 import math
 import numbers
+import shutil
 import sys
 from dataclasses import dataclass
 
@@ -35,10 +37,14 @@ _SWEEP_CHUNK = 1024
 # Largest accepted --steps; the sweep's float columns then take about 480 MB.
 MAX_STEPS = 10**7
 
-# Flag defaults the named presets replace; explicit flags override them.
+# Base values of the four flags a preset sets, taken when neither the flag
+# nor a preset gives one.
+DEFAULTS = {"state": "bell", "p": 0.5, "obs": "x,y", "omega": 0.1}
+
+# Values the named presets give those flags; explicit flags override them.
 PRESETS = {
-    "fig1": {"state": "bell", "p": 0.5, "obs": "x,y", "omega": 0.1},
-    "fig2": {"state": "x", "p": 1.0, "obs": "x,y", "omega": 0.1},
+    "fig1": dict(DEFAULTS),
+    "fig2": {**DEFAULTS, "state": "x", "p": 1.0},
 }
 
 
@@ -144,28 +150,34 @@ def emit_csv(sweep: Sweep, path: str) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    """The one `eur` parser: the `sweep` command and its flags, whose
-    defaults a preset replaces. Built afresh on every call, so no preset
-    outlives the call that set it.
+    """The one `eur` parser: the `sweep` command and its flags.
+
+    Built afresh on every call and never mutated, so no call sees another
+    call's values. The four flags in DEFAULTS have no argparse default:
+    one left out parses as None, and their help prints DEFAULTS. The
+    terminal is asked for its width once, not once per argument, and help
+    wraps at the width argparse would pick itself.
     """
+    width = shutil.get_terminal_size().columns - 2
     parser = argparse.ArgumentParser(
         prog="eur",
         description="Uncertainty-bound sweeps for a qubit memory degraded by acceleration.",
         epilog="A negative number in exponent form needs the = form, e.g. --a-min=-1e-3: "
                "after a space, -1e-3 reads as a flag.",
+        formatter_class=functools.partial(argparse.HelpFormatter, width=width),
     )
     parser.add_argument("command", choices=["sweep"],
                         help="evaluate bounds over an acceleration grid and write CSV")
     parser.add_argument("--preset", choices=sorted(PRESETS),
                         help="named parameter set; explicit flags override its values")
-    parser.add_argument("--state", choices=["bell", "x"], default="bell",
-                        help="initial two-qubit family (default %(default)s)")
-    parser.add_argument("--p", type=float, default=0.5,
-                        help="family parameter in [0, 1] (default %(default)s)")
-    parser.add_argument("--obs", default="x,y",
-                        help="comma-separated Pauli axes, e.g. x,z (default %(default)s)")
-    parser.add_argument("--omega", type=float, default=0.1,
-                        help="Dirac mode frequency > 0 (default %(default)s)")
+    parser.add_argument("--state", choices=["bell", "x"],
+                        help=f"initial two-qubit family (default {DEFAULTS['state']})")
+    parser.add_argument("--p", type=float,
+                        help=f"family parameter in [0, 1] (default {DEFAULTS['p']})")
+    parser.add_argument("--obs",
+                        help=f"comma-separated Pauli axes, e.g. x,z (default {DEFAULTS['obs']})")
+    parser.add_argument("--omega", type=float,
+                        help=f"Dirac mode frequency > 0 (default {DEFAULTS['omega']})")
     parser.add_argument("--a-min", type=float, default=0.0,
                         help="lower sweep bound (default %(default)s)")
     parser.add_argument("--a-max", type=float,
@@ -182,16 +194,18 @@ def _build_parser() -> argparse.ArgumentParser:
 def parse_args(argv=None) -> SweepConfig:
     """Resolve flags, preset and defaults into a validated SweepConfig.
 
-    A preset replaces the parser's defaults and the arguments are parsed
-    again, so a flag given explicitly wins wherever it stands. Every usage
-    error, argparse's own or a constraint violation naming the offending
-    field, exits with code 2 and a last line `eur: error: ...`.
+    The argv is parsed once, by a parser built afresh for this call and
+    never mutated. Each of the four flags in DEFAULTS that it leaves out
+    then takes the preset's value, or else the DEFAULTS one, so a flag
+    given explicitly wins wherever it stands. Every usage error, argparse's own or a
+    constraint violation naming the offending field, exits with code 2
+    and a last line `eur: error: ...`.
     """
     parser = _build_parser()
     ns = parser.parse_args(argv)
-    if ns.preset is not None:
-        parser.set_defaults(**PRESETS[ns.preset])
-        ns = parser.parse_args(argv)
+    for name, value in PRESETS.get(ns.preset, DEFAULTS).items():
+        if getattr(ns, name) is None:
+            setattr(ns, name, value)
     del ns.command, ns.preset
 
     try:

@@ -1,8 +1,10 @@
 """Argument parsing, sweeps, CSV emission and exit codes."""
 
+import argparse
 import contextlib
 import io
 import math
+import shutil
 
 import numpy as np
 import pytest
@@ -76,6 +78,57 @@ def test_explicit_flags_override_preset():
         cfg = parse_args(argv)
         assert cfg.state == "x"
         assert cfg.p == 0.5
+
+
+FIG2 = {"state": "x", "p": 1.0, "obs": ("x", "y"), "omega": 0.1}
+
+
+@pytest.mark.parametrize("field, given, expected", [
+    ("state", "bell", "bell"),  # the base default: only its being explicit beats fig2's x
+    ("p", "0.25", 0.25),
+    ("obs", "x,z", ("x", "z")),
+    ("omega", "0.2", 0.2),
+])
+def test_each_preset_flag_given_explicitly_wins(field, given, expected):
+    # the given flag wins on either side of --preset; the three omitted take fig2's values
+    for argv in (["sweep", f"--{field}", given, "--preset", "fig2"],
+                 ["sweep", "--preset", "fig2", f"--{field}", given]):
+        cfg = parse_args(argv)
+        assert {name: getattr(cfg, name) for name in FIG2} == {**FIG2, field: expected}, argv
+
+
+def test_parse_args_parses_once_and_reads_the_terminal_once(monkeypatch):
+    calls = {"parse": 0, "terminal": 0}
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+    get_terminal_size = shutil.get_terminal_size
+
+    def counted_parse(self, *args, **kwargs):
+        calls["parse"] += 1
+        return parse_known_args(self, *args, **kwargs)
+
+    def counted_terminal(*args, **kwargs):
+        calls["terminal"] += 1
+        return get_terminal_size(*args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted_parse)
+    monkeypatch.setattr(shutil, "get_terminal_size", counted_terminal)
+    for argv in (["sweep", "--preset", "fig2", "--steps", "3"],
+                 ["sweep", "--p", "0.3", "--obs", "z,x", "--steps", "3"]):
+        calls.update(parse=0, terminal=0)
+        parse_args(argv)
+        assert calls["parse"] == 1, argv
+        assert calls["terminal"] <= 1, argv
+
+
+def test_help_follows_the_terminal_width(monkeypatch, capsys):
+    for columns, wide in (("60", False), ("100", True)):
+        monkeypatch.setenv("COLUMNS", columns)
+        for argv in (["--help"], ["sweep", "--help"]):
+            with pytest.raises(SystemExit) as exc:
+                parse_args(argv)
+            assert exc.value.code == 0
+            widest = max(map(len, capsys.readouterr().out.splitlines()))
+            assert (widest > 58) == wide, (columns, argv, widest)
 
 
 def test_parse_args_keeps_no_preset_between_calls():
