@@ -8,9 +8,10 @@ directory of another checkout) first on PYTHONPATH and once with this
 checkout's `src`. There every case in CASES runs through
 `eur.cli.main(["sweep", *case, ...])`, and the two CSV files are
 compared byte for byte. Then it evaluates `evaluate_eur`,
-`post_measurement_state`, `measurement_ensemble` and `apply_to_memory`
-on LIBRARY_INPUTS seeded inputs, complex and float64, runs each
-one-state input through the Choi route at its own Unruh angle, and runs
+`post_measurement_state`, `measurement_ensemble`, `apply_to_memory`,
+`hermitian_eigensystem` and `vn_entropy` on LIBRARY_INPUTS seeded
+inputs, complex and float64, runs each one-state input through the
+Choi route at its own Unruh angle, and runs
 KRAUS_FAMILIES seeded Kraus families, complex and float64, one channel
 or a stack, through `choi` and `kraus_from_choi` and applies each to
 one complex state and to its real part, and compares every result's
@@ -170,15 +171,18 @@ def case_csvs() -> list:
 
 def tree_result_bytes() -> bytes:
     """For every library input, evaluated by the `eur` on sys.path: every
-    `EurReport` field and the state `post_measurement_state` gives for q;
-    for one-state inputs also q's `measurement_ensemble` and the states
-    that `apply_to_memory` gives for a stack of seven Unruh channels and
+    `EurReport` field, the state `post_measurement_state` gives for q,
+    and the input's `hermitian_eigensystem` (values and vectors) and
+    `vn_entropy`; for one-state inputs also q's `measurement_ensemble`
+    and the states that `apply_to_memory` gives for a stack of seven
+    Unruh channels and
     for the Kraus family read back from a Choi matrix, and every step of
     the Choi route at an angle r drawn for the input: the Choi matrix of
     `unruh_channel(r)`, the family `kraus_from_choi` reads from it, that
     family applied to the input and the input's `EurReport`. Then the same
     input's real part, a real state in float64, gives every `EurReport`
-    field again, under q and r and under the real Pauli pair (x, z), and,
+    field again, under q and r and under the real Pauli pair (x, z), its
+    `hermitian_eigensystem` and `vn_entropy`, and,
     for one state, the state that `apply_to_memory` gives for the real
     (float64) stack of seven Unruh channels. After the inputs, for every
     Kraus family, its `choi`, the family that `kraus_from_choi` reads
@@ -191,11 +195,13 @@ def tree_result_bytes() -> bytes:
         apply_to_memory,
         choi,
         evaluate_eur,
+        hermitian_eigensystem,
         kraus_from_choi,
         measurement_ensemble,
         pauli_observable,
         post_measurement_state,
         unruh_channel,
+        vn_entropy,
     )
     from eur.channels import R_MAX
 
@@ -206,11 +212,19 @@ def tree_result_bytes() -> bytes:
     real_channel = np.ascontiguousarray(channels["unruh stack"].real)
     real_pair = (pauli_observable("x"), pauli_observable("z"))
     angles = np.random.default_rng(ROUTE_SEED)
+
+    def spectral_fields(rho, name: str = "{}") -> list:
+        values, vectors = hermitian_eigensystem(rho)
+        return [encoded(name.format("hermitian_eigensystem values"), values),
+                encoded(name.format("hermitian_eigensystem vectors"), vectors),
+                encoded(name.format("vn_entropy"), vn_entropy(rho))]
+
     reports = []
     for q, r, rho in library_inputs():
         q, r = ProjectiveObservable("q", q), ProjectiveObservable("r", r)
         fields = report_fields(evaluate_eur(q, r, rho))
         fields.append(encoded("post_measurement_state", post_measurement_state(q, rho)))
+        fields += spectral_fields(rho)
         if rho.shape == (4, 4):
             for i, (p_i, conditional) in enumerate(measurement_ensemble(q, rho)):
                 fields += [encoded(f"measurement_ensemble p_{i}", p_i),
@@ -228,6 +242,7 @@ def tree_result_bytes() -> bytes:
         real = np.ascontiguousarray(rho.real)
         fields += report_fields(evaluate_eur(q, r, real), "{} of the real part")
         fields += report_fields(evaluate_eur(*real_pair, real), "{} of the real part under x, z")
+        fields += spectral_fields(real, "{} of the real part")
         if rho.shape == (4, 4):
             fields.append(encoded("apply_to_memory of the real part by the real unruh stack",
                                   apply_to_memory(real_channel, real)))

@@ -21,11 +21,11 @@ from .linalg import (
     BOUND_GAP_ATOL,
     BOUND_ORDER_ATOL,
     _eigenvalues,
+    _hermitian_part,
     _real_or_complex,
-    _require_hermitian,
 )
 from .measurement import ProjectiveObservable, _conditioned, complementarity
-from .states import _xlog2x, from_pure
+from .states import _entropy_bits, from_pure
 
 
 @dataclass(frozen=True)
@@ -77,9 +77,8 @@ def evaluate_eur(
     S(OB) = H(p) + sum_i p_i S(rho_B|i) needs no spectrum of its own:
     I(O;B) = S(B) - sum_i p_i S(rho_B|i) and S(O|B) = H(p) - I(O;B), where
     a zero-probability outcome gets weight 0 and contributes exactly
-    nothing. Eigenvalues are clipped to [0, 1] and the outcome
-    probabilities at 0 before w log2 w is taken, and each entropy is
-    0.0 minus its sum of w log2 w, so that a zero entropy is +0.0.
+    nothing. Every entropy, of a spectrum or of the outcome probabilities
+    H(p), is `states._entropy_bits`.
 
     For one state, S(AB), the six entropies, both H(p) and both I(O;B)
     are turned into Python floats once, and the fields are combined from
@@ -90,9 +89,9 @@ def evaluate_eur(
     """
     spectrum, states, p, kept, _ = _conditioned(rho, (q, r))
     pairs = (2, 2) + p.shape[1:]  # (observable, outcome, ...)
-    s_ab = 0.0 - _xlog2x(spectrum.clip(0.0, 1.0)).sum(axis=-1)
-    s = 0.0 - _xlog2x(_eigenvalues(states).clip(0.0, 1.0)).sum(axis=-1)
-    h = 0.0 - _xlog2x(p.clip(0.0, None)).reshape(pairs).sum(axis=1)
+    s_ab = _entropy_bits(spectrum)
+    s = _entropy_bits(_eigenvalues(states))
+    h = _entropy_bits(p.reshape(pairs), axis=1, upper=None)
     i_ob = s[1] - (np.where(kept, p, 0.0) * s[2:]).reshape(pairs).sum(axis=1)
     one_state = s_ab.ndim == 0
     if one_state:
@@ -143,8 +142,8 @@ def robertson_bound(q_op: np.ndarray, r_op: np.ndarray, psi: np.ndarray):
     a normalized pure state, with DeltaX = sqrt(<X^2> - <X>^2). The first
     element is never below the second (up to roundoff).
     """
-    q_op = _require_hermitian(q_op, "Q")
-    r_op = _require_hermitian(r_op, "R")
+    q_op = _hermitian_part(q_op, "Q")
+    r_op = _hermitian_part(r_op, "R")
     if q_op.shape != (2, 2) or r_op.shape != (2, 2):
         raise ValueError(f"Q and R must be 2x2 operators, got shapes {q_op.shape} and {r_op.shape}")
     psi = _real_or_complex(psi).reshape(-1)

@@ -18,10 +18,9 @@ from .linalg import (
     COMPLETENESS_ATOL,
     EIGENVALUE_FLOOR,
     KRAUS_WEIGHT_CUTOFF,
-    _eigensystem,
     _float_or_array,
+    _hermitian_part,
     _real_or_complex,
-    _require_hermitian,
 )
 
 R_MAX = math.pi / 4
@@ -201,7 +200,8 @@ def kraus_from_choi(c: np.ndarray) -> np.ndarray:
     only up to an isometric remixing, so two representations of the same
     channel must be compared on their action, not operator by operator.
 
-    C is checked once, as the "Choi matrix": finite and Hermitian. Then,
+    C is checked once, as the "Choi matrix", and solved as the Hermitian
+    part the check returns. Then,
     in this order, ValueError is raised for an eigenvalue below
     EIGENVALUE_FLOOR (not completely positive), for no eigenvalue above
     KRAUS_WEIGHT_CUTOFF (no Kraus operators), and when C is not trace
@@ -215,7 +215,7 @@ def kraus_from_choi(c: np.ndarray) -> np.ndarray:
     c = np.asarray(c, dtype=complex)
     if c.shape != (4, 4):
         raise ValueError(f"expected a 4x4 Choi matrix, got shape {c.shape}")
-    eigenvalues, eigenvectors = _eigensystem(_require_hermitian(c, "Choi matrix"))
+    eigenvalues, eigenvectors = np.linalg.eigh(_hermitian_part(c, "Choi matrix"))
     values = eigenvalues.tolist()
     if values[0] < EIGENVALUE_FLOOR:
         raise ValueError(f"not completely positive: Choi eigenvalue {values[0]:.3e}")

@@ -12,15 +12,16 @@ float64 and a float64 matrix is checked, symmetrized and solved in
 float64 (LAPACK's real symmetric solver). What stays complex on purpose
 says why where it is built.
 
-`partial_trace`, `_require_hermitian`, `hermitian_eigensystem` and
+`partial_trace`, `_hermitian_part`, `hermitian_eigensystem` and
 `_eigenvalues` act on the last two axes and broadcast over any leading
 stack axes, so one call handles a single (d, d) matrix or a whole
 (..., d, d) stack.
 
-Input checks, `_require_hermitian` and its peers in the other modules,
+Input checks, `_hermitian_part` and its peers in the other modules,
 first reject NaN and infinite input by name. Their tests against the
 tolerances below are written `not deviation <= TOLERANCE`, so a NaN
-deviation fails them too.
+deviation fails them too. `_hermitian_part` checks and symmetrizes in
+one step: every eigensolver takes the (M + M^dag)/2 it returns as it is.
 """
 
 import math
@@ -110,27 +111,28 @@ def _real_or_complex(m) -> np.ndarray:
     return m.astype(float if m.dtype.kind in "biuf" else complex, copy=False)
 
 
-def _require_hermitian(m: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Return `m` as a float64 array if it is real, else as a complex one,
-    or raise ValueError unless it is a finite square matrix, or a stack
-    of them, within HERMITICITY_ATOL of its adjoint everywhere. A real
-    matrix is compared with its transpose in float64."""
+def _hermitian_part(m: np.ndarray, name: str = "matrix") -> np.ndarray:
+    """(M + M^dag)/2 of a finite square matrix, or of each in a stack,
+    within HERMITICITY_ATOL of its adjoint everywhere, or ValueError for
+    the first of not finite, not square and not Hermitian. A real `m` is
+    checked and symmetrized in float64; its one adjoint serves both."""
     m = _real_or_complex(m)
     if not np.isfinite(m).all():
         raise ValueError(f"{name} is not finite: it holds NaN or inf")
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected {name} to be a square matrix, got shape {m.shape}")
-    deviation = float(abs(m - m.conj().swapaxes(-1, -2)).max(initial=0.0))
+    adjoint = m.conj().swapaxes(-1, -2)
+    deviation = float(abs(m - adjoint).max(initial=0.0))
     if not deviation <= HERMITICITY_ATOL:
         raise ValueError(f"{name} is not Hermitian: max |M - M^dag| = {deviation:.3e}")
-    return m
+    return (m + adjoint) / 2.0
 
 
 def hermitian_eigensystem(m: np.ndarray):
     """Full eigensystem of a Hermitian matrix, or of each in a stack,
     eigenvalues ascending.
 
-    The input is symmetrized as (M + M†)/2 before solving, so roundoff
+    The solver takes `_hermitian_part(m)`, (M + M^dag)/2, so roundoff
     accumulated by upstream products cannot leak into the eigenbasis;
     matrices more than HERMITICITY_ATOL from Hermitian are rejected.
 
@@ -142,13 +144,7 @@ def hermitian_eigensystem(m: np.ndarray):
         eigenvectors. Within a degenerate eigenspace the basis choice is
         arbitrary and callers must not rely on it.
     """
-    return _eigensystem(_require_hermitian(m))
-
-
-def _eigensystem(m: np.ndarray):
-    """`hermitian_eigensystem` without the checks: `np.linalg.eigh` of
-    (M + M^dag)/2, for an array already known to be finite and Hermitian."""
-    return np.linalg.eigh((m + m.conj().swapaxes(-1, -2)) / 2.0)
+    return np.linalg.eigh(_hermitian_part(m))
 
 
 def _eigenvalues(m: np.ndarray) -> np.ndarray:
@@ -160,10 +156,10 @@ def _eigenvalues(m: np.ndarray) -> np.ndarray:
     A 2x2 spectrum is taken in closed form, (a+d)/2 -+ hypot((a-d)/2, |b|)
     for [[a, b], [b*, d]], with b the mean of the two off-diagonal
     entries, both roots written into one new float64 (..., 2) array; a
-    larger one with `np.linalg.eigvalsh` of (M + M^dag)/2.
+    larger one must be a Hermitian part, taken by `np.linalg.eigvalsh`.
     """
     if m.shape[-1] != 2:
-        return np.linalg.eigvalsh((m + m.conj().swapaxes(-1, -2)) / 2.0)
+        return np.linalg.eigvalsh(m)
     a, d = m[..., 0, 0].real, m[..., 1, 1].real
     b = (m[..., 0, 1] + m[..., 1, 0].conj()) / 2.0
     mean = (a + d) / 2.0

@@ -18,8 +18,8 @@ from .linalg import (
     TRACE_ATOL,
     _eigenvalues,
     _float_or_array,
+    _hermitian_part,
     _real_or_complex,
-    _require_hermitian,
 )
 
 
@@ -112,13 +112,11 @@ def vn_entropy(rho: np.ndarray):
     """Von Neumann entropy -tr(rho log2 rho) in bits.
 
     Takes one density matrix and returns a float, or a (..., d, d) stack
-    and returns an array of the stack's shape. Eigenvalues in
-    [EIGENVALUE_FLOOR, 0) are clamped to 0 and those in
-    (1, 1 + |EIGENVALUE_FLOOR|] to 1; anything farther out is rejected by
-    `_checked_spectrum`. The sum is subtracted from 0.0 rather than
-    negated, so a pure state's entropy is +0.0, not -0.0.
+    and returns an array of the stack's shape: `_entropy_bits` of the
+    spectrum, which `_checked_spectrum` holds to within |EIGENVALUE_FLOOR|
+    of [0, 1].
     """
-    return _float_or_array(0.0 - _xlog2x(_checked_spectrum(rho).clip(0.0, 1.0)).sum(axis=-1))
+    return _float_or_array(_entropy_bits(_checked_spectrum(rho)))
 
 
 def _checked_spectrum(rho: np.ndarray) -> np.ndarray:
@@ -131,11 +129,11 @@ def _checked_spectrum(rho: np.ndarray) -> np.ndarray:
     that order; the trace error gives the trace of the first state that
     fails. Anything farther out means the input is not a state and is a
     hard error, so upstream bugs surface instead of being rounded away.
-    What a reader derives from a checked state is not checked again. A
-    float64 rho is checked and solved in float64, anything else in
-    complex128.
+    What a reader derives from a checked state is not checked again. The
+    spectrum is of rho's `_hermitian_part`, in float64 for a float64 rho
+    and in complex128 otherwise.
     """
-    rho = _require_hermitian(rho)
+    rho = _hermitian_part(rho)
     eigenvalues = _eigenvalues(rho)
     smallest = float(eigenvalues.min(initial=0.0))
     if smallest < EIGENVALUE_FLOOR:
@@ -154,7 +152,10 @@ def _checked_spectrum(rho: np.ndarray) -> np.ndarray:
     return eigenvalues
 
 
-def _xlog2x(weights: np.ndarray) -> np.ndarray:
-    """w log2 w for each of a float64 array of nonnegative weights, with
-    0 log 0 = 0; the log is taken into a new float64 array of zeros."""
-    return weights * np.log2(weights, out=np.zeros(weights.shape), where=weights > 0.0)
+def _entropy_bits(weights: np.ndarray, axis: int = -1, upper: float | None = 1.0) -> np.ndarray:
+    """-sum w log2 w along `axis`, in bits, of float64 weights clipped to
+    [0, upper] (no upper limit for None), with 0 log 0 = 0: the log is
+    taken into a new float64 array of zeros. The sum is subtracted from
+    0.0 rather than negated, so a zero entropy is +0.0, not -0.0."""
+    w = weights.clip(0.0, upper)
+    return 0.0 - (w * np.log2(w, out=np.zeros(w.shape), where=w > 0.0)).sum(axis=axis)

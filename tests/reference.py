@@ -205,13 +205,14 @@ def evolve(rho, r):
     return out
 
 
-def sweep(cfg) -> tuple:
-    """(columns, reports) of the sweep that `cfg` (a `SweepConfig`) describes:
-    the six `Sweep` columns as lists of mpf (`a` is None for an r-sweep),
-    and one `report` dict per grid point."""
+def sweep(cfg, rows=None) -> tuple:
+    """(columns, reports) of the sweep that `cfg` (a `SweepConfig`) describes,
+    at the grid indices `rows`, every grid point by default: the six
+    `Sweep` columns as lists of mpf (`a` is None for an r-sweep), and one
+    `report` dict per row."""
     steps = cfg.steps
     lo, hi = MP.mpf(cfg.a_min), MP.mpf(cfg.a_max)
-    grid = [lo + (hi - lo) * k / (steps - 1) for k in range(steps)]
+    grid = [lo + (hi - lo) * k / (steps - 1) for k in (range(steps) if rows is None else rows)]
     r_column = [unruh_r(a, cfg.omega) for a in grid] if cfg.sweep_var == "a" else grid
     initial = initial_state(cfg.state, cfg.p)
     q, o = pauli_basis(cfg.obs[0]), pauli_basis(cfg.obs[1])

@@ -173,9 +173,9 @@ def test_evaluate_eur_takes_each_spectrum_once(monkeypatch):
         spectra.append(("_eigenvalues", np.shape(m)))
         return linalg._eigenvalues(m)
 
-    def require_hermitian(m, *args):
+    def hermitian_part(m, *args):
         checked.append(np.shape(m))
-        return linalg._require_hermitian(m, *args)
+        return linalg._hermitian_part(m, *args)
 
     one = apply_to_memory(unruh_channel(0.3), bell_diagonal_p(0.5))
     stack = np.stack([random_density_matrix(rng, 4) for _ in range(7)])
@@ -183,7 +183,7 @@ def test_evaluate_eur_takes_each_spectrum_once(monkeypatch):
         monkeypatch.setattr(np.linalg, name, counted(name))
     monkeypatch.setattr(states, "_eigenvalues", eigenvalues)
     monkeypatch.setattr(bounds, "_eigenvalues", eigenvalues)
-    monkeypatch.setattr(states, "_require_hermitian", require_hermitian)
+    monkeypatch.setattr(states, "_hermitian_part", hermitian_part)
     for rho, lead, dtype in ((one, (), np.float64), (stack, (7,), np.complex128)):
         solved.clear()
         spectra.clear()

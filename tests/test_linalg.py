@@ -5,13 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eur.linalg import hermitian_eigensystem, partial_trace, tensor
+from eur.channels import choi, kraus_from_choi, unruh_channel
+from eur.linalg import HERMITICITY_ATOL, hermitian_eigensystem, partial_trace, tensor
+from eur.states import _checked_spectrum
 from helpers import (
     I2,
     PHI_PLUS,
     SX,
     SZ,
+    assert_same_bits,
     proj,
+    random_choi,
     random_complex,
     random_density_matrix,
     random_hermitian,
@@ -195,3 +199,51 @@ def test_eigensystem_rejects_non_hermitian():
         hermitian_eigensystem(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError):
         hermitian_eigensystem(np.ones((2, 3)))
+
+
+def perturbed(rng, h, real):
+    """`h` plus an anti-Hermitian part of about 1e-12, real for a real
+    perturbation, and (that matrix, its Hermitian part (M + M^dag)/2),
+    both as numpy forms it; the matrix is within HERMITICITY_ATOL of
+    Hermitian but not Hermitian."""
+    g = rng.normal(size=h.shape) if real else random_complex(rng, h.shape)
+    m = h + 1e-12 * (g - np.conj(np.swapaxes(g, -1, -2))) / 2
+    adjoint = np.conj(np.swapaxes(m, -1, -2))
+    assert 0.0 < np.abs(m - adjoint).max() <= HERMITICITY_ATOL
+    return m, (m + adjoint) / 2
+
+
+# The solvers take a checked matrix's Hermitian part: a matrix within
+# HERMITICITY_ATOL of Hermitian gives the bits of its (M + M^dag)/2, not
+# of its lower or upper triangle.
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "float64"])
+@pytest.mark.parametrize("shape", [(2, 2), (4, 4), (3, 4, 4)], ids=str)
+def test_eigensystem_takes_the_hermitian_part(shape, real):
+    rng = np.random.default_rng(41 + len(shape) + shape[-1])
+    h = np.stack([random_hermitian(rng, shape[-1]) for _ in range(int(np.prod(shape[:-2])))])
+    h = h.reshape(shape)
+    if real:
+        h = np.ascontiguousarray(h.real)
+    m, part = perturbed(rng, h, real)
+    for got, expected in zip(hermitian_eigensystem(m), hermitian_eigensystem(part)):
+        assert_same_bits(got, expected)
+
+
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "float64"])
+@pytest.mark.parametrize("dim", [2, 4])
+def test_state_check_takes_the_hermitian_part(dim, real):
+    rng = np.random.default_rng(43 + dim)
+    rho = random_density_matrix(rng, dim)
+    if real:
+        rho = np.ascontiguousarray(rho.real)  # a real state: symmetric, PSD, trace 1
+    m, part = perturbed(rng, rho, real)
+    assert_same_bits(_checked_spectrum(m), _checked_spectrum(part))
+
+
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "float64"])
+@pytest.mark.parametrize("family", ["unruh", "random"])
+def test_kraus_from_choi_takes_the_hermitian_part(family, real):
+    rng = np.random.default_rng(47 + real)
+    c = choi(unruh_channel(0.3)) if family == "unruh" else random_choi(rng)
+    m, part = perturbed(rng, c, real)
+    assert_same_bits(kraus_from_choi(m), kraus_from_choi(part))

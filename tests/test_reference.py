@@ -1,7 +1,9 @@
 """Every `Sweep` column and `EurReport` field against the 40-digit reference,
 within the error budget stated in `reference.py`."""
 
+import contextlib
 import dataclasses
+import io
 import math
 
 import numpy as np
@@ -95,3 +97,63 @@ def test_reference_reproduces_closed_forms():
     bad = reference.outside_budget([1.0, 1.0 + 1e-12, 1.0 + 1e-14], [1.0, 1.0, 1.0])
     assert [index for index, *_ in bad] == [1]
     assert math.isclose(reference.budget(-3.0), 4 * reference.budget(0.0))
+
+
+@st.composite
+def cli_domain_argv(draw):
+    """(argv, rows) for `eur sweep` over the domain of the benchmark's
+    cli-small workload: both states with p in [0, 1], all nine --obs
+    pairs, --omega log-uniform in [1e-3, 1e3], a-sweeps with a_max/omega
+    log-uniform in [1e-2, 1e18] or r-sweeps up to pi/4, a drawn --a-min
+    half the time, and 2-32 steps; `rows` are the first and last grid
+    indices and two drawn ones."""
+    omega = 10.0 ** draw(st.floats(-3.0, 3.0))
+    sweep_var = draw(st.sampled_from(["a", "r"]))
+    if sweep_var == "a":
+        a_max = omega * 10.0 ** draw(st.floats(-2.0, 18.0))
+    else:
+        a_max = draw(st.floats(0.0, math.pi / 4))
+    steps = draw(st.integers(2, 32))
+    argv = ["sweep", "--state", draw(st.sampled_from(["bell", "x"])),
+            "--p", repr(draw(st.floats(0.0, 1.0))),
+            "--obs", draw(st.sampled_from([f"{q},{r}" for q in "xyz" for r in "xyz"])),
+            "--omega", repr(omega), "--a-max", repr(a_max), "--steps", str(steps),
+            "--sweep-var", sweep_var]
+    if draw(st.booleans()):
+        argv.append(f"--a-min={draw(st.floats(0.0, a_max))!r}")
+    drawn = draw(st.lists(st.integers(0, steps - 1), min_size=2, max_size=2))
+    return argv, sorted({0, steps - 1, *drawn})
+
+
+@pytest.fixture(scope="module")
+def sweep_csv(tmp_path_factory):
+    return tmp_path_factory.mktemp("differential") / "sweep.csv"
+
+
+@given(case=cli_domain_argv())
+@settings(max_examples=200, deadline=None)
+def test_eur_sweep_matches_the_reference_over_the_cli_domain(sweep_csv, case):
+    # what `eur sweep` writes, against the 40-digit reference at a few rows
+    argv, rows = case
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        code = cli.main([*argv, f"--out={sweep_csv}"])
+    assert code == cli.EXIT_OK, err.getvalue()
+    cfg = cli.parse_args(argv)
+    sweep = cli.run_sweep(cfg)
+    expected, _ = reference.sweep(cfg, rows)
+    for name, column in vars(sweep).items():
+        if column is None:  # an r-sweep has no a column
+            assert expected[name] is None
+            continue
+        bad = reference.outside_budget(column[rows], expected[name])
+        assert not bad, (name, bad)
+    # every cell holds its column's value at 12 significant digits
+    lines = sweep_csv.read_text(encoding="ascii").splitlines()
+    assert lines[0] == cli.CSV_HEADER and len(lines) == cfg.steps + 1
+    for k, line in enumerate(lines[1:]):
+        for name, cell in zip(cli.CSV_HEADER.split(","), line.split(",")):
+            column = getattr(sweep, name)
+            if column is None:
+                assert cell == ""
+            else:
+                assert float(cell) == float(f"{column[k]:.12g}"), (name, k, cell)
