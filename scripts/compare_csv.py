@@ -10,8 +10,10 @@ checkout's `src`. There every case in CASES runs through
 compared byte for byte. Then it evaluates `evaluate_eur`,
 `post_measurement_state`, `measurement_ensemble`, `apply_to_memory`,
 `hermitian_eigensystem` and `vn_entropy` on LIBRARY_INPUTS seeded
-inputs, complex and float64, runs each one-state input through the
-Choi route at its own Unruh angle, and runs
+inputs and two hand-built one-state ones (an outcome whose probability
+is PROBABILITY_FLOOR, and a state 1e-12 off Hermitian), complex and
+float64, runs each one-state input through the Choi route at its own
+Unruh angle, and runs
 KRAUS_FAMILIES seeded Kraus families, complex and float64, one channel
 or a stack, through `choi` and `kraus_from_choi` and applies each to
 one complex state and to its real part, and compares every result's
@@ -93,9 +95,15 @@ def haar_basis(rng) -> np.ndarray:
 
 
 def library_inputs():
-    """The seeded (q basis, r basis, rho) inputs of the library case, built
-    with numpy alone: G G^dag / tr for a complex Gaussian G of shape
-    (..., 4, rank)."""
+    """The (q basis, r basis, rho) inputs of the library case, built with
+    numpy alone: first the seeded ones, G G^dag / tr for a complex Gaussian
+    G of shape (..., 4, rank), which are exactly Hermitian; then two
+    hand-built single states under q = sigma_z and r = sigma_x. The first,
+    (1-e)|11><11| + e |0><0| (x) I/2 at e = 1e-12, has a q outcome of
+    probability e, at or below PROBABILITY_FLOOR, so that
+    `measurement_ensemble` gives it None; the second is a full-rank state
+    with one off-diagonal entry moved by 1e-12, so that every reader takes
+    its Hermitian part."""
     rng = np.random.default_rng(LIBRARY_SEED)
     for k in range(LIBRARY_INPUTS):
         lead, rank = LIBRARY_KINDS[k % len(LIBRARY_KINDS)]
@@ -103,6 +111,13 @@ def library_inputs():
         rho = g @ g.conj().swapaxes(-1, -2)
         rho = rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
         yield haar_basis(rng), haar_basis(rng), rho
+    z, x = np.eye(2, dtype=complex), np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+    e = 1e-12
+    yield z, x, (1 - e) * np.diag([0, 0, 0, 1.0 + 0j]) + e * np.diag([0.5, 0.5, 0, 0j])
+    rho = np.array([[0.4, 0, 0, 0.1 + 0.05j], [0, 0.3, 0.08j, 0],
+                    [0, -0.08j, 0.2, 0], [0.1 - 0.05j, 0, 0, 0.1]])
+    rho[0, 3] += 1e-12
+    yield z, x, rho
 
 
 def kraus_families():
@@ -283,11 +298,11 @@ def first_report_difference(base, this) -> "str | None":
     for reports in (base, this):
         if isinstance(reports, str):
             return reports
+    inputs = len(base[0]) - KRAUS_FAMILIES
     for n, (old, new) in enumerate(zip(base[0], this[0])):
         for old_field, new_field in zip(old, new):
             if old_field != new_field:
-                source = (f"input {n}" if n < LIBRARY_INPUTS
-                          else f"Kraus family {n - LIBRARY_INPUTS}")
+                source = f"input {n}" if n < inputs else f"Kraus family {n - inputs}"
                 return f"{old_field[0]} of {source}"
     return None
 

@@ -69,16 +69,16 @@ def evaluate_eur(
     """Evaluate the uncertainty sum and every lower bound on one state or a stack.
 
     rho is checked once, by `measurement._conditioned`. The six 2x2
-    states it stacks along the first axis (both marginals, then the four
-    conditional memory states) are read by index, with the unchecked
-    closed form `linalg._eigenvalues`.
+    matrices it stacks along the first axis (both marginals, then the
+    four unnormalized memory blocks B_i = <i|rho|i>) are read by index,
+    with the unchecked closed form `linalg._eigenvalues`.
 
-    The post-measurement state rho_OB is block diagonal, so
-    S(OB) = H(p) + sum_i p_i S(rho_B|i) needs no spectrum of its own:
-    I(O;B) = S(B) - sum_i p_i S(rho_B|i) and S(O|B) = H(p) - I(O;B), where
-    a zero-probability outcome gets weight 0 and contributes exactly
-    nothing. Every entropy, of a spectrum or of the outcome probabilities
-    H(p), is `states._entropy_bits`.
+    The post-measurement state rho_OB = sum_i |i><i| (x) B_i is block
+    diagonal, so its spectrum is that of its blocks pooled: S(OB) is the
+    entropy of O's four block eigenvalues, with no division by p_i, and
+    I(O;B) = S(B) + H(p) - S(OB), S(O|B) = H(p) - I(O;B). Every entropy,
+    of a spectrum or of the outcome probabilities H(p), is
+    `states._entropy_bits`.
 
     For one state, S(AB), the six entropies, both H(p) and both I(O;B)
     are turned into Python floats once, and the fields are combined from
@@ -87,12 +87,12 @@ def evaluate_eur(
     k's own report. `max(delta, 0.0)` stands for `np.maximum(0.0, delta)`,
     whose -0.0 and NaN it keeps.
     """
-    spectrum, states, p, kept, _ = _conditioned(rho, (q, r))
+    spectrum, states, p = _conditioned(rho, (q, r))
     pairs = (2, 2) + p.shape[1:]  # (observable, outcome, ...)
     s_ab = _entropy_bits(spectrum)
     s = _entropy_bits(_eigenvalues(states))
     h = _entropy_bits(p.reshape(pairs), axis=1, upper=None)
-    i_ob = s[1] - (np.where(kept, p, 0.0) * s[2:]).reshape(pairs).sum(axis=1)
+    i_ob = s[1] + h - s[2:].reshape(pairs).sum(axis=1)
     one_state = s_ab.ndim == 0
     if one_state:
         s_ab, s, h, i_ob = float(s_ab), s.tolist(), h.tolist(), i_ob.tolist()

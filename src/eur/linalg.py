@@ -36,7 +36,7 @@ EIGENVALUE_FLOOR = -1e-10    # eigenvalues down to here are roundoff around 0
 COMPLETENESS_ATOL = 1e-10    # max |sum K^dag K - I| of a trace-preserving channel
 KRAUS_WEIGHT_CUTOFF = 1e-12  # Choi eigenvalues at or below this give no Kraus operator
 ORTHONORMALITY_ATOL = 1e-12  # max |B^dag B - I| of an orthonormal basis
-PROBABILITY_FLOOR = 1e-12    # outcome probabilities at or below this count as 0
+PROBABILITY_FLOOR = 1e-12    # measurement_ensemble returns None for rho_B|i when p_i <= this
 BOUND_ORDER_ATOL = 1e-9      # slack allowed in lhs >= berta and lhs >= holevo
 BOUND_GAP_ATOL = 1e-12       # slack allowed in holevo >= berta
 

@@ -7,12 +7,13 @@ configuration, from the mixing angle r = atan(exp(-pi omega / a)) over
 the Kraus channel and the evolved state to the bounds. Everything runs in
 mpmath at mp.dps = 40, in a private context, and every entropy comes from
 an `eighe` spectrum: S(QB) and S(RB) from the dephased 4x4 states
-themselves, not from S(OB) = H(p) + sum_i p_i S(rho_B|i), which the
-package uses. Nothing here imports `eur`. Float inputs (random states,
-observable bases, sweep bounds) are taken as the exact binary numbers
-they are; the sweep's initial states and Pauli bases are built exactly.
-As in the package, eigenvalues below 0 count as 0, and an outcome of
-probability 0 has weight 0.
+themselves, not from the pooled spectra of the unnormalized memory
+blocks <i|rho|i>, which the package uses, and I(O;B) from
+S(B) - sum_i p_i S(rho_B|i), which it does not. Nothing here imports
+`eur`. Float inputs (random states, observable bases, sweep bounds) are
+taken as the exact binary numbers they are; the sweep's initial states
+and Pauli bases are built exactly. As in the package, eigenvalues below
+0 count as 0; an outcome of probability 0 adds nothing to the sum.
 
 The budget. A float64 value v of reference value x passes when
 
@@ -33,10 +34,7 @@ presets at 10^3 grid points and about 90 EPS on random rank-one states
 K = 512 sits between the two: more than five times what is seen, so
 rounding changes do not trip it, and still about four decades below
 the 1e-9 slack of the bound checks, so a lost term, a swapped operand
-or a wrong branch cannot hide in it. The budget does not cover an
-outcome probability in (0, PROBABILITY_FLOOR]: the package gives such an
-outcome weight 0 in sum_i p_i S(rho_B|i), which moves a field by up to
-that probability.
+or a wrong branch cannot hide in it.
 """
 
 import dataclasses

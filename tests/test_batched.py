@@ -226,8 +226,9 @@ def test_conditioned_blocks_equal_the_per_matrix_product(stack, count):
     t = rho.reshape(stack + (2, 2, 2, 2))
     expected = (rows @ t.swapaxes(-3, -2).reshape(stack + (4, 4))).reshape(
         stack + (2 * count, 2, 2))
-    # outcome first, as the one product over the whole stack makes them
-    assert_same_bits(_conditioned(rho, observables)[4], np.moveaxis(expected, -3, 0))
+    # outcome first, after both marginals, as the one product over the
+    # whole stack makes them
+    assert_same_bits(_conditioned(rho, observables)[1][2:], np.moveaxis(expected, -3, 0))
 
 
 @pytest.mark.parametrize("stack", [(), (7,), (2, 3)], ids=str)
@@ -239,13 +240,16 @@ def test_conditioned_states_are_both_marginals_then_the_conditional_states(stack
     rho = random_states(rng, stack)
     if real:  # the real part of a state is a state
         rho = np.ascontiguousarray(rho.real)
-    _, states, p, _, blocks = _conditioned(rho, observables)
-    # the stacked and concatenated form, as a reference formula; no p of a
-    # random state is near the floor
+    _, states, _ = _conditioned(rho, observables)
+    # the stacked and concatenated form, as a reference formula: the
+    # marginals, then the blocks as one product per matrix makes them
     t = rho.reshape(stack + (2, 2, 2, 2))
     marginals = np.stack([t[..., :, 0, :, 0] + t[..., :, 1, :, 1],
                           t[..., 0, :, 0, :] + t[..., 1, :, 1, :]])
-    expected = np.concatenate([marginals, blocks / p[..., None, None]])
+    rows = np.concatenate([obs._rows for obs in observables])
+    blocks = (rows @ t.swapaxes(-3, -2).reshape(stack + (4, 4))).reshape(
+        stack + (2 * count, 2, 2))
+    expected = np.concatenate([marginals, np.moveaxis(blocks, -3, 0)])
     assert states.dtype == np.complex128 and states.flags.c_contiguous
     assert_same_bits(states, expected)
     # rho_A and rho_B in that order, each the partial trace
@@ -306,8 +310,8 @@ def test_post_measurement_blocks_equal_those_of_the_pair(stack):
     rng = np.random.default_rng(23 + len(stack))
     q, r = (ProjectiveObservable(name, random_unitary(rng, 2)) for name in "qr")
     rho = random_states(rng, stack)
-    pair = _conditioned(rho, (q, r))[4]
-    assert_same_bits(_conditioned(rho, (q,))[4], pair[:2])
+    pair = _conditioned(rho, (q, r))[1][2:]
+    assert_same_bits(_conditioned(rho, (q,))[1][2:], pair[:2])
     # post_measurement_state assembles exactly the blocks that evaluate_eur
     # reads; the reference formula takes them with the outcome axis last
     projectors = np.stack([q.projector(0), q.projector(1)])

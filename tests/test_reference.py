@@ -63,8 +63,8 @@ def test_zero_probability_stack_matches_the_reference():
 
 def test_small_outcome_probabilities_match_the_reference():
     # probe sqrt(1-e)|+> + sqrt(e) e^{i theta}|->, so the sigma_x outcome "-"
-    # has probability e; dividing its memory block by e magnifies rho's
-    # roundoff, and the conditional state must not be rejected for it
+    # has probability e, and its memory block, of trace e, must still give
+    # S(XB) within the budget, not be rejected or dropped for its size
     rng = np.random.default_rng(0)
     plus, minus = np.array([1.0, 1.0]) / np.sqrt(2), np.array([1.0, -1.0]) / np.sqrt(2)
     states = []
@@ -76,6 +76,18 @@ def test_small_outcome_probabilities_match_the_reference():
     q, r = pauli_observable("x"), pauli_observable("y")
     expected = reference.reports(q.basis, r.basis, states)
     assert not reference.report_outside_budget(evaluate_eur(q, r, states), expected)
+
+
+@pytest.mark.parametrize("e", [5e-13, 1e-12])
+@pytest.mark.parametrize("pair", [("z", "x"), ("z", "y"), ("x", "z")], ids="".join)
+def test_outcomes_at_the_probability_floor_match_the_reference(e, pair):
+    # (1-e)|11><11| + e |0><0| (x) I/2: the sigma_z outcome 0 has probability
+    # e, at or below PROBABILITY_FLOOR, and its memory block e I/2 still
+    # carries entropy e (1 - log2 e) into S(ZB)
+    rho = (1 - e) * np.diag([0.0, 0.0, 0.0, 1.0]) + e * np.diag([0.5, 0.5, 0.0, 0.0])
+    q, r = (pauli_observable(axis) for axis in pair)
+    expected = reference.reports(q.basis, r.basis, rho)
+    assert not reference.report_outside_budget(evaluate_eur(q, r, rho), expected)
 
 
 def test_reference_reproduces_closed_forms():
