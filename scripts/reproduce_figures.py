@@ -10,7 +10,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from eur.cli import EXIT_IO, EXIT_OK, MAX_STEPS
+from eur.cli import EXIT_IO, EXIT_OK, MAX_STEPS, PRESETS
 from eur.cli import main as eur_main
 
 
@@ -28,7 +28,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: cannot create {outdir}: {exc}", file=sys.stderr)
         return EXIT_IO
-    for preset in ("fig1", "fig2"):
+    for preset in sorted(PRESETS):
         out = outdir / f"{preset}.csv"
         code = eur_main(
             ["sweep", "--preset", preset, "--steps", str(args.steps), "--out", str(out)]

@@ -18,7 +18,7 @@ from .channels import (
     validate_kraus,
 )
 from .cli import parse_args
-from .linalg import hermitian_eigensystem, partial_trace, tensor
+from .linalg import hermitian_eigensystem, partial_trace
 from .measurement import (
     ProjectiveObservable,
     complementarity,
@@ -58,7 +58,6 @@ __all__ = [
     "post_measurement_state",
     "rindler_tripartite_state",
     "robertson_bound",
-    "tensor",
     "unruh_channel",
     "unruh_r",
     "validate_kraus",

@@ -104,7 +104,8 @@ def _kraus_stack(channel) -> np.ndarray:
     """The Kraus operators as one array of shape (K, ..., 2, 2): float64
     when they are all real numbers, complex128 otherwise.
 
-    Raises ValueError for an empty family or for operators that are not 2x2.
+    Raises ValueError for an empty family, for an array of fewer than three
+    axes (one bare operator, say), or for operators that are not 2x2.
     """
     try:
         kraus = _real_or_complex(channel)
@@ -113,7 +114,9 @@ def _kraus_stack(channel) -> np.ndarray:
         raise ValueError(f"Kraus operators have shapes {shapes}, expected (2, 2)") from None
     if kraus.ndim > 0 and len(kraus) == 0:
         raise ValueError("channel has no Kraus operators")
-    if kraus.ndim < 3 or kraus.shape[-2:] != (2, 2):
+    if kraus.ndim < 3:
+        raise ValueError(f"channel has shape {kraus.shape}, expected (K, ..., 2, 2)")
+    if kraus.shape[-2:] != (2, 2):
         raise ValueError(f"Kraus operator has shape {kraus.shape[1:]}, expected (2, 2)")
     return kraus
 

@@ -41,11 +41,8 @@ MAX_STEPS = 10**7
 # nor a preset gives one.
 DEFAULTS = {"state": "bell", "p": 0.5, "obs": "x,y", "omega": 0.1}
 
-# Values the named presets give those flags; explicit flags override them.
-PRESETS = {
-    "fig1": dict(DEFAULTS),
-    "fig2": {**DEFAULTS, "state": "x", "p": 1.0},
-}
+# What each named preset changes in DEFAULTS; explicit flags override it.
+PRESETS = {"fig1": {}, "fig2": {"state": "x", "p": 1.0}}
 
 
 @dataclass(frozen=True)
@@ -203,7 +200,7 @@ def parse_args(argv=None) -> SweepConfig:
     """
     parser = _build_parser()
     ns = parser.parse_args(argv)
-    for name, value in PRESETS.get(ns.preset, DEFAULTS).items():
+    for name, value in {**DEFAULTS, **PRESETS.get(ns.preset, {})}.items():
         if getattr(ns, name) is None:
             setattr(ns, name, value)
     del ns.command, ns.preset

@@ -1,9 +1,9 @@
 """Dense linear algebra for small multi-qubit objects.
 
 Everything operates on plain numpy arrays. The tensor-product convention
-puts the left factor on the most significant index: for A of dimension m
-and B of dimension n, the composite basis index is n*i_A + i_B (numpy's
-``kron`` ordering). Every other module relies on this convention.
+is that of ``np.kron(a, b)``: the left factor is the most significant,
+so for A of dimension m and B of dimension n the composite basis index
+is n*i_A + i_B. Every other module relies on this convention.
 
 One dtype rule holds across the package: an array is float64 when its
 entries are real and complex128 otherwise (`_real_or_complex`), and no
@@ -41,11 +41,6 @@ BOUND_ORDER_ATOL = 1e-9      # slack allowed in lhs >= berta and lhs >= holevo
 BOUND_GAP_ATOL = 1e-12       # slack allowed in holevo >= berta
 
 _FLOAT64, _COMPLEX128 = np.dtype(float), np.dtype(complex)
-
-
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with `a` as the most significant factor."""
-    return np.kron(_real_or_complex(a), _real_or_complex(b))
 
 
 def partial_trace(m: np.ndarray, keep, dims) -> np.ndarray:

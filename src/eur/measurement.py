@@ -35,8 +35,8 @@ class ProjectiveObservable:
 
     The observable keeps a read-only copy of `basis`, so changing the
     caller's array later changes nothing, and builds the read-only rows
-    conj(P_i), flattened to (2, 4), once; `projector` and
-    `_conditioned` both read them.
+    conj(P_i), flattened to (2, 4), once; `projector`, `_conditioned`
+    and `post_measurement_state` read them.
     """
 
     name: str
@@ -149,7 +149,7 @@ def post_measurement_state(obs: ProjectiveObservable, rho: np.ndarray) -> np.nda
     read out. Block diagonal in the measurement basis, and idempotent for
     a fixed observable.
     """
-    projectors = np.stack([obs.projector(0), obs.projector(1)])
+    projectors = obs._rows.conj().reshape(2, 2, 2)  # P_0 and P_1
     out = np.einsum("iac,i...jl->...ajcl", projectors, _conditioned(rho, (obs,))[1][2:])
     return out.reshape(out.shape[:-4] + (4, 4))
 

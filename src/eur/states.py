@@ -137,14 +137,10 @@ def _checked_spectrum(rho: np.ndarray) -> np.ndarray:
     eigenvalues = _eigenvalues(rho)
     smallest = float(eigenvalues.min(initial=0.0))
     if smallest < EIGENVALUE_FLOOR:
-        raise ValueError(
-            f"not a density matrix: eigenvalue {smallest:.3e} below tolerance"
-        )
+        raise ValueError(f"not a density matrix: eigenvalue {smallest:.3e} below tolerance")
     largest = float(eigenvalues.max(initial=1.0))
     if largest > 1.0 - EIGENVALUE_FLOOR:
-        raise ValueError(
-            f"not a density matrix: eigenvalue {largest:.12g} above 1"
-        )
+        raise ValueError(f"not a density matrix: eigenvalue {largest:.12g} above 1")
     tr = rho.trace(axis1=-2, axis2=-1).real
     normalized = abs(tr - 1.0) <= TRACE_ATOL
     if not normalized.all():

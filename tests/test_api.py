@@ -1,7 +1,7 @@
 """Top-level package surface."""
 
+import ast
 import re
-from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -22,24 +22,35 @@ def test_version_string():
     assert all(part.isdigit() for part in (major, minor, patch))
 
 
-def _word_counts(paths) -> Counter:
-    return Counter(word for path in paths for word in re.findall(r"\w+", path.read_text(encoding="utf-8")))
+def _code_references(sources) -> set:
+    """Every name that the Python sources read: a `Name`, the attribute of
+    an `Attribute`, or an imported name. Definitions, comments, docstrings
+    and prose count for nothing."""
+    names = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+    return names
 
 
 def test_every_exported_name_has_a_user():
-    # an export stays only if the documentation, an acceptance test, a
-    # script or the benchmark names it, or the package itself uses it
-    # (a definition plus at least one more mention)
-    documented = _word_counts([
-        ROOT / "README.md",
-        ROOT / "tests" / "test_acceptance.py",
+    # an export stays only if code reads it: another package module, a
+    # script, the benchmark, an acceptance test or a README example
+    paths = [
+        *(p for p in (ROOT / "src" / "eur").glob("*.py") if p.name != "__init__.py"),
         *ROOT.glob("scripts/**/*.py"),
         *ROOT.glob("perfbench/**/*.py"),
-        *ROOT.glob("perfbench/**/*.md"),
-    ])
-    package = _word_counts(p for p in (ROOT / "src" / "eur").glob("*.py") if p.name != "__init__.py")
-    unused = [name for name in eur.__all__ if not documented[name] and package[name] < 2]
-    assert not unused, f"exported but used nowhere: {unused}"
+        ROOT / "tests" / "test_acceptance.py",
+    ]
+    readme = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(encoding="utf-8"), re.M | re.S)
+    used = _code_references([*(p.read_text(encoding="utf-8") for p in paths), *readme])
+    unused = [name for name in eur.__all__ if name not in used]
+    assert not unused, f"exported but read by no code: {unused}"
 
 
 def _bad_basis(x):

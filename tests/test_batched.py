@@ -23,7 +23,7 @@ from eur.channels import (
     unruh_channel,
     validate_kraus,
 )
-from eur.linalg import _eigenvalues, hermitian_eigensystem, partial_trace, tensor
+from eur.linalg import _eigenvalues, hermitian_eigensystem, partial_trace
 from eur.measurement import (
     ProjectiveObservable,
     _conditioned,
@@ -373,7 +373,7 @@ def test_sweep_gives_the_bits_of_the_library_on_the_same_objects(flags):
     for built in (unruh_channel(0.3), amplitude_damping(0.2), bell_diagonal_state(0.1, -0.2, 0.3),
                   bell_diagonal_p(0.4), x_state(0.4), rindler_tripartite_state(0.3),
                   from_pure([0.6, 0.8]), choi(unruh_channel(0.3)),
-                  tensor(np.eye(2), x_state(0.4)), partial_trace(x_state(0.4), 1, (2, 2)),
+                  partial_trace(x_state(0.4), 1, (2, 2)),
                   apply(amplitude_damping(0.2), np.eye(2) / 2)):
         assert built.dtype == np.float64
     cfg = cli.parse_args(["sweep", *flags, "--steps", "101"])

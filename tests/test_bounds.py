@@ -13,7 +13,6 @@ from eur import bounds, linalg, states
 from eur.bounds import bound_violations, evaluate_eur, robertson_bound
 from eur.channels import R_MAX, amplitude_damping, apply_to_memory, unruh_channel
 from eur.cli import SweepConfig, run_sweep
-from eur.linalg import tensor
 from eur.measurement import (
     measurement_ensemble,
     pauli_observable,
@@ -60,7 +59,7 @@ def test_s_cond_values():
 
 def test_i_ab_values():
     rng = np.random.default_rng(31)
-    product = tensor(random_density_matrix(rng, 2), random_density_matrix(rng, 2))
+    product = np.kron(random_density_matrix(rng, 2), random_density_matrix(rng, 2))
     assert xy_report(product).i_ab == pytest.approx(0.0, abs=1e-9)
     assert xy_report(proj(PHI_PLUS)).i_ab == pytest.approx(2.0, abs=1e-12)
     assert xy_report(bell_diagonal_p(0.5)).i_ab == pytest.approx(0.5, abs=1e-9)
@@ -98,7 +97,7 @@ def test_berta_bound_values():
 
 def test_delta_values():
     rng = np.random.default_rng(32)
-    product = tensor(random_density_matrix(rng, 2), random_density_matrix(rng, 2))
+    product = np.kron(random_density_matrix(rng, 2), random_density_matrix(rng, 2))
     assert xy_report(product).delta == pytest.approx(0.0, abs=1e-9)
     assert xy_report(bell_diagonal_p(0.5)).delta == pytest.approx(DELTA_BD_HALF, abs=1e-9)
     assert xy_report(x_state(1.0)).delta == pytest.approx(0.0, abs=1e-9)
@@ -110,7 +109,7 @@ def test_holevo_bound_values():
         1.5 + DELTA_BD_HALF, abs=1e-9
     )
     rng = np.random.default_rng(33)
-    product = xy_report(tensor(random_density_matrix(rng, 2), random_density_matrix(rng, 2)))
+    product = xy_report(np.kron(random_density_matrix(rng, 2), random_density_matrix(rng, 2)))
     assert product.holevo_bound == pytest.approx(product.berta_bound, abs=1e-9)
 
 

@@ -235,6 +235,13 @@ def test_apply_to_memory_identity_channel():
         apply_to_memory([np.eye(3)], rho)
     with pytest.raises(ValueError, match="Kraus operators have shapes"):
         apply_to_memory([I2, np.eye(3)], rho)
+    # one bare operator, or an array of fewer axes still, is named by its whole shape
+    entry_points = (lambda k: apply(k, I2 / 2), lambda k: apply_to_memory(k, rho), choi, validate_kraus)
+    for bare in (I2, np.ones(2), 1.0):
+        message = f"channel has shape {np.shape(bare)}, expected (K, ..., 2, 2)"
+        for entry_point in entry_points:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                entry_point(bare)
     # one identity channel per state of a stack: Kraus shape (K, N, 2, 2)
     stack = np.stack([rho, rho.T, np.eye(4) / 4])
     identities = np.broadcast_to(I2, (1, 3, 2, 2))

@@ -1,4 +1,4 @@
-"""Tensor products, partial traces and Hermitian eigensystems."""
+"""Partial traces and Hermitian eigensystems."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eur.channels import choi, kraus_from_choi, unruh_channel
-from eur.linalg import HERMITICITY_ATOL, hermitian_eigensystem, partial_trace, tensor
+from eur.linalg import HERMITICITY_ATOL, hermitian_eigensystem, partial_trace
 from eur.states import _checked_spectrum
 from helpers import (
     I2,
@@ -24,40 +24,11 @@ from helpers import (
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 
-def test_tensor_of_identities_is_identity():
-    assert np.array_equal(tensor(I2, I2), np.eye(4))
-
-
-def test_tensor_projector_placement_fixes_index_convention():
-    p0 = np.diag([1.0, 0.0])
-    p1 = np.diag([0.0, 1.0])
-    # left factor most significant: |0><0| (x) |1><1| sits at index 1
-    assert np.array_equal(tensor(p0, p1), np.diag([0.0, 1.0, 0.0, 0.0]))
-
-
-def test_tensor_sigma_x_pair_matches_hand_expansion():
-    expected = np.zeros((4, 4), dtype=complex)
-    expected[0, 3] = expected[1, 2] = expected[2, 1] = expected[3, 0] = 1.0
-    assert np.allclose(tensor(SX, SX), expected, atol=0.0)
-
-
-@given(seeds)
-@settings(max_examples=50, deadline=None)
-def test_tensor_is_associative(seed):
-    rng = np.random.default_rng(seed)
-    a = random_complex(rng, (2, 2))
-    b = random_complex(rng, (3, 3))
-    c = random_complex(rng, (2, 2))
-    left = tensor(tensor(a, b), c)
-    right = tensor(a, tensor(b, c))
-    assert np.allclose(left, right, atol=1e-12)
-
-
 def test_partial_trace_of_product_state_recovers_factor():
     rng = np.random.default_rng(3)
     rho_a = random_density_matrix(rng, 2)
     rho_b = random_density_matrix(rng, 2)
-    reduced = partial_trace(tensor(rho_a, rho_b), keep=[0], dims=[2, 2])
+    reduced = partial_trace(np.kron(rho_a, rho_b), keep=[0], dims=[2, 2])
     assert np.allclose(reduced, rho_a, atol=1e-12)
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eur.bounds import evaluate_eur
-from eur.linalg import partial_trace, tensor
+from eur.linalg import partial_trace
 from eur.measurement import (
     ProjectiveObservable,
     complementarity,
@@ -177,7 +177,7 @@ def test_post_measurement_is_idempotent_and_block_structured(seed):
     once = post_measurement_state(obs, rho)
     twice = post_measurement_state(obs, once)
     assert np.max(np.abs(twice - once)) < 1e-12
-    parity = tensor(obs.projector(0) - obs.projector(1), I2)
+    parity = np.kron(obs.projector(0) - obs.projector(1), I2)
     assert np.max(np.abs(parity @ once - once @ parity)) < 1e-12
 
 
@@ -229,7 +229,7 @@ def holevo(obs, rho):
 
 def test_holevo_vanishes_on_product_states():
     rng = np.random.default_rng(22)
-    rho = tensor(random_density_matrix(rng, 2), random_density_matrix(rng, 2))
+    rho = np.kron(random_density_matrix(rng, 2), random_density_matrix(rng, 2))
     assert holevo(random_observable(rng), rho) == pytest.approx(0.0, abs=1e-10)
 
 

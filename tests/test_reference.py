@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import eur.cli as cli
@@ -17,7 +17,7 @@ from eur.bounds import evaluate_eur
 from eur.channels import apply_to_memory, unruh_channel
 from eur.measurement import ProjectiveObservable, pauli_observable
 from eur.states import bell_diagonal_p, from_pure, x_state
-from helpers import random_complex, random_pure_state, random_unitary
+from helpers import random_complex, random_pure_state, random_unitary, shannon_bits
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -169,3 +169,73 @@ def test_eur_sweep_matches_the_reference_over_the_cli_domain(sweep_csv, case):
                 assert cell == ""
             else:
                 assert float(cell) == float(f"{column[k]:.12g}"), (name, k, cell)
+
+
+def _marginal_gap(rho_a, q_basis, r_basis) -> float:
+    """g = H(Q) + H(R) - log2(1/c) - S(A), from Alice's marginal alone, in
+    raw numpy: the Maassen-Uffink gap of rho_A (Adabi, Salimi, Haseli,
+    PRA 93, 062123 (2016)), >= 0.
+
+    It is how far `lhs` lies above `holevo`. With H(O|B) = H(O) - I(O;B),
+    S(A|B) = S(AB) - S(B) and I(A;B) = S(A) + S(B) - S(AB), the
+    definitions give
+
+        lhs - berta = H(Q) + H(R) - log2(1/c) - S(A) + delta = g + delta,
+
+    and holevo = berta + max(0, delta), so lhs - holevo = g + min(0, delta).
+    The channel acts on the memory alone, so g is constant along a sweep,
+    and where g = 0 the bound lhs >= holevo makes delta >= 0 and
+    lhs == holevo: the Holevo bound is exact.
+    """
+    h = [shannon_bits(np.einsum("ki,kl,li->i", basis.conj(), rho_a, basis).real)
+         for basis in (q_basis, r_basis)]
+    c = float((abs(q_basis.conj().T @ r_basis) ** 2).max())
+    return h[0] + h[1] - math.log2(1.0 / c) - shannon_bits(np.linalg.eigvalsh(rho_a))
+
+
+DRAWN_STATES = {
+    "complex": lambda rng: random_complex(rng, (4, 4)),
+    "real": lambda rng: rng.normal(size=(4, 4)),
+    "rank-one": lambda rng: random_pure_state(rng, 4)[:, None],
+}
+
+
+@pytest.mark.parametrize("kind", DRAWN_STATES)
+@given(seed=seeds)
+@settings(max_examples=50, deadline=None)
+def test_lhs_exceeds_holevo_by_the_marginal_gap_on_drawn_states(kind, seed):
+    # rho = G G^dag / tr, under a Haar pair of observables
+    rng = np.random.default_rng(seed)
+    g = DRAWN_STATES[kind](rng)
+    rho = g @ g.conj().T / np.trace(g @ g.conj().T).real
+    q_basis, r_basis = random_unitary(rng, 2), random_unitary(rng, 2)
+    report = evaluate_eur(ProjectiveObservable("q", q_basis), ProjectiveObservable("r", r_basis), rho)
+    gap = _marginal_gap(rho.reshape(2, 2, 2, 2).trace(axis1=1, axis2=3), q_basis, r_basis)
+    excess = report.lhs - report.holevo_bound
+    assert abs(excess - (gap + min(0.0, report.delta))) <= reference.budget(2.0), (excess, gap)
+
+
+@given(case=cli_domain_argv())
+@example(case=(["sweep", "--state", "x", "--p", "1.0", "--obs", "x,y", "--steps", "9"], []))
+@example(case=(["sweep", "--state", "x", "--p", "0.3", "--obs", "x,y", "--steps", "9"], []))
+@settings(max_examples=200, deadline=None)
+def test_lhs_exceeds_holevo_by_the_marginal_gap_over_the_cli_domain(case):
+    """At every row of `eur sweep`, lhs - holevo = g + min(0, delta), g
+    from rho_A (`_marginal_gap`): I/2 for `bell`, diag(p/2, 1 - p/2) for
+    `x`. g = 0 in closed form, so lhs == holevo, for two distinct axes
+    when rho_A is I/2 (`bell`, or `x` at p = 1: H(Q) = H(R) = S(A) = 1,
+    c = 1/2), and for `x` with a pair that includes z (rho_A diagonal:
+    H(Z) = S(A), the other axis is unbiased, H = 1, c = 1/2). Elsewhere
+    g > 0 in general: `x` with x,y at p = 0.3 gives g = 1 - S(A) = 0.39.
+    """
+    argv, _ = case
+    cfg = cli.parse_args(argv)
+    sweep = cli.run_sweep(cfg)
+    rho_a = np.eye(2) / 2 if cfg.state == "bell" else np.diag([cfg.p / 2, 1 - cfg.p / 2])
+    q, r = (pauli_observable(axis) for axis in cfg.obs)
+    gap = _marginal_gap(rho_a, q.basis, r.basis)
+    excess = sweep.lhs - sweep.holevo
+    off = abs(excess - (gap + np.minimum(0.0, sweep.delta)))
+    assert (off <= reference.budget(2.0)).all(), (gap, off.max())
+    if cfg.obs[0] != cfg.obs[1] and (cfg.state == "bell" or "z" in cfg.obs or cfg.p == 1.0):
+        assert (abs(excess) <= reference.budget(2.0)).all(), abs(excess).max()
