@@ -348,29 +348,26 @@ def rule_holds(base: dict, this: dict) -> bool:
     return holds
 
 
-def first_difference(base: bytes, this: bytes) -> str:
-    """'line N: <base line> != <this line>' for the first line that differs."""
-    base_lines, this_lines = base.splitlines(), this.splitlines()
-    for n, (old, new) in enumerate(zip(base_lines + [b"<end>"], this_lines + [b"<end>"]), 1):
-        if old != new:
-            return f"line {n}: {old.decode()} != {new.decode()}"
-    return "line endings differ"
-
-
-def cell_differences(base: bytes, this: bytes) -> tuple:
-    """(number of CSV cells that differ, largest |this - base| over the
-    differing cells that both hold numbers; 0.0 when none do)."""
-    count, largest = 0, 0.0
-    rows = itertools.zip_longest(base.splitlines(), this.splitlines(), fillvalue=b"")
-    for old_row, new_row in rows:
-        for old, new in itertools.zip_longest(old_row.split(b","), new_row.split(b",")):
+def csv_difference(base: bytes, this: bytes) -> str:
+    """'line N: <base line> != <this line>' for the first line that differs
+    (<end> past a file's last line; 'line endings differ' if none does),
+    then how many CSV cells differ and the largest |this - base| over the
+    differing cells that both hold numbers (0 when none do)."""
+    end, first, count, largest = object(), None, 0, 0.0  # end pads the shorter file
+    rows = itertools.zip_longest(base.splitlines(), this.splitlines(), fillvalue=end)
+    for n, pair in enumerate(rows, 1):
+        if first is None and pair[0] != pair[1]:
+            shown = ["<end>" if row is end else row.decode() for row in pair]
+            first = f"line {n}: {shown[0]} != {shown[1]}"
+        cells = ((b"" if row is end else row).split(b",") for row in pair)
+        for old, new in itertools.zip_longest(*cells):
             if old != new:
                 count += 1
                 try:
                     largest = max(largest, abs(float(new) - float(old)))
                 except (TypeError, ValueError):  # a missing, blank or text cell
                     pass
-    return count, largest
+    return f"{first or 'line endings differ'}; {count} cells differ, largest |difference| {largest:.3g}"
 
 
 def main(argv=None) -> int:
@@ -385,9 +382,7 @@ def main(argv=None) -> int:
             print(f"same    {' '.join(case)}")
         else:
             differing += 1
-            count, largest = cell_differences(old, new)
-            print(f"DIFFERS {' '.join(case)}: {first_difference(old, new)}; "
-                  f"{count} cells differ, largest |difference| {largest:.3g}")
+            print(f"DIFFERS {' '.join(case)}: {csv_difference(old, new)}")
     report_difference = first_report_difference(base, this)
     if report_difference is None:
         print("same    library reports")

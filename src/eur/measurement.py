@@ -35,8 +35,8 @@ class ProjectiveObservable:
 
     The observable keeps a read-only copy of `basis`, so changing the
     caller's array later changes nothing, and builds the read-only rows
-    conj(P_i), flattened to (2, 4), once; `projector`, `_conditioned`
-    and `post_measurement_state` read them.
+    conj(P_i), flattened to (2, 4), once; `_conditioned` and
+    `post_measurement_state` read them.
     """
 
     name: str
@@ -59,16 +59,6 @@ class ProjectiveObservable:
         rows.flags.writeable = False
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "_rows", rows)
-
-    def projector(self, i: int) -> np.ndarray:
-        """P_i = |v_i><v_i| for eigenstate i, as a new 2x2 array.
-
-        Raises ValueError unless i is the integer 0 or 1 (a numpy integer
-        included; a bool is not taken for one).
-        """
-        if isinstance(i, bool) or not isinstance(i, (int, np.integer)) or i not in (0, 1):
-            raise ValueError(f"eigenstate index must be 0 or 1, got {i!r}")
-        return self._rows[i].conj().reshape(2, 2)
 
 
 # the three Pauli eigenbases, +1 eigenvector first, built once

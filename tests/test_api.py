@@ -1,6 +1,7 @@
 """Top-level package surface."""
 
 import ast
+import inspect
 import re
 from pathlib import Path
 
@@ -38,18 +39,26 @@ def _code_references(sources) -> set:
     return names
 
 
+def _public_methods(cls) -> list:
+    return [name for name, value in vars(cls).items() if not name.startswith("_")
+            and (inspect.isfunction(value) or isinstance(value, (staticmethod, classmethod, property)))]
+
+
 def test_every_exported_name_has_a_user():
-    # an export stays only if code reads it: another package module, a
-    # script, the benchmark, an acceptance test or a README example
+    # an export, or a public method of an exported class, stays only if
+    # code reads it: another package module, a script, the benchmark (not
+    # its tests), an acceptance test or a README example
     paths = [
         *(p for p in (ROOT / "src" / "eur").glob("*.py") if p.name != "__init__.py"),
         *ROOT.glob("scripts/**/*.py"),
-        *ROOT.glob("perfbench/**/*.py"),
+        *ROOT.glob("perfbench/*.py"),
         ROOT / "tests" / "test_acceptance.py",
     ]
     readme = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(encoding="utf-8"), re.M | re.S)
     used = _code_references([*(p.read_text(encoding="utf-8") for p in paths), *readme])
-    unused = [name for name in eur.__all__ if name not in used]
+    classes = [name for name in eur.__all__ if inspect.isclass(getattr(eur, name))]
+    methods = [f"{name}.{method}" for name in classes for method in _public_methods(getattr(eur, name))]
+    unused = [name for name in [*eur.__all__, *methods] if name.rpartition(".")[2] not in used]
     assert not unused, f"exported but read by no code: {unused}"
 
 

@@ -314,7 +314,7 @@ def test_post_measurement_blocks_equal_those_of_the_pair(stack):
     assert_same_bits(_conditioned(rho, (q,))[1][2:], pair[:2])
     # post_measurement_state assembles exactly the blocks that evaluate_eur
     # reads; the reference formula takes them with the outcome axis last
-    projectors = np.stack([q.projector(0), q.projector(1)])
+    projectors = np.stack([np.outer(v, v.conj()) for v in q.basis.T])
     expected = np.einsum("iac,...ijl->...ajcl", projectors, np.moveaxis(pair[:2], 0, -3))
     assert_same_bits(post_measurement_state(q, rho), expected.reshape(stack + (4, 4)))
 

@@ -394,6 +394,24 @@ def test_module_entry_point(tmp_path):
     assert read_sweep(out).berta[0] == pytest.approx(1.5, abs=1e-9)
 
 
+def test_module_writes_the_file_bytes_to_dev_stdout(tmp_path):
+    # a non-regular --out target gets the bytes that a file gets
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    argv = ["sweep", "--preset", "fig1", "--steps", "5", "--out"]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-m", "eur", *argv, "/dev/stdout"],
+                            capture_output=True, env=env)
+    assert result.returncode == EXIT_OK, result.stderr
+    out = tmp_path / "fig1.csv"
+    assert main([*argv, str(out)]) == EXIT_OK
+    assert result.stdout == out.read_bytes()
+
+
 def test_sweep_config_validates_directly():
     valid = dict(state="bell", p=0.5, obs=("x", "y"), omega=0.1, a_min=0.0, a_max=1.0,
                  steps=5, sweep_var="a", out_path="out.csv")

@@ -3,6 +3,8 @@
 import re
 from pathlib import Path
 
+from eur.cli import main
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -12,3 +14,10 @@ def test_readme_python_blocks_run():
     namespace = {}  # later blocks use the imports of earlier ones
     for i, block in enumerate(blocks):
         exec(compile(block, f"README.md python block {i}", "exec"), namespace)
+
+
+def test_readme_quotes_the_fig2_row_at_a_0(tmp_path):
+    out = tmp_path / "fig2.csv"
+    assert main(["sweep", "--preset", "fig2", "--steps", "2", "--out", str(out)]) == 0
+    row = out.read_text(encoding="utf-8").splitlines()[1]
+    assert f"`{row}`" in README.read_text(encoding="utf-8")

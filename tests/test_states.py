@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eur.channels import apply_to_memory, unruh_channel
+from eur.channels import apply_to_memory, unruh_channel, unruh_r
+from eur.cli import parse_args
 from eur.linalg import partial_trace
 from eur.states import (
     bell_diagonal_p,
@@ -144,6 +145,30 @@ def test_tracing_out_region_two_equals_channel_on_memory(r):
     reduced = partial_trace(rho_tri, keep=[0, 1], dims=[2, 2, 2])
     channeled = apply_to_memory(unruh_channel(r), from_pure(PHI_PLUS))
     assert np.max(np.abs(reduced - channeled)) < 1e-10
+
+
+# the eight entries of a 4x4 off its diagonal and anti-diagonal
+OFF_X = ~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])
+
+
+def sweep_angles():
+    """1001 angles over [0, pi/4], then `unruh_r` of fig1's a-grid and of
+    the a-grid from 1e-300 to 1e300, both at fig1's omega = 0.1."""
+    yield np.linspace(0.0, np.pi / 4, 1001)
+    for bounds in ([], ["--a-min", "1e-300", "--a-max", "1e300"]):
+        cfg = parse_args(["sweep", "--preset", "fig1", *bounds])
+        yield unruh_r(np.linspace(cfg.a_min, cfg.a_max, cfg.steps), cfg.omega)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 1.0])
+@pytest.mark.parametrize("family", [bell_diagonal_p, x_state], ids=["bell", "x"])
+def test_every_sweep_state_is_an_x_state_with_positive_zeros(family, p):
+    # both families stay X-shaped under the channel: every off-X entry is +0.0
+    for r in sweep_angles():
+        evolved = apply_to_memory(unruh_channel(r), family(p))
+        assert evolved.dtype == np.float64
+        off_x = evolved[..., OFF_X]
+        assert np.all(off_x == 0) and not np.signbit(off_x).any()
 
 
 def test_vn_entropy_of_pure_state_is_zero():
