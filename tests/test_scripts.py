@@ -111,6 +111,17 @@ def test_compare_csv_names_the_first_differing_line(tmp_path, monkeypatch, capsy
         "same    --p 2\nsame    library reports\n" + RULE_HOLDS_UNCHANGED)
 
 
+@pytest.mark.parametrize("base, this, text", [
+    (b"a,b\n1,2\n", b"a,b\n", "line 2: 1,2 != <end>; 2 cells differ, largest |difference| 0"),
+    # a line that reads <end> is not taken for the padding of the shorter file
+    (b"x\n<end>\n", b"x\n", "line 2: <end> != <end>; 1 cells differ, largest |difference| 0"),
+    (b"a\n1.5\n", b"a\n1.25\n", "line 2: 1.5 != 1.25; 1 cells differ, largest |difference| 0.25"),
+    (b"a,b\r\n1,2\r\n", b"a,b\n1,2\n", "line endings differ; 0 cells differ, largest |difference| 0"),
+], ids=["shorter", "end-line", "number", "line-endings"])
+def test_csv_difference_names_the_first_line_and_counts_the_cells(base, this, text, compare_csv):
+    assert compare_csv.csv_difference(base, this) == text
+
+
 def test_compare_csv_names_the_first_differing_report_field(tmp_path, monkeypatch, capsys,
                                                            compare_csv):
     monkeypatch.setattr(compare_csv, "CASES", [])
