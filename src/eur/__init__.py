@@ -18,7 +18,7 @@ from .channels import (
     validate_kraus,
 )
 from .cli import parse_args
-from .linalg import hermitian_eigensystem, partial_trace
+from .linalg import partial_trace
 from .measurement import (
     ProjectiveObservable,
     complementarity,
@@ -49,7 +49,6 @@ __all__ = [
     "complementarity",
     "evaluate_eur",
     "from_pure",
-    "hermitian_eigensystem",
     "kraus_from_choi",
     "measurement_ensemble",
     "parse_args",

@@ -138,12 +138,12 @@ def emit_csv(sweep: Sweep, path: str) -> None:
     fmt = ",%.12g" * len(columns) + "\n"  # the a field stays blank for an r-sweep
     if sweep.a is not None:
         columns, fmt = [sweep.a, *columns], "%.12g" + fmt
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(CSV_HEADER + "\n")
+    with open(path, "wb") as fh:  # binary: ASCII bytes, and LF as written
+        fh.write((CSV_HEADER + "\n").encode("ascii"))
         # chunk by chunk, so no Python tuple spans the whole grid
         for start in range(0, len(sweep.r), _SWEEP_CHUNK):
             chunk = np.column_stack([column[start:start + _SWEEP_CHUNK] for column in columns])
-            fh.write(fmt * len(chunk) % tuple(chunk.ravel().tolist()))
+            fh.write((fmt * len(chunk) % tuple(chunk.ravel().tolist())).encode("ascii"))
 
 
 def _build_parser() -> argparse.ArgumentParser:

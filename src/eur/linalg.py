@@ -12,10 +12,9 @@ float64 and a float64 matrix is checked, symmetrized and solved in
 float64 (LAPACK's real symmetric solver). What stays complex on purpose
 says why where it is built.
 
-`partial_trace`, `_hermitian_part`, `hermitian_eigensystem` and
-`_eigenvalues` act on the last two axes and broadcast over any leading
-stack axes, so one call handles a single (d, d) matrix or a whole
-(..., d, d) stack.
+`partial_trace`, `_hermitian_part` and `_eigenvalues` act on the last
+two axes and broadcast over any leading stack axes, so one call handles
+a single (d, d) matrix or a whole (..., d, d) stack.
 
 Input checks, `_hermitian_part` and its peers in the other modules,
 first reject NaN and infinite input by name. Their tests against the
@@ -29,13 +28,15 @@ import math
 import numpy as np
 
 # Every tolerance of the package, absolute, on quantities of order one.
+# Input acceptance, which faces the user: how far an input may be from what it is taken as.
 HERMITICITY_ATOL = 1e-10     # max |M - M^dag| of a matrix taken as Hermitian
 TRACE_ATOL = 1e-10           # |tr rho - 1| of a state taken as normalized
 NORM_ATOL = 1e-12            # | ||v|| - 1 | of a state vector taken as normalized
-EIGENVALUE_FLOOR = -1e-10    # eigenvalues down to here are roundoff around 0
-COMPLETENESS_ATOL = 1e-10    # max |sum K^dag K - I| of a trace-preserving channel
-KRAUS_WEIGHT_CUTOFF = 1e-12  # Choi eigenvalues at or below this give no Kraus operator
 ORTHONORMALITY_ATOL = 1e-12  # max |B^dag B - I| of an orthonormal basis
+COMPLETENESS_ATOL = 1e-10    # max |sum K^dag K - I| of a trace-preserving channel
+# Package roundoff: how far the package's own results may stray from exact values.
+EIGENVALUE_FLOOR = -1e-10    # eigenvalues down to here are roundoff around 0
+KRAUS_WEIGHT_CUTOFF = 1e-12  # Choi eigenvalues at or below this give no Kraus operator
 PROBABILITY_FLOOR = 1e-12    # measurement_ensemble returns None for rho_B|i when p_i <= this
 BOUND_ORDER_ATOL = 1e-9      # slack allowed in lhs >= berta and lhs >= holevo
 BOUND_GAP_ATOL = 1e-12       # slack allowed in holevo >= berta
@@ -121,25 +122,6 @@ def _hermitian_part(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     if not deviation <= HERMITICITY_ATOL:
         raise ValueError(f"{name} is not Hermitian: max |M - M^dag| = {deviation:.3e}")
     return (m + adjoint) / 2.0
-
-
-def hermitian_eigensystem(m: np.ndarray):
-    """Full eigensystem of a Hermitian matrix, or of each in a stack,
-    eigenvalues ascending.
-
-    The solver takes `_hermitian_part(m)`, (M + M^dag)/2, so roundoff
-    accumulated by upstream products cannot leak into the eigenbasis;
-    matrices more than HERMITICITY_ATOL from Hermitian are rejected.
-
-    Returns:
-        (eigenvalues, eigenvectors): real eigenvalues in ascending order
-        along the last axis, and unitary matrices whose k-th column is the
-        eigenvector for eigenvalue k; both keep the leading stack axes of
-        `m`; a float64 `m` is solved in float64 and gives real orthogonal
-        eigenvectors. Within a degenerate eigenspace the basis choice is
-        arbitrary and callers must not rely on it.
-    """
-    return np.linalg.eigh(_hermitian_part(m))
 
 
 def _eigenvalues(m: np.ndarray) -> np.ndarray:

@@ -79,7 +79,6 @@ NON_FINITE_ENTRY_POINTS = {
     "validate_kraus": lambda x: eur.validate_kraus(_bad_basis(x)[None]),
     "from_pure": lambda x: eur.from_pure([x, 0.0]),
     "bell_diagonal_state": lambda x: eur.bell_diagonal_state(x, 0.0, 0.0),
-    "hermitian_eigensystem": lambda x: eur.hermitian_eigensystem(np.diag([x, 1.0])),
     "kraus_from_choi": lambda x: eur.kraus_from_choi(np.full((4, 4), x)),
     "evaluate_eur": lambda x: eur.evaluate_eur(
         eur.pauli_observable("x"), eur.pauli_observable("y"), _bad_state(x)),

@@ -23,7 +23,7 @@ from eur.channels import (
     unruh_channel,
     validate_kraus,
 )
-from eur.linalg import _eigenvalues, hermitian_eigensystem, partial_trace
+from eur.linalg import _eigenvalues, partial_trace
 from eur.measurement import (
     ProjectiveObservable,
     _conditioned,
@@ -166,7 +166,7 @@ def test_checks_cover_every_matrix_of_a_stack():
     not_hermitian = good.copy()
     not_hermitian[0, 1] += 1e-6
     with pytest.raises(ValueError, match="not Hermitian"):
-        hermitian_eigensystem(np.stack([good, good, not_hermitian]))
+        vn_entropy(np.stack([good, good, not_hermitian]))
     negative = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
     with pytest.raises(ValueError, match="eigenvalue"):
         vn_entropy(np.stack([good, good, negative]))

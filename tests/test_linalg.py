@@ -1,4 +1,4 @@
-"""Partial traces and Hermitian eigensystems."""
+"""Partial traces, and the Hermitian check in front of every eigensolver."""
 
 import numpy as np
 import pytest
@@ -6,19 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eur.channels import choi, kraus_from_choi, unruh_channel
-from eur.linalg import HERMITICITY_ATOL, hermitian_eigensystem, partial_trace
-from eur.states import _checked_spectrum
+from eur.linalg import HERMITICITY_ATOL, partial_trace
+from eur.states import _checked_spectrum, vn_entropy
 from helpers import (
     I2,
     PHI_PLUS,
-    SX,
-    SZ,
     assert_same_bits,
     proj,
     random_choi,
     random_complex,
     random_density_matrix,
-    random_hermitian,
 )
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -112,64 +109,25 @@ def test_partial_trace_takes_numpy_and_integral_float_keep():
             assert np.array_equal(partial_trace(rho, keep=same, dims=[2, 2]), expected)
 
 
-def test_eigensystem_of_sigma_z():
-    values, vectors = hermitian_eigensystem(SZ)
-    assert np.allclose(values, [-1.0, 1.0], atol=1e-12)
-    assert np.allclose(SZ @ vectors, vectors @ np.diag(values), atol=1e-12)
-
-
-def test_eigensystem_of_sigma_x():
-    values, vectors = hermitian_eigensystem(SX)
-    assert np.allclose(values, [-1.0, 1.0], atol=1e-12)
-    # eigenvectors are (1, -1)/sqrt(2) and (1, 1)/sqrt(2) up to phase
-    for k, expected in ((0, np.array([1, -1]) / np.sqrt(2)), (1, np.array([1, 1]) / np.sqrt(2))):
-        overlap = abs(np.vdot(expected, vectors[:, k]))
-        assert overlap == pytest.approx(1.0, abs=1e-12)
-
-
 def test_eigensystem_of_acceleration_choi_block():
-    # [[cos^2 r, cos r], [cos r, 1]] on indices {0, 3} has determinant 0,
-    # so the spectrum is {0, 0, sin^2 r, 1 + cos^2 r}
+    # the channel's Choi matrix is [[cos^2 r, 0, 0, cos r], [0, sin^2 r, 0, 0],
+    # [0, 0, 0, 0], [cos r, 0, 0, 1]]; its block [[cos^2 r, cos r], [cos r, 1]]
+    # on indices {0, 3} has determinant 0, so the spectrum is
+    # {0, 0, sin^2 r, 1 + cos^2 r}, and each Kraus operator that
+    # `kraus_from_choi` reads is sqrt(lam) times a unit eigenvector, of
+    # squared Frobenius norm lam
     r = np.pi / 6
     c, s = np.cos(r), np.sin(r)
-    m = np.array(
-        [[c * c, 0, 0, c], [0, s * s, 0, 0], [0, 0, 0, 0], [c, 0, 0, 1]],
-        dtype=complex,
-    )
-    values, _ = hermitian_eigensystem(m)
-    assert np.allclose(values, [0.0, 0.0, s * s, 1 + c * c], atol=1e-12)
-
-
-def test_eigensystem_of_a_real_matrix_is_real():
-    # the same block as float64 is solved in float64: real orthogonal eigenvectors
-    r = np.pi / 6
-    c, s = np.cos(r), np.sin(r)
-    m = np.array([[c * c, 0, 0, c], [0, s * s, 0, 0], [0, 0, 0, 0], [c, 0, 0, 1]])
-    values, vectors = hermitian_eigensystem(m)
-    assert values.dtype == vectors.dtype == np.float64
-    assert np.allclose(values, [0.0, 0.0, s * s, 1 + c * c], atol=1e-12)
-    assert np.allclose(vectors.T @ vectors, np.eye(4), atol=1e-12)
-    assert np.allclose(m @ vectors, vectors @ np.diag(values), atol=1e-12)
-
-
-@given(seeds, st.sampled_from([2, 3, 4, 8]))
-@settings(max_examples=60, deadline=None)
-def test_eigensystem_properties_on_random_hermitian(seed, dim):
-    rng = np.random.default_rng(seed)
-    m = random_hermitian(rng, dim)
-    values, vectors = hermitian_eigensystem(m)
-    assert np.all(np.diff(values) >= 0.0)
-    assert abs(values.sum() - np.trace(m).real) < 1e-10
-    gram = vectors.conj().T @ vectors
-    assert np.max(np.abs(gram - np.eye(dim))) < 1e-10
-    assert np.max(np.abs(m @ vectors - vectors @ np.diag(values))) < 1e-10
+    kraus = kraus_from_choi(choi(unruh_channel(r)))
+    norms = np.sort((abs(kraus) ** 2).sum(axis=(-2, -1)))
+    assert np.allclose(norms, [s * s, 1 + c * c], atol=1e-12)
 
 
 def test_eigensystem_rejects_non_hermitian():
     with pytest.raises(ValueError, match="not Hermitian"):
-        hermitian_eigensystem(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(ValueError):
-        hermitian_eigensystem(np.ones((2, 3)))
+        vn_entropy(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(ValueError, match=r"expected matrix to be a square matrix, got shape \(2, 3\)"):
+        vn_entropy(np.ones((2, 3)))
 
 
 def perturbed(rng, h, real):
@@ -187,19 +145,6 @@ def perturbed(rng, h, real):
 # The solvers take a checked matrix's Hermitian part: a matrix within
 # HERMITICITY_ATOL of Hermitian gives the bits of its (M + M^dag)/2, not
 # of its lower or upper triangle.
-@pytest.mark.parametrize("real", [False, True], ids=["complex", "float64"])
-@pytest.mark.parametrize("shape", [(2, 2), (4, 4), (3, 4, 4)], ids=str)
-def test_eigensystem_takes_the_hermitian_part(shape, real):
-    rng = np.random.default_rng(41 + len(shape) + shape[-1])
-    h = np.stack([random_hermitian(rng, shape[-1]) for _ in range(int(np.prod(shape[:-2])))])
-    h = h.reshape(shape)
-    if real:
-        h = np.ascontiguousarray(h.real)
-    m, part = perturbed(rng, h, real)
-    for got, expected in zip(hermitian_eigensystem(m), hermitian_eigensystem(part)):
-        assert_same_bits(got, expected)
-
-
 @pytest.mark.parametrize("real", [False, True], ids=["complex", "float64"])
 @pytest.mark.parametrize("dim", [2, 4])
 def test_state_check_takes_the_hermitian_part(dim, real):

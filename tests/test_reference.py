@@ -239,3 +239,79 @@ def test_lhs_exceeds_holevo_by_the_marginal_gap_over_the_cli_domain(case):
     assert (off <= reference.budget(2.0)).all(), (gap, off.max())
     if cfg.obs[0] != cfg.obs[1] and (cfg.state == "bell" or "z" in cfg.obs or cfg.p == 1.0):
         assert (abs(excess) <= reference.budget(2.0)).all(), abs(excess).max()
+
+
+MP = reference.MP
+
+
+def _roots(a, d, b) -> list:
+    """Both eigenvalues of the Hermitian 2x2 [[a, b], [b*, d]]."""
+    mean, radius = (a + d) / 2, MP.sqrt(((a - d) / 2) ** 2 + abs(b) ** 2)
+    return [mean - radius, mean + radius]
+
+
+def _bits(weights):
+    return -sum(w * MP.log(w, 2) for w in weights if w > 0)
+
+
+def x_state_report(rho, r, pair) -> dict:
+    """The `EurReport` fields of an X state after the Unruh channel at angle
+    r, under two distinct Pauli axes, from the closed forms of its spectra
+    (Ali, Rau, Alber, PRA 81, 042105 (2010)), in mpmath.
+
+    `rho` is an mpmath 4x4 matrix that is 0 off its diagonal and
+    anti-diagonal, with real entries. With c = cos r and s = sin r the
+    channel maps rho[0,0] to c^2 rho[0,0], rho[1,1] to rho[1,1] + s^2
+    rho[0,0], rho[2,2] to c^2 rho[2,2], rho[3,3] to rho[3,3] + s^2
+    rho[2,2], and rho[0,3] and rho[1,2] to c times themselves, and keeps
+    the X shape. In the evolved entries, rho_AB is the direct sum of its
+    blocks on {0, 3} and {1, 2}; both marginals are diagonal; the sigma_z memory blocks are
+    diag(rho[0,0], rho[1,1]) and diag(rho[2,2], rho[3,3]); and both
+    sigma_x (sigma_y) blocks have the diagonal ((rho[0,0] + rho[2,2]) / 2,
+    (rho[1,1] + rho[3,3]) / 2) and an off-diagonal entry of modulus
+    |rho[0,3] + rho[1,2]| / 2 (|rho[0,3] - rho[1,2]| / 2). S(OB) is the
+    entropy of O's pooled block eigenvalues, and c = 1/2 for the pair.
+    """
+    c, s = MP.cos(r), MP.sin(r)
+    d0, d1, d2, d3 = (MP.re(rho[k, k]) for k in range(4))
+    d0, d1, d2, d3 = c * c * d0, d1 + s * s * d0, c * c * d2, d3 + s * s * d2
+    e03, e12 = c * MP.re(rho[0, 3]), c * MP.re(rho[1, 2])
+    unbiased = ((d0 + d2) / 2, (d1 + d3) / 2)
+    blocks = {"z": [(d0, d1, 0), (d2, d3, 0)],
+              "x": 2 * [(*unbiased, (e03 + e12) / 2)],
+              "y": 2 * [(*unbiased, (e03 - e12) / 2)]}
+    s_ab = _bits(_roots(d0, d3, e03) + _roots(d1, d2, e12))
+    s_a, s_b = _bits([d0 + d1, d2 + d3]), _bits([d0 + d2, d1 + d3])
+    s_ob = [_bits([w for block in blocks[axis] for w in _roots(*block)]) for axis in pair]
+    i_qb, i_rb = (s_b + _bits([a + d for a, d, _ in blocks[axis]]) - s for axis, s in zip(pair, s_ob))
+    berta, delta = 1 + s_ab - s_b, s_a + s_b - s_ab - i_qb - i_rb
+    return {"lhs": s_ob[0] + s_ob[1] - 2 * s_b, "berta_bound": berta,
+            "holevo_bound": berta + max(0, delta), "delta": delta, "s_cond": s_ab - s_b,
+            "i_ab": s_a + s_b - s_ab, "i_qb": i_qb, "i_rb": i_rb}
+
+
+# both presets at every grid point of 1001, and both families at four p
+# under a pair with and one without a complex basis at 101
+X_SWEEPS = [["--preset", preset, "--steps", "1001"] for preset in ("fig1", "fig2")] + [
+    ["--state", state, "--p", p, "--obs", obs, "--steps", "101"]
+    for state in ("bell", "x") for p in ("0", "0.3", "0.5", "1") for obs in ("x,z", "y,z")]
+
+
+@pytest.mark.parametrize("flags", X_SWEEPS, ids=" ".join)
+def test_sweep_matches_the_closed_form_x_state_spectra(flags):
+    # every sweep state is an X state, so every field has a closed form at
+    # run_sweep's own float64 angles, taken as exact
+    cfg = cli.parse_args(["sweep", *flags])
+    sweep = cli.run_sweep(cfg)
+    initial = reference.initial_state(cfg.state, cfg.p)
+    expected = [x_state_report(initial, MP.mpf(r), cfg.obs) for r in sweep.r.tolist()]
+    q, r = pauli_observable(cfg.obs[0]), pauli_observable(cfg.obs[1])
+    state = bell_diagonal_p(cfg.p) if cfg.state == "bell" else x_state(cfg.p)
+    report = evaluate_eur(q, r, apply_to_memory(unruh_channel(sweep.r), state))
+    for name in expected[0]:
+        bad = reference.outside_budget(getattr(report, name), [rep[name] for rep in expected])
+        assert not bad, (name, bad[:3])
+    # the forms themselves against the reference's eighe spectra, at the last row
+    last = reference.report(reference.pauli_basis(cfg.obs[0]), reference.pauli_basis(cfg.obs[1]),
+                            reference.evolve(initial, MP.mpf(sweep.r[-1])))
+    assert all(abs(last[name] - expected[-1][name]) < 1e-30 for name in expected[-1])
