@@ -8,10 +8,9 @@ directory of another checkout) first on PYTHONPATH and once with this
 checkout's `src`. There every case in CASES runs through
 `eur.cli.main(["sweep", *case, ...])`, and the two CSV files are
 compared byte for byte. Then it evaluates `evaluate_eur`,
-`post_measurement_state`, `measurement_ensemble`, `apply_to_memory`
-and `vn_entropy` on LIBRARY_INPUTS seeded inputs and two hand-built
-one-state ones (an outcome whose probability is PROBABILITY_FLOOR, and
-a state 1e-12 off Hermitian), complex and float64, runs each one-state
+`apply_to_memory` and `vn_entropy` on LIBRARY_INPUTS seeded inputs and
+two hand-built one-state ones (an outcome of probability 1e-12, and a
+state 1e-12 off Hermitian), complex and float64, runs each one-state
 input through the Choi route at its own Unruh angle, and runs
 KRAUS_FAMILIES seeded Kraus families, complex and float64, one channel
 or a stack, through `choi` and `kraus_from_choi` and applies each to
@@ -99,10 +98,9 @@ def library_inputs():
     G of shape (..., 4, rank), which are exactly Hermitian; then two
     hand-built single states under q = sigma_z and r = sigma_x. The first,
     (1-e)|11><11| + e |0><0| (x) I/2 at e = 1e-12, has a q outcome of
-    probability e, at or below PROBABILITY_FLOOR, so that
-    `measurement_ensemble` gives it None; the second is a full-rank state
-    with one off-diagonal entry moved by 1e-12, so that every reader takes
-    its Hermitian part."""
+    probability e, whose memory block e I/2 `evaluate_eur` takes into
+    S(QB) undivided; the second is a full-rank state with one off-diagonal
+    entry moved by 1e-12, so that every reader takes its Hermitian part."""
     rng = np.random.default_rng(LIBRARY_SEED)
     for k in range(LIBRARY_INPUTS):
         lead, rank = LIBRARY_KINDS[k % len(LIBRARY_KINDS)]
@@ -134,9 +132,7 @@ def kraus_families():
 
 
 def encoded(name: str, value) -> tuple:
-    """(name, type, dtype, shape, bytes) of one value; None has no bytes."""
-    if value is None:
-        return (name, "NoneType", "", (), b"")
+    """(name, type, dtype, shape, bytes) of one value."""
     array = np.asarray(value)
     return (name, type(value).__name__, array.dtype.str, array.shape, array.tobytes())
 
@@ -185,14 +181,13 @@ def case_csvs() -> list:
 
 def tree_result_bytes() -> bytes:
     """For every library input, evaluated by the `eur` on sys.path: every
-    `EurReport` field, the state `post_measurement_state` gives for q,
-    and the input's `vn_entropy`; for one-state inputs also q's
-    `measurement_ensemble` and the states that `apply_to_memory` gives
-    for a stack of seven Unruh channels and for the Kraus family read
-    back from a Choi matrix, and every step of the Choi route at an angle
-    r drawn for the input: the Choi matrix of `unruh_channel(r)`, the
-    family `kraus_from_choi` reads from it, that family applied to the
-    input and the input's `EurReport`. Then the same input's real part, a
+    `EurReport` field and the input's `vn_entropy`; for one-state inputs
+    also the states that `apply_to_memory` gives for a stack of seven
+    Unruh channels and for the Kraus family read back from a Choi
+    matrix, and every step of the Choi route at an angle r drawn for the
+    input: the Choi matrix of `unruh_channel(r)`, the family
+    `kraus_from_choi` reads from it, that family applied to the input and
+    the input's `EurReport`. Then the same input's real part, a
     real state in float64, gives every `EurReport` field again, under q
     and r and under the real Pauli pair (x, z), its `vn_entropy`, and,
     for one state, the state that `apply_to_memory` gives for the real
@@ -208,9 +203,7 @@ def tree_result_bytes() -> bytes:
         choi,
         evaluate_eur,
         kraus_from_choi,
-        measurement_ensemble,
         pauli_observable,
-        post_measurement_state,
         unruh_channel,
         vn_entropy,
     )
@@ -228,12 +221,8 @@ def tree_result_bytes() -> bytes:
     for q, r, rho in library_inputs():
         q, r = ProjectiveObservable("q", q), ProjectiveObservable("r", r)
         fields = report_fields(evaluate_eur(q, r, rho))
-        fields.append(encoded("post_measurement_state", post_measurement_state(q, rho)))
         fields.append(encoded("vn_entropy", vn_entropy(rho)))
         if rho.shape == (4, 4):
-            for i, (p_i, conditional) in enumerate(measurement_ensemble(q, rho)):
-                fields += [encoded(f"measurement_ensemble p_{i}", p_i),
-                           encoded(f"measurement_ensemble rho_B|{i}", conditional)]
             fields += [encoded(f"apply_to_memory of the {name}", apply_to_memory(kraus, rho))
                        for name, kraus in channels.items()]
             c = choi(unruh_channel(angles.uniform(0.0, R_MAX)))

@@ -19,13 +19,7 @@ from .channels import (
 )
 from .cli import parse_args
 from .linalg import partial_trace
-from .measurement import (
-    ProjectiveObservable,
-    complementarity,
-    measurement_ensemble,
-    pauli_observable,
-    post_measurement_state,
-)
+from .measurement import ProjectiveObservable, complementarity, pauli_observable
 from .states import (
     bell_diagonal_p,
     bell_diagonal_state,
@@ -50,11 +44,9 @@ __all__ = [
     "evaluate_eur",
     "from_pure",
     "kraus_from_choi",
-    "measurement_ensemble",
     "parse_args",
     "partial_trace",
     "pauli_observable",
-    "post_measurement_state",
     "rindler_tripartite_state",
     "robertson_bound",
     "unruh_channel",

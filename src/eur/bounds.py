@@ -6,9 +6,11 @@ log2(1/c) + S(A|B) and by the tighter variant that adds max(0, delta),
 where delta trades total correlations against the two Holevo quantities.
 
 `evaluate_eur` is the one state-dependent evaluator. It takes one 4x4
-state or a (..., 4, 4) stack of them, checks it once, reads every
-entropy from one stacked pass, and returns an `EurReport` whose
-state-dependent fields are floats for one state or arrays of the
+state or a (..., 4, 4) stack of them, and `_conditioned`, its one
+reader of the state, checks it once and writes both marginals and the
+memory blocks of Q's and R's outcomes into one stacked array, whose
+entropies `evaluate_eur` reads in one pass. It returns an `EurReport`
+whose state-dependent fields are floats for one state or arrays of the
 stack's shape.
 """
 
@@ -24,8 +26,8 @@ from .linalg import (
     _hermitian_part,
     _real_or_complex,
 )
-from .measurement import ProjectiveObservable, _conditioned, complementarity
-from .states import _entropy_bits, from_pure
+from .measurement import ProjectiveObservable, complementarity
+from .states import _checked_spectrum, _entropy_bits, from_pure
 
 
 @dataclass(frozen=True)
@@ -63,15 +65,51 @@ class EurReport:
     i_rb: float
 
 
+def _conditioned(rho: np.ndarray, q: ProjectiveObservable, r: ProjectiveObservable) -> tuple:
+    """(spectrum, states, p) for both outcomes of q, then both of r.
+
+    rho must be one 4x4 state or a (..., 4, 4) stack; its shape is checked
+    first, then the state itself, once, by `states._checked_spectrum`,
+    which gives `spectrum`, rho's eigenvalues. A float64 rho stays
+    float64, so its check, its spectrum and its marginals run in float64;
+    the rows are complex, so `states` is complex either way. `states` is
+    one complex128 array, (6, ..., 2, 2), allocated once and written in
+    place: rho_A and rho_B, each the sum of two diagonal blocks of rho,
+    then the four unnormalized memory blocks <i|rho|i> (|i> the
+    eigenstates on the probe), outcome first. One product of the stacked
+    rows conj(P_i) = P_i^T, which each `ProjectiveObservable` stores, with
+    all of rho as a (4, 4N) matrix, probe indices (b, c) down and stack
+    and memory indices (..., j, l) across, writes the blocks straight into
+    `states[2:]`; p, (4, ...), holds their traces. The rows stay on the
+    left: swapped, BLAS takes another kernel for the product. `states` is
+    not checked again.
+    """
+    rho = _real_or_complex(rho)
+    if rho.shape[-2:] != (4, 4):
+        raise ValueError(f"expected a 4x4 two-qubit state, got shape {rho.shape}")
+    spectrum = _checked_spectrum(rho)
+    stack = rho.shape[:-2]
+    n = len(stack)
+    t = rho.reshape(stack + (2, 2, 2, 2))  # rho[..., b, j, c, l] (probe b, c; memory j, l)
+    rows = np.concatenate((q._rows, r._rows))
+    columns = t.transpose((n, n + 2, *range(n), n + 1, n + 3)).reshape(4, -1)
+    states = np.empty((2 + len(rows),) + stack + (2, 2), dtype=complex)
+    np.add(t[..., :, 0, :, 0], t[..., :, 1, :, 1], out=states[0])
+    np.add(t[..., 0, :, 0, :], t[..., 1, :, 1, :], out=states[1])
+    np.matmul(rows, columns, out=states[2:].reshape(len(rows), -1))
+    p = (states[2:, ..., 0, 0] + states[2:, ..., 1, 1]).real
+    return spectrum, states, p
+
+
 def evaluate_eur(
     q: ProjectiveObservable, r: ProjectiveObservable, rho: np.ndarray
 ) -> EurReport:
     """Evaluate the uncertainty sum and every lower bound on one state or a stack.
 
-    rho is checked once, by `measurement._conditioned`. The six 2x2
-    matrices it stacks along the first axis (both marginals, then the
-    four unnormalized memory blocks B_i = <i|rho|i>) are read by index,
-    with the unchecked closed form `linalg._eigenvalues`.
+    rho is checked once, by `_conditioned`. The six 2x2 matrices it
+    stacks along the first axis (both marginals, then the four
+    unnormalized memory blocks B_i = <i|rho|i>) are read by index, with
+    the unchecked closed form `linalg._eigenvalues`.
 
     The post-measurement state rho_OB = sum_i |i><i| (x) B_i is block
     diagonal, so its spectrum is that of its blocks pooled: S(OB) is the
@@ -87,7 +125,7 @@ def evaluate_eur(
     k's own report. `max(delta, 0.0)` stands for `np.maximum(0.0, delta)`,
     whose -0.0 and NaN it keeps.
     """
-    spectrum, states, p = _conditioned(rho, (q, r))
+    spectrum, states, p = _conditioned(rho, q, r)
     pairs = (2, 2) + p.shape[1:]  # (observable, outcome, ...)
     s_ab = _entropy_bits(spectrum)
     s = _entropy_bits(_eigenvalues(states))

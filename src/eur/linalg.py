@@ -37,7 +37,6 @@ COMPLETENESS_ATOL = 1e-10    # max |sum K^dag K - I| of a trace-preserving chann
 # Package roundoff: how far the package's own results may stray from exact values.
 EIGENVALUE_FLOOR = -1e-10    # eigenvalues down to here are roundoff around 0
 KRAUS_WEIGHT_CUTOFF = 1e-12  # Choi eigenvalues at or below this give no Kraus operator
-PROBABILITY_FLOOR = 1e-12    # measurement_ensemble returns None for rho_B|i when p_i <= this
 BOUND_ORDER_ATOL = 1e-9      # slack allowed in lhs >= berta and lhs >= holevo
 BOUND_GAP_ATOL = 1e-12       # slack allowed in holevo >= berta
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import eur.cli as cli
 import reference
-from eur.bounds import evaluate_eur
+from eur.bounds import _conditioned, evaluate_eur
 from eur.channels import (
     R_MAX,
     amplitude_damping,
@@ -24,13 +24,7 @@ from eur.channels import (
     validate_kraus,
 )
 from eur.linalg import _eigenvalues, partial_trace
-from eur.measurement import (
-    ProjectiveObservable,
-    _conditioned,
-    measurement_ensemble,
-    pauli_observable,
-    post_measurement_state,
-)
+from eur.measurement import ProjectiveObservable, pauli_observable
 from eur.states import (
     bell_diagonal_p,
     bell_diagonal_state,
@@ -97,10 +91,6 @@ def test_zero_probability_outcome_is_masked_in_a_stack():
     info = evaluate_eur(z, x, states).i_qb
     assert np.isfinite(info).all()
     assert info[0] == 0.0  # a product state stores nothing about the outcome
-    # the ensemble keeps its one-state form: None marks the masked outcome
-    assert measurement_ensemble(z, states[0])[0] == (0.0, None)
-    with pytest.raises(ValueError, match="one 4x4"):
-        measurement_ensemble(z, states)
 
 
 def test_single_state_gives_floats_and_stack_gives_arrays():
@@ -212,43 +202,25 @@ def test_sweep_chunk_seams_do_not_change_rows(monkeypatch, tmp_path, flags):
 def random_states(rng, stack):
     """Random two-qubit density matrices, shape stack + (4, 4)."""
     states = [random_density_matrix(rng, 4) for _ in range(int(np.prod(stack)))]
-    return np.array(states).reshape(stack + (4, 4))
+    return np.array(states, dtype=complex).reshape(stack + (4, 4))
 
 
-@pytest.mark.parametrize("stack", [(), (5,), (2, 3), (0,)], ids=str)
-@pytest.mark.parametrize("count", [1, 2])
-def test_conditioned_blocks_equal_the_per_matrix_product(stack, count):
-    rng = np.random.default_rng(17 + len(stack) + 10 * count)
-    observables = [ProjectiveObservable("o", random_unitary(rng, 2)) for _ in range(count)]
-    rho = random_states(rng, stack)
-    # the product of the rows with one 4x4 per state, as a reference formula
-    rows = np.concatenate([obs._rows for obs in observables])
-    t = rho.reshape(stack + (2, 2, 2, 2))
-    expected = (rows @ t.swapaxes(-3, -2).reshape(stack + (4, 4))).reshape(
-        stack + (2 * count, 2, 2))
-    # outcome first, after both marginals, as the one product over the
-    # whole stack makes them
-    assert_same_bits(_conditioned(rho, observables)[1][2:], np.moveaxis(expected, -3, 0))
-
-
-@pytest.mark.parametrize("stack", [(), (7,), (2, 3)], ids=str)
-@pytest.mark.parametrize("count", [1, 2])
+@pytest.mark.parametrize("stack", [(), (7,), (2, 3), (0,)], ids=str)
 @pytest.mark.parametrize("real", [False, True], ids=["complex", "float64"])
-def test_conditioned_states_are_both_marginals_then_the_conditional_states(stack, count, real):
-    rng = np.random.default_rng(19 + len(stack) + 10 * count)
-    observables = [ProjectiveObservable("o", random_unitary(rng, 2)) for _ in range(count)]
+def test_conditioned_states_are_both_marginals_then_the_conditional_states(stack, real):
+    rng = np.random.default_rng(39 + len(stack))
+    q, r = (ProjectiveObservable(name, random_unitary(rng, 2)) for name in "qr")
     rho = random_states(rng, stack)
     if real:  # the real part of a state is a state
         rho = np.ascontiguousarray(rho.real)
-    _, states, _ = _conditioned(rho, observables)
+    _, states, _ = _conditioned(rho, q, r)
     # the stacked and concatenated form, as a reference formula: the
     # marginals, then the blocks as one product per matrix makes them
     t = rho.reshape(stack + (2, 2, 2, 2))
     marginals = np.stack([t[..., :, 0, :, 0] + t[..., :, 1, :, 1],
                           t[..., 0, :, 0, :] + t[..., 1, :, 1, :]])
-    rows = np.concatenate([obs._rows for obs in observables])
-    blocks = (rows @ t.swapaxes(-3, -2).reshape(stack + (4, 4))).reshape(
-        stack + (2 * count, 2, 2))
+    rows = np.concatenate((q._rows, r._rows))
+    blocks = (rows @ t.swapaxes(-3, -2).reshape(stack + (4, 4))).reshape(stack + (4, 2, 2))
     expected = np.concatenate([marginals, np.moveaxis(blocks, -3, 0)])
     assert states.dtype == np.complex128 and states.flags.c_contiguous
     assert_same_bits(states, expected)
@@ -303,20 +275,6 @@ def test_apply_to_memory_and_validate_kraus_take_read_only_inputs(complex_kraus,
     kraus.flags.writeable = rho.flags.writeable = False
     validate_kraus(kraus)
     assert_same_bits(apply_to_memory(kraus, rho), expected)
-
-
-@pytest.mark.parametrize("stack", [(), (5,), (2, 3)], ids=str)
-def test_post_measurement_blocks_equal_those_of_the_pair(stack):
-    rng = np.random.default_rng(23 + len(stack))
-    q, r = (ProjectiveObservable(name, random_unitary(rng, 2)) for name in "qr")
-    rho = random_states(rng, stack)
-    pair = _conditioned(rho, (q, r))[1][2:]
-    assert_same_bits(_conditioned(rho, (q,))[1][2:], pair[:2])
-    # post_measurement_state assembles exactly the blocks that evaluate_eur
-    # reads; the reference formula takes them with the outcome axis last
-    projectors = np.stack([np.outer(v, v.conj()) for v in q.basis.T])
-    expected = np.einsum("iac,...ijl->...ajcl", projectors, np.moveaxis(pair[:2], 0, -3))
-    assert_same_bits(post_measurement_state(q, rho), expected.reshape(stack + (4, 4)))
 
 
 def lifted_reference(kraus, rho):

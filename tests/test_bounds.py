@@ -1,5 +1,6 @@
 """Uncertainty sums, the memory-assisted lower bounds, and the report."""
 
+import dataclasses
 import math
 import re
 
@@ -13,11 +14,7 @@ from eur import bounds, linalg, states
 from eur.bounds import bound_violations, evaluate_eur, robertson_bound
 from eur.channels import R_MAX, amplitude_damping, apply_to_memory, unruh_channel
 from eur.cli import SweepConfig, run_sweep
-from eur.measurement import (
-    measurement_ensemble,
-    pauli_observable,
-    post_measurement_state,
-)
+from eur.measurement import ProjectiveObservable, pauli_observable
 from eur.states import bell_diagonal_p, vn_entropy, x_state
 from helpers import (
     BOUND_GAP_ATOL,
@@ -77,8 +74,10 @@ def test_conditional_uncertainty_identity(seed):
     # S(O|B) = H(O) - I(O;B), the step that links the two bound families
     rng = np.random.default_rng(seed)
     rho = random_density_matrix(rng, 4)
+    rho_a = np.trace(rho.reshape(2, 2, 2, 2), axis1=1, axis2=3)
     for obs in (random_observable(rng), X_OBS, Z_OBS):
-        outcome_entropy = shannon_bits([p for p, _ in measurement_ensemble(obs, rho)])
+        # H(O) from rho_A's diagonal in the observable's basis
+        outcome_entropy = shannon_bits(np.diag(obs.basis.conj().T @ rho_a @ obs.basis).real)
         same_pair = evaluate_eur(obs, obs, rho)
         assert same_pair.lhs / 2.0 == pytest.approx(outcome_entropy - same_pair.i_qb, abs=1e-9)
 
@@ -204,11 +203,9 @@ def test_evaluate_eur_rejects_one_bad_state_in_a_stack(bad, message):
     stack[2] = bad
     with pytest.raises(ValueError, match=message):
         evaluate_eur(X_OBS, Y_OBS, stack)
-    # the other readers of a state check it the same way
+    # one state is checked the same way
     with pytest.raises(ValueError, match=message):
-        post_measurement_state(X_OBS, stack)
-    with pytest.raises(ValueError, match=message):
-        measurement_ensemble(X_OBS, bad)
+        evaluate_eur(X_OBS, Y_OBS, bad)
 
 
 @pytest.mark.parametrize("scale", [2.0, 1.0 + 1e-9], ids=["trace_two", "trace_just_above_one"])
@@ -223,9 +220,9 @@ def test_every_state_reader_rejects_an_unnormalized_state():
     with pytest.raises(ValueError, match="state has trace 2, expected 1"):
         evaluate_eur(X_OBS, Y_OBS, stack)
     with pytest.raises(ValueError, match="state has trace 0, expected 1"):
-        post_measurement_state(X_OBS, np.zeros((4, 4)))
+        evaluate_eur(X_OBS, Y_OBS, np.zeros((4, 4)))
     with pytest.raises(ValueError, match="state has trace 0.5, expected 1"):
-        measurement_ensemble(X_OBS, np.eye(4) / 8)
+        evaluate_eur(X_OBS, Y_OBS, np.eye(4) / 8)
     with pytest.raises(ValueError, match="state has trace 2, expected 1"):
         vn_entropy(np.eye(2))
     with pytest.raises(ValueError, match="state has trace 0.5, expected 1"):
@@ -239,8 +236,6 @@ def test_evaluate_eur_names_the_shape_of_a_non_two_qubit_input():
 
 STATE_READERS = {
     "evaluate_eur": lambda rho: evaluate_eur(X_OBS, Y_OBS, rho),
-    "post_measurement_state": lambda rho: post_measurement_state(X_OBS, rho),
-    "measurement_ensemble": lambda rho: measurement_ensemble(X_OBS, rho),
 }
 
 
@@ -270,6 +265,36 @@ def test_both_bounds_hold_on_random_states(seed):
     report = evaluate_eur(q, r, rho)
     assert report.lhs >= report.berta_bound - 1e-9
     assert report.lhs >= report.holevo_bound - 1e-9
+
+
+@given(seeds)
+@settings(max_examples=50, deadline=None)
+def test_report_invariances_over_random_pairs(seed):
+    rng = np.random.default_rng(seed)
+    q, r = random_observable(rng), random_observable(rng)
+    rho = random_density_matrix(rng, 4)
+    report = evaluate_eur(q, r, rho)
+    tolerance = reference.budget(2.0)
+    # swapping Q and R keeps the sum and the bounds and swaps I(Q;B) with I(R;B)
+    swapped = evaluate_eur(r, q, rho)
+    for field, twin in (("lhs", "lhs"), ("berta_bound", "berta_bound"),
+                        ("holevo_bound", "holevo_bound"), ("delta", "delta"),
+                        ("i_qb", "i_rb"), ("i_rb", "i_qb")):
+        assert abs(getattr(swapped, field) - getattr(report, twin)) <= tolerance, field
+    # a phase on each eigenvector column changes no field
+    phases = np.exp(2j * np.pi * rng.uniform(size=(2, 2)))
+    rephased = evaluate_eur(ProjectiveObservable("q", q.basis * phases[0]),
+                            ProjectiveObservable("r", r.basis * phases[1]), rho)
+    for field in dataclasses.fields(report):
+        got, expected = getattr(rephased, field.name), getattr(report, field.name)
+        assert abs(got - expected) <= tolerance, field.name
+    # on a product state the memory knows nothing: lhs is H(Q) + H(R), read
+    # off rho_A's diagonal in each basis, and the memoryless bound holds
+    rho_a = random_density_matrix(rng, 2)
+    product = evaluate_eur(q, r, np.kron(rho_a, random_density_matrix(rng, 2)))
+    outcomes = sum(shannon_bits(np.diag(o.basis.conj().T @ rho_a @ o.basis).real) for o in (q, r))
+    assert abs(product.lhs - outcomes) <= tolerance
+    assert product.lhs >= product.mu_bound - tolerance
 
 
 @pytest.mark.parametrize("make_state", [bell_diagonal_p, x_state],

@@ -1,4 +1,4 @@
-"""Projective observables, post-measurement states and the Holevo quantities."""
+"""Projective observables and the Holevo quantities."""
 
 import numpy as np
 import pytest
@@ -7,13 +7,7 @@ from hypothesis import strategies as st
 
 from eur.bounds import evaluate_eur
 from eur.linalg import partial_trace
-from eur.measurement import (
-    ProjectiveObservable,
-    complementarity,
-    measurement_ensemble,
-    pauli_observable,
-    post_measurement_state,
-)
+from eur.measurement import ProjectiveObservable, complementarity, pauli_observable
 from eur.states import bell_diagonal_p, vn_entropy
 from helpers import (
     I2,
@@ -86,10 +80,9 @@ def test_observable_keeps_a_read_only_copy_of_its_basis():
     with pytest.raises(ValueError, match="read-only"):
         q.basis[0, 0] = 1.0
     rho = random_density_matrix(rng, 4)
-    report, dephased = evaluate_eur(q, r, rho), post_measurement_state(q, rho)
+    report = evaluate_eur(q, r, rho)
     basis[:] = np.eye(2)  # the caller's array, changed after construction
     assert evaluate_eur(q, r, rho) == report
-    assert np.array_equal(post_measurement_state(q, rho), dephased)
 
 
 def test_projector_is_the_outer_product_bit_for_bit():
@@ -101,7 +94,7 @@ def test_projector_is_the_outer_product_bit_for_bit():
     for basis in [*paulis, -np.eye(2), *haar]:
         obs = ProjectiveObservable("q", basis)
         for i in (0, 1):
-            # the projector P_i that post_measurement_state reads from the rows
+            # row i is conj(P_i), P_i the projector on eigenstate i
             v = obs.basis[:, i]
             assert obs._rows[i].conj().reshape(2, 2).tobytes() == np.outer(v, v.conj()).tobytes()
 
@@ -127,85 +120,6 @@ def test_complementarity_range(seed):
     rng = np.random.default_rng(seed)
     value = complementarity(random_observable(rng), random_observable(rng))
     assert 0.5 - 1e-12 <= value <= 1.0 + 1e-12
-
-
-def test_post_measurement_fixed_point():
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0] = 1.0  # |00><00| is a sigma_z eigenstate on the probe
-    assert np.allclose(post_measurement_state(pauli_observable("z"), rho), rho, atol=0.0)
-
-
-def test_post_measurement_decoheres_off_diagonal_blocks():
-    out = post_measurement_state(pauli_observable("z"), proj(PHI_PLUS))
-    assert np.allclose(out, np.diag([0.5, 0.0, 0.0, 0.5]), atol=1e-15)
-
-
-def test_post_measurement_probe_marginal_is_diagonal_in_basis():
-    rng = np.random.default_rng(21)
-    rho = random_density_matrix(rng, 4)
-    obs = random_observable(rng)
-    out = post_measurement_state(obs, rho)
-    probe = partial_trace(out, keep=[0], dims=[2, 2])
-    in_basis = obs.basis.conj().T @ probe @ obs.basis
-    off_diagonal = in_basis - np.diag(np.diag(in_basis))
-    assert np.max(np.abs(off_diagonal)) < 1e-12
-    probabilities = [p for p, _ in measurement_ensemble(obs, rho)]
-    assert np.allclose(np.diag(in_basis).real, probabilities, atol=1e-12)
-
-
-@given(seeds)
-@settings(max_examples=50, deadline=None)
-def test_post_measurement_is_idempotent_and_block_structured(seed):
-    rng = np.random.default_rng(seed)
-    rho = random_density_matrix(rng, 4)
-    obs = random_observable(rng)
-    once = post_measurement_state(obs, rho)
-    twice = post_measurement_state(obs, once)
-    assert np.max(np.abs(twice - once)) < 1e-12
-    v0, v1 = obs.basis.T
-    parity = np.kron(np.outer(v0, v0.conj()) - np.outer(v1, v1.conj()), I2)
-    assert np.max(np.abs(parity @ once - once @ parity)) < 1e-12
-
-
-def test_ensemble_on_maximally_entangled_state():
-    ensemble = measurement_ensemble(pauli_observable("z"), proj(PHI_PLUS))
-    (p0, rho0), (p1, rho1) = ensemble
-    assert p0 == pytest.approx(0.5, abs=1e-12)
-    assert p1 == pytest.approx(0.5, abs=1e-12)
-    assert np.allclose(rho0, np.diag([1.0, 0.0]), atol=1e-12)
-    assert np.allclose(rho1, np.diag([0.0, 1.0]), atol=1e-12)
-
-
-def test_ensemble_conditionals_on_bell_diagonal_half():
-    rho = bell_diagonal_p(0.5)
-    for p, conditional in measurement_ensemble(pauli_observable("x"), rho):
-        assert p == pytest.approx(0.5, abs=1e-12)
-        assert np.allclose(conditional, I2 / 2, atol=1e-12)
-    for p, conditional in measurement_ensemble(pauli_observable("y"), rho):
-        assert p == pytest.approx(0.5, abs=1e-12)
-        assert np.allclose(np.linalg.eigvalsh(conditional), [0.25, 0.75], atol=1e-12)
-
-
-def test_ensemble_flags_zero_probability_outcome():
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0] = 1.0  # probe definitely in |0>
-    (p0, rho0), (p1, rho1) = measurement_ensemble(pauli_observable("z"), rho)
-    assert p0 == pytest.approx(1.0, abs=1e-12)
-    assert rho0 is not None
-    assert p1 == pytest.approx(0.0, abs=1e-12) and p1 >= 0.0
-    assert rho1 is None
-
-
-@given(seeds)
-@settings(max_examples=50, deadline=None)
-def test_ensemble_reassembles_memory_marginal(seed):
-    rng = np.random.default_rng(seed)
-    rho = random_density_matrix(rng, 4)
-    obs = random_observable(rng)
-    ensemble = measurement_ensemble(obs, rho)
-    assert sum(p for p, _ in ensemble) == pytest.approx(1.0, abs=1e-10)
-    mixed = sum(p * c for p, c in ensemble if c is not None)
-    assert np.max(np.abs(mixed - partial_trace(rho, keep=[1], dims=[2, 2]))) < 1e-10
 
 
 def holevo(obs, rho):
@@ -239,8 +153,11 @@ def test_holevo_bounds_and_entropy_decomposition(seed):
     info = holevo(obs, rho)
     memory = partial_trace(rho, keep=[1], dims=[2, 2])
     assert -1e-9 <= info <= vn_entropy(memory) + 1e-9
-    # classical-quantum decomposition: S(OB) = H(p) + sum_i p_i S(rho_B|i)
-    ensemble = measurement_ensemble(obs, rho)
-    mixture = shannon_bits([p for p, _ in ensemble])
-    mixture += sum(p * vn_entropy(c) for p, c in ensemble if c is not None)
-    assert vn_entropy(post_measurement_state(obs, rho)) == pytest.approx(mixture, abs=1e-9)
+    # I(O;B) = S(B) + H(p) - S(OB), with the dephased state
+    # sum_i (P_i (x) I) rho (P_i (x) I) and p_i = tr (P_i (x) I) rho built here
+    lifted = [np.kron(np.outer(v, v.conj()), I2) for v in obs.basis.T]
+    dephased = sum(m @ rho @ m for m in lifted)
+    p = [np.trace(m @ rho).real for m in lifted]
+    spectra = [np.linalg.eigvalsh(m) for m in (memory, dephased)]
+    expected = shannon_bits(spectra[0]) + shannon_bits(p) - shannon_bits(spectra[1])
+    assert info == pytest.approx(expected, abs=1e-9)

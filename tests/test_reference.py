@@ -82,8 +82,8 @@ def test_small_outcome_probabilities_match_the_reference():
 @pytest.mark.parametrize("pair", [("z", "x"), ("z", "y"), ("x", "z")], ids="".join)
 def test_outcomes_at_the_probability_floor_match_the_reference(e, pair):
     # (1-e)|11><11| + e |0><0| (x) I/2: the sigma_z outcome 0 has probability
-    # e, at or below PROBABILITY_FLOOR, and its memory block e I/2 still
-    # carries entropy e (1 - log2 e) into S(ZB)
+    # e, at most 1e-12, and its memory block e I/2, never divided by e,
+    # still carries entropy e (1 - log2 e) into S(ZB)
     rho = (1 - e) * np.diag([0.0, 0.0, 0.0, 1.0]) + e * np.diag([0.5, 0.5, 0.0, 0.0])
     q, r = (pauli_observable(axis) for axis in pair)
     expected = reference.reports(q.basis, r.basis, rho)
