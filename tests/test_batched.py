@@ -230,6 +230,65 @@ def test_conditioned_states_are_both_marginals_then_the_conditional_states(stack
 
 
 @pytest.mark.parametrize("stack", [(), (5,), (2, 3)], ids=str)
+def test_blocks_of_one_observable_do_not_depend_on_its_partner(stack):
+    rng = np.random.default_rng(23 + len(stack))
+    q, r, s = (ProjectiveObservable(name, random_unitary(rng, 2)) for name in "qrs")
+    rho = random_states(rng, stack)
+    blocks = _conditioned(rho, q, r)[1][2:4]
+    # with the rows on the left, each block is its own row's product: the
+    # same bits beside any partner and in either place of the pair
+    assert_same_bits(_conditioned(rho, q, s)[1][2:4], blocks)
+    assert_same_bits(_conditioned(rho, s, q)[1][4:6], blocks)
+    i_qb = np.asarray(evaluate_eur(q, r, rho).i_qb)
+    assert_same_bits(np.asarray(evaluate_eur(q, q, rho).i_qb), i_qb)
+    assert_same_bits(np.asarray(evaluate_eur(s, q, rho).i_rb), i_qb)
+
+
+def as_given(rho, layout):
+    """rho, (6, 4, 4), handed over in another memory layout, dtype or type."""
+    return {
+        "fortran": lambda: np.asfortranarray(rho),
+        "strided": lambda: np.repeat(rho, 2, axis=0)[::2],
+        "negative_strides": lambda: rho[::-1, ::-1, ::-1].copy()[::-1, ::-1, ::-1],
+        "read_only": lambda: np.frombuffer(rho.tobytes(), dtype=rho.dtype).reshape(rho.shape),
+        "broadcast": lambda: np.broadcast_to(rho[:1], rho.shape),
+        "nested_list": lambda: rho.tolist(),
+    }[layout]()
+
+
+@pytest.mark.parametrize("layout", ["fortran", "strided", "negative_strides", "read_only",
+                                    "broadcast", "nested_list"])
+def test_evaluate_eur_gives_the_bits_of_a_contiguous_copy(layout):
+    rng = np.random.default_rng(29)
+    q, r = (ProjectiveObservable(name, random_unitary(rng, 2)) for name in "qr")
+    rho = random_states(rng, (6,))
+    given_rho = as_given(rho, layout)
+    contiguous = np.array(given_rho, dtype=complex, order="C")
+    report, expected = evaluate_eur(q, r, given_rho), evaluate_eur(q, r, contiguous)
+    for field in dataclasses.fields(report):
+        got, want = (np.asarray(getattr(x, field.name)) for x in (report, expected))
+        assert got.tobytes() == want.tobytes(), field.name
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float32], ids=["int", "float32"])
+def test_evaluate_eur_takes_a_real_state_of_another_dtype_as_float64(dtype):
+    rng = np.random.default_rng(31)
+    q, r = (ProjectiveObservable(name, random_unitary(rng, 2)) for name in "qr")
+    # |00><00|, |11><11| and, for float32, an entangled state that it holds exactly
+    rho = np.zeros((3, 4, 4))
+    rho[0, 0, 0] = rho[1, 3, 3] = 1.0
+    if dtype is np.float32:
+        rho[2, [0, 0, 3, 3], [0, 3, 0, 3]] = 0.5, 0.25, 0.25, 0.5
+    else:
+        rho[2, 1, 1] = 1.0
+    given_rho = rho.astype(dtype)
+    report, expected = evaluate_eur(q, r, given_rho), evaluate_eur(q, r, given_rho.astype(float))
+    for field in dataclasses.fields(report):
+        got, want = (np.asarray(getattr(x, field.name)) for x in (report, expected))
+        assert got.tobytes() == want.tobytes(), field.name
+
+
+@pytest.mark.parametrize("stack", [(), (5,), (2, 3)], ids=str)
 @pytest.mark.parametrize("real", [False, True], ids=["complex", "float64"])
 def test_2x2_spectrum_is_one_new_float64_array_of_both_roots(stack, real):
     rng = np.random.default_rng(37 + len(stack))

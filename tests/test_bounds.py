@@ -241,7 +241,8 @@ STATE_READERS = {
 
 @pytest.mark.parametrize("rho", [
     np.full(4, 0.25), np.eye(2) / 2, np.zeros((0, 0)), np.triu(np.ones((3, 3))) / 3,
-], ids=["vector", "one_qubit", "empty", "non_hermitian_3x3"])
+    np.stack([np.eye(2) / 2] * 3), np.full((4, 2), np.nan),
+], ids=["vector", "one_qubit", "empty", "non_hermitian_3x3", "stack_of_one_qubit", "nan_4x2"])
 @pytest.mark.parametrize("reader", STATE_READERS)
 def test_every_state_reader_names_the_shape_first(reader, rho):
     with pytest.raises(ValueError, match=re.escape(f"4x4 two-qubit state, got shape {rho.shape}")):
@@ -295,6 +296,27 @@ def test_report_invariances_over_random_pairs(seed):
     outcomes = sum(shannon_bits(np.diag(o.basis.conj().T @ rho_a @ o.basis).real) for o in (q, r))
     assert abs(product.lhs - outcomes) <= tolerance
     assert product.lhs >= product.mu_bound - tolerance
+
+
+@pytest.mark.parametrize("pair", ["xz", "xy", "yz", "random"])
+def test_swapping_the_pair_swaps_the_holevo_quantities_bit_for_bit(pair):
+    rng = np.random.default_rng(43)
+    if pair == "random":
+        q, r = random_observable(rng), random_observable(rng)
+    else:
+        q, r = (pauli_observable(axis) for axis in pair)
+    rho = np.stack([random_density_matrix(rng, 4) for _ in range(64)])
+    report, swapped = evaluate_eur(q, r, rho), evaluate_eur(r, q, rho)
+    # each observable's blocks keep their bits in either place, and lhs is
+    # a sum of two terms: these fields keep or swap their bits
+    for field, twin in (("lhs", "lhs"), ("s_cond", "s_cond"), ("i_ab", "i_ab"),
+                        ("i_qb", "i_rb"), ("i_rb", "i_qb")):
+        assert getattr(swapped, field).tobytes() == getattr(report, twin).tobytes(), field
+    # c takes the other product of the two bases, and delta subtracts in
+    # the other order: these move by roundoff at most
+    for field in ("c", "mu_bound", "berta_bound", "holevo_bound", "delta"):
+        got, expected = getattr(swapped, field), getattr(report, field)
+        assert np.max(np.abs(got - expected)) <= reference.budget(2.0), field
 
 
 @pytest.mark.parametrize("make_state", [bell_diagonal_p, x_state],

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eur.bounds import evaluate_eur
+from eur.bounds import _conditioned, evaluate_eur
 from eur.linalg import partial_trace
 from eur.measurement import ProjectiveObservable, complementarity, pauli_observable
-from eur.states import bell_diagonal_p, vn_entropy
+from eur.states import bell_diagonal_p, bell_diagonal_state, vn_entropy
 from helpers import (
     I2,
     PHI_PLUS,
@@ -161,3 +161,141 @@ def test_holevo_bounds_and_entropy_decomposition(seed):
     spectra = [np.linalg.eigvalsh(m) for m in (memory, dephased)]
     expected = shannon_bits(spectra[0]) + shannon_bits(p) - shannon_bits(spectra[1])
     assert info == pytest.approx(expected, abs=1e-9)
+
+
+@pytest.mark.parametrize("axis", "xyz")
+@given(st.lists(st.floats(min_value=1e-3, max_value=1.0), min_size=4, max_size=4))
+@settings(max_examples=30, deadline=None)
+def test_holevo_of_bell_diagonal_states_is_the_closed_form(axis, weights):
+    # Bell weights w (phi+, phi-, psi+, psi-) give the correlation vector c;
+    # measuring sigma_k leaves the memory in (I +- c_k sigma_k)/2 with
+    # probability 1/2 each, so I(sigma_k;B) = 1 - h((1 + |c_k|)/2)
+    w = np.array(weights) / sum(weights)
+    c = (w[0] - w[1] + w[2] - w[3], -w[0] + w[1] + w[2] - w[3], w[0] + w[1] - w[2] - w[3])
+    rho = bell_diagonal_state(*c)
+    c_k = abs(c["xyz".index(axis)])
+    expected = 1.0 - shannon_bits([(1.0 + c_k) / 2.0, (1.0 - c_k) / 2.0])
+    assert holevo(pauli_observable(axis), rho) == pytest.approx(expected, abs=1e-12)
+
+
+def blocks(obs, rho):
+    """The memory blocks B_i = <i|rho|i> of obs's two outcomes and their
+    traces p_i, as `_conditioned` writes them for the pair (obs, obs)."""
+    _, states, p = _conditioned(rho, obs, obs)
+    return states[2:4], p[:2]
+
+
+def dephased(obs, conditional):
+    """The post-measurement state rho_OB = sum_i P_i (x) B_i."""
+    return sum(np.kron(proj(v), b) for v, b in zip(obs.basis.T, conditional))
+
+
+@pytest.mark.parametrize("axis", "xyz")
+def test_ensemble_on_maximally_entangled_state(axis):
+    obs = pauli_observable(axis)
+    conditional, p = blocks(obs, proj(PHI_PLUS))
+    assert np.allclose(p, [0.5, 0.5], rtol=0, atol=1e-12)
+    # outcome v_i on the probe of |phi+> leaves the memory in conj(v_i)
+    for v, block in zip(obs.basis.T, conditional):
+        assert np.allclose(block, proj(v.conj()) / 2, rtol=0, atol=1e-12)
+    assert holevo(obs, proj(PHI_PLUS)) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_ensemble_conditionals_on_bell_diagonal_half():
+    rho = bell_diagonal_p(0.5)
+    conditional, p = blocks(pauli_observable("x"), rho)
+    assert np.allclose(p, [0.5, 0.5], rtol=0, atol=1e-12)
+    for block in conditional:
+        assert np.allclose(block / 0.5, I2 / 2, rtol=0, atol=1e-12)
+    conditional, p = blocks(pauli_observable("y"), rho)
+    assert np.allclose(p, [0.5, 0.5], rtol=0, atol=1e-12)
+    for block in conditional:
+        assert np.allclose(np.linalg.eigvalsh(block / 0.5), [0.25, 0.75], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("probe, memory", [(0, 0), (0, 1), (1, 0), (1, 1)],
+                         ids=["00", "01", "10", "11"])
+def test_ensemble_flags_zero_probability_outcome(probe, memory):
+    # |probe memory>: the sigma_z outcome 1 - probe has probability exactly 0
+    rho = proj(np.eye(4)[2 * probe + memory])
+    conditional, p = blocks(pauli_observable("z"), rho)
+    assert p[probe] == 1.0 and p[1 - probe] == 0.0
+    assert np.array_equal(conditional[probe], proj(np.eye(2)[memory]))
+    assert not conditional[1 - probe].any()
+    # the empty block adds nothing to S(ZB): a pure product state gives
+    # I(Z;B) = 0 and H(Z) = 0, and sigma_x's two outcomes give lhs = 1
+    report = evaluate_eur(pauli_observable("z"), pauli_observable("x"), rho)
+    assert report.i_qb == 0.0 and report.i_rb == 0.0
+    assert report.lhs == pytest.approx(1.0, abs=1e-15)
+
+
+@given(seeds)
+@settings(max_examples=50, deadline=None)
+def test_ensemble_reassembles_memory_marginal(seed):
+    rng = np.random.default_rng(seed)
+    rho = random_density_matrix(rng, 4)
+    q, r = random_observable(rng), random_observable(rng)
+    _, states, p = _conditioned(rho, q, r)
+    memory = partial_trace(rho, keep=[1], dims=[2, 2])
+    assert np.max(np.abs(states[1] - memory)) < 1e-15
+    for outcomes in (slice(0, 2), slice(2, 4)):
+        assert p[outcomes].sum() == pytest.approx(1.0, abs=1e-12)
+        mixed = states[2:][outcomes].sum(axis=0)
+        assert np.max(np.abs(mixed - memory)) < 1e-12
+
+
+def test_post_measurement_fixed_point():
+    # rho = sum_i w_i P_i (x) sigma_i is already classical on the probe:
+    # its blocks are w_i sigma_i, and I(O;B) = S(B) - sum_i w_i S(sigma_i)
+    rng = np.random.default_rng(20)
+    obs = random_observable(rng)
+    weights = (0.3, 0.7)
+    sigmas = [random_density_matrix(rng, 2) for _ in weights]
+    conditional_states = [w * sigma for w, sigma in zip(weights, sigmas)]
+    rho = dephased(obs, conditional_states)
+    conditional, p = blocks(obs, rho)
+    assert np.allclose(p, weights, rtol=0, atol=1e-12)
+    assert np.allclose(conditional, conditional_states, rtol=0, atol=1e-12)
+    assert np.allclose(dephased(obs, conditional), rho, rtol=0, atol=1e-12)
+    memory = partial_trace(rho, keep=[1], dims=[2, 2])
+    expected = vn_entropy(memory) - sum(w * vn_entropy(s) for w, s in zip(weights, sigmas))
+    assert holevo(obs, rho) == pytest.approx(expected, abs=1e-9)
+
+
+def test_post_measurement_decoheres_off_diagonal_blocks():
+    z = pauli_observable("z")
+    out = dephased(z, blocks(z, proj(PHI_PLUS))[0])
+    assert np.allclose(out, np.diag([0.5, 0.0, 0.0, 0.5]), rtol=0, atol=1e-15)
+
+
+def test_post_measurement_probe_marginal_is_diagonal_in_basis():
+    rng = np.random.default_rng(21)
+    rho = random_density_matrix(rng, 4)
+    obs = random_observable(rng)
+    conditional, p = blocks(obs, rho)
+    probe = partial_trace(dephased(obs, conditional), keep=[0], dims=[2, 2])
+    in_basis = obs.basis.conj().T @ probe @ obs.basis
+    off_diagonal = in_basis - np.diag(np.diag(in_basis))
+    assert np.max(np.abs(off_diagonal)) < 1e-12
+    assert np.allclose(np.diag(in_basis).real, p, rtol=0, atol=1e-12)
+    # p is rho_A's diagonal in the observable's basis
+    rho_a = partial_trace(rho, keep=[0], dims=[2, 2])
+    assert np.allclose(np.diag(obs.basis.conj().T @ rho_a @ obs.basis).real, p, rtol=0, atol=1e-12)
+
+
+@given(seeds)
+@settings(max_examples=50, deadline=None)
+def test_post_measurement_is_idempotent_and_block_structured(seed):
+    rng = np.random.default_rng(seed)
+    rho = random_density_matrix(rng, 4)
+    obs = random_observable(rng)
+    conditional, p = blocks(obs, rho)
+    once = dephased(obs, conditional)
+    # measuring the post-measurement state again changes no block
+    again, p_again = blocks(obs, once)
+    assert np.max(np.abs(again - conditional)) < 1e-12
+    assert np.max(np.abs(p_again - p)) < 1e-12
+    assert holevo(obs, once) == pytest.approx(holevo(obs, rho), abs=1e-9)
+    v0, v1 = obs.basis.T
+    parity = np.kron(proj(v0) - proj(v1), I2)
+    assert np.max(np.abs(parity @ once - once @ parity)) < 1e-12
