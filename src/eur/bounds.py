@@ -19,13 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    BOUND_GAP_ATOL,
-    BOUND_ORDER_ATOL,
-    _eigenvalues,
-    _hermitian_part,
-    _real_or_complex,
-)
+from .linalg import BOUND_ORDER_ATOL, _eigenvalues, _hermitian_part, _real_or_complex
 from .measurement import ProjectiveObservable, complementarity
 from .states import _checked_spectrum, _entropy_bits, from_pure
 
@@ -160,13 +154,16 @@ def bound_violations(lhs, berta, holevo) -> list:
     Returns (index, message) for each violating point, ascending; the
     message names the first of lhs >= berta, lhs >= holevo and
     holevo >= berta that fails, e.g. "lhs 0 below berta 1". NaN fails none.
+    The two lhs checks allow BOUND_ORDER_ATOL; holevo >= berta allows
+    nothing, as `evaluate_eur`'s berta + max(0, delta) cannot round below
+    berta.
     """
     columns = {"lhs": np.asarray(lhs, dtype=float), "berta": np.asarray(berta, dtype=float),
                "holevo": np.asarray(holevo, dtype=float)}
     found = {}
     for upper, lower, atol in (("lhs", "berta", BOUND_ORDER_ATOL),
                                ("lhs", "holevo", BOUND_ORDER_ATOL),
-                               ("holevo", "berta", BOUND_GAP_ATOL)):
+                               ("holevo", "berta", 0.0)):
         high, low = columns[upper], columns[lower]
         for i in np.flatnonzero(high < low - atol).tolist():
             found.setdefault(i, f"{upper} {high[i]:.12g} below {lower} {low[i]:.12g}")

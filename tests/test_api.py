@@ -62,6 +62,30 @@ def test_every_exported_name_has_a_user():
     assert not unused, f"exported but read by no code: {unused}"
 
 
+def _bare_tolerances(source) -> list:
+    """(line, keyword, value) for every atol, rtol, abs or rel keyword that
+    is given a bare number of magnitude at most 1e-6."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.keyword) and node.arg in ("atol", "rtol", "abs", "rel"):
+            value = node.value.operand if isinstance(node.value, ast.UnaryOp) else node.value
+            if (isinstance(value, ast.Constant) and type(value.value) in (int, float)
+                    and abs(value.value) <= 1e-6):
+                found.append((node.value.lineno, node.arg, value.value))
+    return sorted(found)
+
+
+def test_no_test_module_hard_codes_a_roundoff_tolerance():
+    # roundoff is held to `reference.budget`, and any other tolerance has a
+    # named constant; the acceptance tests keep the spec's tolerances,
+    # reference.py states the budget and helpers.py restates the package's
+    exempt = {"test_acceptance.py", "reference.py", "helpers.py"}
+    offenders = [f"{path.name}:{line}: {keyword}={value!r}"
+                 for path in sorted((ROOT / "tests").glob("*.py")) if path.name not in exempt
+                 for line, keyword, value in _bare_tolerances(path.read_text(encoding="utf-8"))]
+    assert not offenders, f"bare roundoff tolerances: {offenders}"
+
+
 def _bad_basis(x):
     basis = np.eye(2, dtype=complex)
     basis[0, 0] = x

@@ -17,7 +17,6 @@ from eur.cli import SweepConfig, run_sweep
 from eur.measurement import ProjectiveObservable, pauli_observable
 from eur.states import bell_diagonal_p, vn_entropy, x_state
 from helpers import (
-    BOUND_GAP_ATOL,
     BOUND_ORDER_ATOL,
     PHI_PLUS,
     SX,
@@ -29,6 +28,7 @@ from helpers import (
     random_pure_state,
     reference_bound_violations,
     shannon_bits,
+    steps_down,
 )
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -48,24 +48,30 @@ def xy_report(rho):
     return evaluate_eur(X_OBS, Y_OBS, rho)
 
 
+def assert_fields(report, **expected):
+    """Each named field of `report` within the budget of its expected value."""
+    for name, value in expected.items():
+        assert getattr(report, name) == pytest.approx(value, abs=reference.budget(value)), name
+
+
 def test_s_cond_values():
-    assert xy_report(proj(PHI_PLUS)).s_cond == pytest.approx(-1.0, abs=1e-12)
-    assert xy_report(np.eye(4) / 4).s_cond == pytest.approx(1.0, abs=1e-12)
-    assert xy_report(bell_diagonal_p(0.5)).s_cond == pytest.approx(0.5, abs=1e-9)
+    assert_fields(xy_report(proj(PHI_PLUS)), s_cond=-1.0)
+    assert_fields(xy_report(np.eye(4) / 4), s_cond=1.0)
+    assert_fields(xy_report(bell_diagonal_p(0.5)), s_cond=0.5)
 
 
 def test_i_ab_values():
     rng = np.random.default_rng(31)
     product = np.kron(random_density_matrix(rng, 2), random_density_matrix(rng, 2))
-    assert xy_report(product).i_ab == pytest.approx(0.0, abs=1e-9)
-    assert xy_report(proj(PHI_PLUS)).i_ab == pytest.approx(2.0, abs=1e-12)
-    assert xy_report(bell_diagonal_p(0.5)).i_ab == pytest.approx(0.5, abs=1e-9)
+    assert_fields(xy_report(product), i_ab=0.0)
+    assert_fields(xy_report(proj(PHI_PLUS)), i_ab=2.0)
+    assert_fields(xy_report(bell_diagonal_p(0.5)), i_ab=0.5)
 
 
 def test_lhs_values():
-    assert xy_report(x_state(1.0)).lhs == pytest.approx(0.0, abs=1e-9)
-    assert xy_report(np.eye(4) / 4).lhs == pytest.approx(2.0, abs=1e-9)
-    assert xy_report(bell_diagonal_p(0.5)).lhs == pytest.approx(LHS_BD_HALF, abs=1e-9)
+    assert_fields(xy_report(x_state(1.0)), lhs=0.0)
+    assert_fields(xy_report(np.eye(4) / 4), lhs=2.0)
+    assert_fields(xy_report(bell_diagonal_p(0.5)), lhs=LHS_BD_HALF)
 
 
 @given(seeds)
@@ -79,55 +85,44 @@ def test_conditional_uncertainty_identity(seed):
         # H(O) from rho_A's diagonal in the observable's basis
         outcome_entropy = shannon_bits(np.diag(obs.basis.conj().T @ rho_a @ obs.basis).real)
         same_pair = evaluate_eur(obs, obs, rho)
-        assert same_pair.lhs / 2.0 == pytest.approx(outcome_entropy - same_pair.i_qb, abs=1e-9)
+        expected = outcome_entropy - same_pair.i_qb
+        assert same_pair.lhs / 2.0 == pytest.approx(expected, abs=reference.budget(expected))
 
 
 def test_maassen_uffink_values():
     maximally_mixed = np.eye(4) / 4
-    assert evaluate_eur(X_OBS, Y_OBS, maximally_mixed).mu_bound == pytest.approx(1.0, abs=1e-9)
-    assert evaluate_eur(Z_OBS, Z_OBS, maximally_mixed).mu_bound == pytest.approx(0.0, abs=1e-9)
+    assert_fields(evaluate_eur(X_OBS, Y_OBS, maximally_mixed), mu_bound=1.0)
+    assert_fields(evaluate_eur(Z_OBS, Z_OBS, maximally_mixed), mu_bound=0.0)
 
 
 def test_berta_bound_values():
-    assert xy_report(x_state(1.0)).berta_bound == pytest.approx(0.0, abs=1e-9)
-    assert xy_report(bell_diagonal_p(0.5)).berta_bound == pytest.approx(1.5, abs=1e-9)
-    assert xy_report(np.eye(4) / 4).berta_bound == pytest.approx(2.0, abs=1e-9)
+    assert_fields(xy_report(x_state(1.0)), berta_bound=0.0)
+    assert_fields(xy_report(bell_diagonal_p(0.5)), berta_bound=1.5)
+    assert_fields(xy_report(np.eye(4) / 4), berta_bound=2.0)
 
 
 def test_delta_values():
     rng = np.random.default_rng(32)
     product = np.kron(random_density_matrix(rng, 2), random_density_matrix(rng, 2))
-    assert xy_report(product).delta == pytest.approx(0.0, abs=1e-9)
-    assert xy_report(bell_diagonal_p(0.5)).delta == pytest.approx(DELTA_BD_HALF, abs=1e-9)
-    assert xy_report(x_state(1.0)).delta == pytest.approx(0.0, abs=1e-9)
+    assert_fields(xy_report(product), delta=0.0)
+    assert_fields(xy_report(bell_diagonal_p(0.5)), delta=DELTA_BD_HALF)
+    assert_fields(xy_report(x_state(1.0)), delta=0.0)
 
 
 def test_holevo_bound_values():
-    assert xy_report(x_state(1.0)).holevo_bound == pytest.approx(0.0, abs=1e-9)
-    assert xy_report(bell_diagonal_p(0.5)).holevo_bound == pytest.approx(
-        1.5 + DELTA_BD_HALF, abs=1e-9
-    )
+    assert_fields(xy_report(x_state(1.0)), holevo_bound=0.0)
+    assert_fields(xy_report(bell_diagonal_p(0.5)), holevo_bound=1.5 + DELTA_BD_HALF)
     rng = np.random.default_rng(33)
     product = xy_report(np.kron(random_density_matrix(rng, 2), random_density_matrix(rng, 2)))
-    assert product.holevo_bound == pytest.approx(product.berta_bound, abs=1e-9)
+    assert_fields(product, holevo_bound=product.berta_bound)
 
 
 def test_report_is_consistent_on_the_two_experiment_states():
-    report = evaluate_eur(X_OBS, Y_OBS, bell_diagonal_p(0.5))
-    assert report.c == pytest.approx(0.5, abs=1e-12)
-    assert report.mu_bound == pytest.approx(1.0, abs=1e-9)
-    assert report.s_cond == pytest.approx(0.5, abs=1e-9)
-    assert report.i_ab == pytest.approx(0.5, abs=1e-9)
-    assert report.i_qb == pytest.approx(0.0, abs=1e-9)
-    assert report.i_rb == pytest.approx(1 - H_QUARTER, abs=1e-9)
-    assert report.lhs == pytest.approx(LHS_BD_HALF, abs=1e-9)
-    assert report.berta_bound == pytest.approx(1.5, abs=1e-9)
-    assert report.holevo_bound == pytest.approx(1.5 + DELTA_BD_HALF, abs=1e-9)
-
-    zero_report = evaluate_eur(X_OBS, Y_OBS, x_state(1.0))
-    assert zero_report.lhs == pytest.approx(0.0, abs=1e-9)
-    assert zero_report.berta_bound == pytest.approx(0.0, abs=1e-9)
-    assert zero_report.holevo_bound == pytest.approx(0.0, abs=1e-9)
+    assert_fields(evaluate_eur(X_OBS, Y_OBS, bell_diagonal_p(0.5)), c=0.5, mu_bound=1.0,
+                  s_cond=0.5, i_ab=0.5, i_qb=0.0, i_rb=1 - H_QUARTER, lhs=LHS_BD_HALF,
+                  berta_bound=1.5, holevo_bound=1.5 + DELTA_BD_HALF)
+    assert_fields(evaluate_eur(X_OBS, Y_OBS, x_state(1.0)), lhs=0.0, berta_bound=0.0,
+                  holevo_bound=0.0)
 
 
 def test_report_matches_standalone_operations_exactly():
@@ -253,8 +248,10 @@ def test_report_ordering_at_maximal_mixing():
     for initial in (bell_diagonal_p(0.5), x_state(1.0)):
         evolved = apply_to_memory(unruh_channel(np.pi / 4), initial)
         report = evaluate_eur(X_OBS, Y_OBS, evolved)
-        assert report.lhs >= report.holevo_bound - 1e-9
-        assert report.holevo_bound >= report.berta_bound - 1e-12
+        # lhs and holevo each lie within one budget of their exact values
+        assert report.lhs >= report.holevo_bound - 2 * reference.budget(report.holevo_bound)
+        # holevo is berta plus a term >= 0, so rounding cannot put it below berta
+        assert report.holevo_bound >= report.berta_bound
 
 
 @given(seeds)
@@ -264,8 +261,9 @@ def test_both_bounds_hold_on_random_states(seed):
     rho = random_density_matrix(rng, 4)
     q, r = random_observable(rng), random_observable(rng)
     report = evaluate_eur(q, r, rho)
-    assert report.lhs >= report.berta_bound - 1e-9
-    assert report.lhs >= report.holevo_bound - 1e-9
+    # each side lies within one budget of its exact value
+    assert report.lhs >= report.berta_bound - 2 * reference.budget(report.berta_bound)
+    assert report.lhs >= report.holevo_bound - 2 * reference.budget(report.holevo_bound)
 
 
 @given(seeds)
@@ -323,21 +321,10 @@ def test_swapping_the_pair_swaps_the_holevo_quantities_bit_for_bit(pair):
                          ids=["bell_diagonal_half", "x_state_one"])
 def test_bounds_grow_with_mixing_angle(make_state):
     initial = make_state(0.5) if make_state is bell_diagonal_p else make_state(1.0)
-    grid = [k * np.pi / 40 for k in range(11)]
-    reports = [
-        evaluate_eur(X_OBS, Y_OBS, apply_to_memory(unruh_channel(r), initial))
-        for r in grid
-    ]
-    for earlier, later in zip(reports, reports[1:]):
-        assert later.berta_bound >= earlier.berta_bound - 1e-9
-        assert later.holevo_bound >= earlier.holevo_bound - 1e-9
-
-
-def steps_down(values) -> list:
-    """(k, step) for every step from values[k] to values[k + 1] that goes
-    down by more than twice the budget of the larger of the two."""
-    return [(k, b - a) for k, (a, b) in enumerate(zip(values.tolist(), values[1:].tolist()))
-            if b < a - 2.0 * max(reference.budget(a), reference.budget(b))]
+    grid = np.arange(11) * np.pi / 40
+    report = evaluate_eur(X_OBS, Y_OBS, apply_to_memory(unruh_channel(grid), initial))
+    assert not steps_down(report.berta_bound)
+    assert not steps_down(report.holevo_bound)
 
 
 @given(seeds)
@@ -378,27 +365,28 @@ def test_data_processing_along_the_sweep_columns(state, p, obs, sweep_var, omega
 
 def test_robertson_equality_case():
     lhs, rhs = robertson_bound(SX, SY, np.array([1.0, 0.0]))
-    assert lhs == pytest.approx(1.0, abs=1e-12)
-    assert rhs == pytest.approx(1.0, abs=1e-12)
+    assert lhs == pytest.approx(1.0, abs=reference.budget(1.0))
+    assert rhs == pytest.approx(1.0, abs=reference.budget(1.0))
 
 
 def test_robertson_commuting_pair_gives_trivial_bound():
     rng = np.random.default_rng(35)
     psi = random_pure_state(rng, 2)
     lhs, rhs = robertson_bound(SZ, SZ, psi)
-    assert rhs == pytest.approx(0.0, abs=1e-12)
-    assert lhs >= -1e-12
+    assert rhs == pytest.approx(0.0, abs=reference.budget(0.0))
+    assert lhs >= 0.0
 
 
 def test_robertson_on_plus_state():
     # |+> is a sigma_x eigenstate: Delta sx = 0, so the product collapses
-    # and the commutator bound vanishes with <sz> = 0. The spread carries
-    # sqrt-of-roundoff noise, hence the loose absolute tolerance.
+    # and the commutator bound vanishes with <sz> = 0. Delta sx is the
+    # square root of a variance that is roundoff, and Delta sy = 1, so the
+    # product's square is held to the budget.
     plus = np.array([1.0, 1.0]) / np.sqrt(2)
     lhs, rhs = robertson_bound(SX, SY, plus)
-    assert rhs == pytest.approx(0.0, abs=1e-12)
-    assert lhs == pytest.approx(0.0, abs=1e-7)
-    assert lhs >= rhs - 1e-10
+    assert rhs == pytest.approx(0.0, abs=reference.budget(0.0))
+    assert lhs ** 2 <= reference.budget(0.0)
+    assert lhs >= rhs - reference.budget(rhs)
 
 
 def test_robertson_rejects_bad_inputs():
@@ -421,7 +409,7 @@ def test_robertson_inequality_on_random_triples(seed):
     q_op = (g1 + g1.conj().T) / 2
     r_op = (g2 + g2.conj().T) / 2
     lhs, rhs = robertson_bound(q_op, r_op, random_pure_state(rng, 2))
-    assert lhs >= rhs - 1e-10
+    assert lhs >= rhs - reference.budget(rhs)
 
 
 def test_bound_violations_detects_each_invariant():
@@ -445,20 +433,19 @@ def test_bound_violations_detects_each_invariant():
 bound_values = st.floats(min_value=-8.0, max_value=8.0)
 
 
-def near_edge(draw, bound, atol):
-    """A value free of `bound`, exactly at its slack `bound - atol`, or one ulp past it."""
+def near_edge(draw, edge):
+    """A free value, exactly `edge`, or one ulp below it."""
     kind = draw(st.sampled_from(("free", "at", "past")))
     if kind == "free":
         return draw(bound_values)
-    edge = bound - atol
     return edge if kind == "at" else math.nextafter(edge, -math.inf)
 
 
 @st.composite
 def bound_rows(draw):
     berta = draw(bound_values)
-    holevo = near_edge(draw, berta, BOUND_GAP_ATOL)
-    lhs = near_edge(draw, draw(st.sampled_from((berta, holevo))), BOUND_ORDER_ATOL)
+    holevo = near_edge(draw, berta)  # holevo >= berta has no slack
+    lhs = near_edge(draw, draw(st.sampled_from((berta, holevo))) - BOUND_ORDER_ATOL)
     return lhs, berta, holevo
 
 
