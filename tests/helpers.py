@@ -6,6 +6,7 @@ tests keep an independent route to the objects they check;
 """
 
 import numpy as np
+from hypothesis import strategies as st
 
 import reference
 from eur.measurement import ProjectiveObservable
@@ -163,3 +164,38 @@ def reference_bound_violations(lhs, berta, holevo):
         for i, row in enumerate(zip(lhs, berta, holevo))
         if (message := row_violation(*row)) is not None
     ]
+
+
+@st.composite
+def cli_flags(draw) -> dict:
+    """A valid `eur sweep` flag set, {flag: value}, over the domain that
+    `perfbench/workloads.py::cli_config` draws the cli-small workload from:
+    both states with p in [0, 1], the nine --obs pairs, --omega log-uniform
+    in [1e-3, 1e3], an a-sweep with a_max/omega log-uniform in [1e-2, 1e18]
+    or an r-sweep with a_max in [0, pi/4], --a-min 0 or drawn in
+    [0, a_max], and 2-32 steps. Each --obs axis comes in either case, with
+    or without a space on each side, as in " Y , z", which reads as y,z."""
+    omega = 10.0 ** draw(st.floats(-3.0, 3.0))
+    sweep_var = draw(st.sampled_from(["a", "r"]))
+    if sweep_var == "a":
+        a_max = omega * 10.0 ** draw(st.floats(-2.0, 18.0))
+    else:
+        a_max = draw(st.floats(0.0, np.pi / 4))
+    pair = draw(st.sampled_from([f"{q},{r}" for q in "xyz" for r in "xyz"]))
+    pad = st.sampled_from(["", " "])
+    return {
+        "state": draw(st.sampled_from(["bell", "x"])),
+        "p": repr(draw(st.floats(0.0, 1.0))),
+        "obs": ",".join(draw(pad) + draw(st.sampled_from([axis, axis.upper()])) + draw(pad)
+                        for axis in pair.split(",")),
+        "omega": repr(omega),
+        "a-min": repr(draw(st.one_of(st.just(0.0), st.floats(0.0, a_max)))),
+        "a-max": repr(a_max),
+        "steps": draw(st.integers(2, 32)),
+        "sweep-var": sweep_var,
+    }
+
+
+def sweep_argv_of(flags: dict) -> list:
+    """`eur sweep` argv in the --flag=value form, which every value survives."""
+    return ["sweep", *(f"--{flag}={value}" for flag, value in flags.items())]

@@ -13,7 +13,7 @@ import reference
 from eur import bounds, linalg, states
 from eur.bounds import bound_violations, evaluate_eur, robertson_bound
 from eur.channels import R_MAX, amplitude_damping, apply_to_memory, unruh_channel
-from eur.cli import SweepConfig, run_sweep
+from eur.cli import parse_args, run_sweep
 from eur.measurement import ProjectiveObservable, pauli_observable
 from eur.states import bell_diagonal_p, vn_entropy, x_state
 from helpers import (
@@ -22,6 +22,7 @@ from helpers import (
     SX,
     SY,
     SZ,
+    cli_flags,
     proj,
     random_density_matrix,
     random_observable,
@@ -29,6 +30,7 @@ from helpers import (
     reference_bound_violations,
     shannon_bits,
     steps_down,
+    sweep_argv_of,
 )
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -349,16 +351,15 @@ def test_data_processing_along_the_mixing_angle(seed):
     assert all(abs(v - x) <= reference.budget(abs(x)) for v, x in zip(composed.flat, direct.flat))
 
 
-@given(state=st.sampled_from(["bell", "x"]), p=st.floats(0.0, 1.0),
-       obs=st.tuples(*[st.sampled_from("xyz")] * 2), sweep_var=st.sampled_from("ar"),
-       omega=st.floats(-3.0, 3.0).map(lambda e: 10.0**e), scale=st.floats(0.0, 1.0))
+@given(flags=cli_flags(), scale=st.floats(0.0, 1.0))
 @settings(max_examples=300, deadline=None)
-def test_data_processing_along_the_sweep_columns(state, p, obs, sweep_var, omega, scale):
+def test_data_processing_along_the_sweep_columns(flags, scale):
     # the CLI's a and r grids ascend in r, so the data processing inequality
-    # above holds along its lhs and berta columns, on every flag set
-    a_max = scale * R_MAX if sweep_var == "r" else omega * 10.0 ** (6.0 * scale - 2.0)
-    sweep = run_sweep(SweepConfig(state=state, p=p, obs=obs, omega=omega, a_min=0.0, a_max=a_max,
-                                  steps=257, sweep_var=sweep_var, out_path="unused.csv"))
+    # above holds along its lhs and berta columns, on every flag set of
+    # 257 steps from a = 0 to a_max/omega in [1e-2, 1e4], or r to [0, pi/4]
+    omega = float(flags["omega"])
+    a_max = scale * R_MAX if flags["sweep-var"] == "r" else omega * 10.0 ** (6.0 * scale - 2.0)
+    sweep = run_sweep(parse_args(sweep_argv_of({**flags, "a-min": 0.0, "a-max": a_max, "steps": 257})))
     assert not steps_down(sweep.lhs)
     assert not steps_down(sweep.berta)
 

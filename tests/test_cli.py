@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import io
 import math
+import os
 import shutil
 
 import numpy as np
@@ -26,7 +27,7 @@ from eur.cli import (
     parse_args,
     run_sweep,
 )
-from helpers import steps_down
+from helpers import cli_flags, steps_down, sweep_argv_of
 
 FIELDS = ("a", "r", "lhs", "berta", "holevo", "delta")
 
@@ -94,6 +95,7 @@ FIG2 = {"state": "x", "p": 1.0, "obs": ("x", "y"), "omega": 0.1}
     ("p", "0.25", 0.25),
     ("obs", "x,z", ("x", "z")),
     ("omega", "0.2", 0.2),
+    pytest.param("obs", " Y , z", ("y", "z"), id="obs-spelled"),  # axes are stripped and lower-cased
 ])
 def test_each_preset_flag_given_explicitly_wins(field, given, expected):
     # the given flag wins on either side of --preset; the three omitted take fig2's values
@@ -357,11 +359,17 @@ def test_main_writes_file_and_returns_zero(tmp_path, flags, last_r):
     assert bound_violations(sweep.lhs, sweep.berta, sweep.holevo) == []
 
 
-def test_main_returns_io_error_for_unwritable_path(tmp_path, capsys):
-    out = tmp_path / "missing" / "deep" / "sweep.csv"
-    code = main(["sweep", "--preset", "fig2", "--steps", "3", "--out", str(out)])
+@pytest.mark.parametrize("target", ["missing/deep/sweep.csv", ".", "", "/dev/full"],
+                         ids=["missing-parent", "directory", "empty", "dev-full"])
+def test_main_returns_io_error_for_unwritable_path(tmp_path, capsys, target):
+    # /dev/full opens, and its ENOSPC is raised when emit_csv's file closes
+    if target == "/dev/full" and not os.path.exists(target):
+        pytest.skip("no /dev/full")
+    out = target and str(tmp_path / target)  # the empty path stays empty
+    code = main(["sweep", "--preset", "fig2", "--steps", "3", f"--out={out}"])
     assert code == EXIT_IO
-    assert "cannot write" in capsys.readouterr().err
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: cannot write {out}: "), err
 
 
 def test_main_reports_invariant_violations(tmp_path, monkeypatch, capsys):
@@ -401,7 +409,6 @@ def test_module_entry_point(tmp_path):
 
 def test_module_writes_the_file_bytes_to_dev_stdout(tmp_path):
     # a non-regular --out target gets the bytes that a file gets
-    import os
     import subprocess
     import sys
     from pathlib import Path
@@ -437,41 +444,24 @@ def test_sweep_config_validates_directly():
 # checks because every flag is given as --flag=value (see the epilog);
 # then values argparse itself rejects
 HOSTILE_NUMBERS = ["nan", "inf", "-inf", "-0.0", "5e-324", "1e309", "-1e-3", "abc", "", "1e"]
-HOSTILE_STEPS = ["1e3", "2.5"]
-HOSTILE_OBS = ["", "x", "x,y,z"]
+HOSTILE = {**dict.fromkeys(["p", "omega", "a-min", "a-max"], HOSTILE_NUMBERS),
+           "obs": ["", "x", "x,y,z"], "state": ["ghz"], "steps": ["1e3", "2.5"]}
 
 
 @st.composite
 def sweep_argv(draw):
-    """(argv, steps): `eur sweep` flags over the domain of cli_config in
-    perfbench/workloads.py, some of them replaced by a hostile value."""
-    omega = 10.0 ** draw(st.floats(-3.0, 3.0))
-    sweep_var = draw(st.sampled_from(["a", "r"]))
-    if sweep_var == "a":
-        a_max = omega * 10.0 ** draw(st.floats(-2.0, 18.0))
-    else:
-        a_max = draw(st.floats(0.0, math.pi / 4))
-    flags = {
-        "state": draw(st.sampled_from(["bell", "x"])),
-        "p": repr(draw(st.floats(0.0, 1.0))),
-        "obs": draw(st.sampled_from([f"{q},{r}" for q in "xyz" for r in "xyz"])),
-        "omega": repr(omega),
-        "a-min": repr(draw(st.one_of(st.just(0.0), st.floats(0.0, a_max)))),
-        "a-max": repr(a_max),
-        "sweep-var": sweep_var,
-    }
-    for flag in ("p", "omega", "a-min", "a-max"):
-        if draw(st.integers(0, 5)) == 0:
-            flags[flag] = draw(st.sampled_from(HOSTILE_NUMBERS))
-    if draw(st.integers(0, 5)) == 0:
-        flags["obs"] = draw(st.sampled_from(HOSTILE_OBS))
-    if draw(st.integers(0, 5)) == 0:
-        flags["state"] = "ghz"
-    if draw(st.integers(0, 3)) == 0:
+    """(argv, steps): a `cli_flags` draw with each flag replaced by a
+    hostile value a sixth of the time, and --a-max dropped a quarter."""
+    flags = draw(cli_flags())
+    steps = flags["steps"]
+    # the top draw picks the overlay, so a failing example shrinks to the
+    # valid flags, keeping only the overlays that it needs
+    for flag, values in HOSTILE.items():
+        if draw(st.integers(0, 5)) == 5:
+            flags[flag] = draw(st.sampled_from(values))
+    if draw(st.integers(0, 3)) == 3:
         del flags["a-max"]  # the default, which depends on omega and the sweep variable
-    steps = draw(st.integers(2, 32))
-    flags["steps"] = draw(st.sampled_from(HOSTILE_STEPS)) if draw(st.integers(0, 5)) == 0 else steps
-    return ["sweep", *(f"--{flag}={value}" for flag, value in flags.items())], steps
+    return sweep_argv_of(flags), steps
 
 
 @pytest.fixture(scope="module")

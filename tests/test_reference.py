@@ -17,7 +17,7 @@ from eur.bounds import evaluate_eur
 from eur.channels import apply_to_memory, unruh_channel
 from eur.measurement import ProjectiveObservable, pauli_observable
 from eur.states import bell_diagonal_p, from_pure, x_state
-from helpers import random_complex, random_pure_state, random_unitary, shannon_bits
+from helpers import cli_flags, random_complex, random_pure_state, random_unitary, shannon_bits, sweep_argv_of
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -118,28 +118,11 @@ def test_reference_reproduces_closed_forms():
 
 @st.composite
 def cli_domain_argv(draw):
-    """(argv, rows) for `eur sweep` over the domain of the benchmark's
-    cli-small workload: both states with p in [0, 1], all nine --obs
-    pairs, --omega log-uniform in [1e-3, 1e3], a-sweeps with a_max/omega
-    log-uniform in [1e-2, 1e18] or r-sweeps up to pi/4, a drawn --a-min
-    half the time, and 2-32 steps; `rows` are the first and last grid
-    indices and two drawn ones."""
-    omega = 10.0 ** draw(st.floats(-3.0, 3.0))
-    sweep_var = draw(st.sampled_from(["a", "r"]))
-    if sweep_var == "a":
-        a_max = omega * 10.0 ** draw(st.floats(-2.0, 18.0))
-    else:
-        a_max = draw(st.floats(0.0, math.pi / 4))
-    steps = draw(st.integers(2, 32))
-    argv = ["sweep", "--state", draw(st.sampled_from(["bell", "x"])),
-            "--p", repr(draw(st.floats(0.0, 1.0))),
-            "--obs", draw(st.sampled_from([f"{q},{r}" for q in "xyz" for r in "xyz"])),
-            "--omega", repr(omega), "--a-max", repr(a_max), "--steps", str(steps),
-            "--sweep-var", sweep_var]
-    if draw(st.booleans()):
-        argv.append(f"--a-min={draw(st.floats(0.0, a_max))!r}")
+    """(argv, rows): a `cli_flags` draw, its first and last grid rows and two drawn ones."""
+    flags = draw(cli_flags())
+    steps = flags["steps"]
     drawn = draw(st.lists(st.integers(0, steps - 1), min_size=2, max_size=2))
-    return argv, sorted({0, steps - 1, *drawn})
+    return sweep_argv_of(flags), sorted({0, steps - 1, *drawn})
 
 
 @pytest.fixture(scope="module")
