@@ -1,14 +1,20 @@
-"""Shared constants and random generators for the test suite.
+"""Shared constants, random generators and checks for the test suite.
 
-Everything here is built with raw numpy, never with package code, so the
-tests keep an independent route to the objects they check;
-`random_observable` only wraps such a basis in the package's type.
+The constants, generators and reference checks are built with raw numpy,
+never with package code, so the tests keep an independent route to the
+objects they check; `random_observable` only wraps such a basis in the
+package's type. `check_eur_report` is the one exception: it states the
+contract of `evaluate_eur`'s report, so it calls `evaluate_eur` by design.
 """
+
+import dataclasses
+import math
 
 import numpy as np
 from hypothesis import strategies as st
 
 import reference
+from eur.bounds import evaluate_eur
 from eur.measurement import ProjectiveObservable
 
 I2 = np.eye(2, dtype=complex)
@@ -17,7 +23,6 @@ SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
 PHI_PLUS = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
-PHI_MINUS = np.array([1, 0, 0, -1], dtype=complex) / np.sqrt(2)
 PSI_PLUS = np.array([0, 1, 1, 0], dtype=complex) / np.sqrt(2)
 PSI_MINUS = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
 
@@ -51,6 +56,23 @@ def random_density_matrix(rng, dim):
     g = random_complex(rng, (dim, dim))
     m = g @ g.conj().T
     return m / np.trace(m).real
+
+
+def random_states(rng, stack=(), rank=4, real=False):
+    """Random two-qubit states G G^dag / tr(G G^dag), shape stack + (4, 4),
+    for a Gaussian G of shape (4, rank), complex, or float64 with `real`:
+    rank-deficient below 4. The states are drawn one at a time, in order."""
+    def draw():
+        if real:
+            g = rng.normal(size=(4, rank))
+            m = g @ g.T
+        else:
+            g = random_complex(rng, (4, rank))
+            m = g @ g.conj().T
+        return m / np.trace(m).real
+
+    states = [draw() for _ in range(math.prod(stack))]
+    return np.array(states, dtype=float if real else complex).reshape(stack + (4, 4))
 
 
 def random_pure_state(rng, dim):
@@ -199,3 +221,77 @@ def cli_flags(draw) -> dict:
 def sweep_argv_of(flags: dict) -> list:
     """`eur sweep` argv in the --flag=value form, which every value survives."""
     return ["sweep", *(f"--{flag}={value}" for flag, value in flags.items())]
+
+
+def _other_forms(states) -> list:
+    """`states` handed over in other memory layouts, types and dtypes:
+    Fortran order, strided, with negative strides, read-only, broadcast
+    from its first state, as a nested list and, for a real stack, the
+    states that int64 and float32 hold exactly, in those dtypes."""
+    forms = [
+        np.asfortranarray(states),
+        np.repeat(states, 2, axis=0)[::2],
+        np.flip(np.flip(states).copy()),
+        np.lib.stride_tricks.as_strided(states, writeable=False),
+        np.broadcast_to(states[:1], states.shape),
+    ]
+    if states.size:  # an empty stack's nested list loses its shape
+        forms.append(states.tolist())
+    if states.dtype == np.float64:
+        for dtype in (np.int64, np.float32):
+            held = (states.astype(dtype) == states).all(axis=(-2, -1))
+            forms.append(states[held].astype(dtype))
+    return forms
+
+
+def check_eur_report(q, r, states):
+    """Check the report of `evaluate_eur(q, r, states)` on a float64 or
+    complex128 stack of states, shape (..., 4, 4), of any stack shape:
+
+    1. the state-dependent fields are float64 arrays of the stack's shape,
+       and `mu_bound` and `c` are floats;
+    2. element k has the bits of state k's own report, each field of which
+       is a Python float; and the stack in any of `_other_forms` gives the
+       bits of its C-contiguous copy;
+    3. holevo_bound is berta_bound + np.maximum(0.0, delta), bit for bit;
+    4. i_qb and i_rb have the bits that q and r give, each paired with
+       itself;
+    5. every field lies within `reference.budget` of `reference.reports`,
+       and is +0.0 where the reference is exactly 0.
+    """
+    report = evaluate_eur(q, r, states)
+    stack = states.shape[:-2]
+    names = [field.name for field in dataclasses.fields(report)]
+
+    def bits(rep, name):
+        return np.broadcast_to(getattr(rep, name), stack)
+
+    for name in names:
+        value = getattr(report, name)
+        if name in ("mu_bound", "c"):  # the observables' own
+            assert type(value) is float, name
+        else:
+            assert isinstance(value, np.ndarray), name
+            assert (value.dtype, value.shape) == (np.float64, stack), name
+    for k in np.ndindex(stack):
+        single = evaluate_eur(q, r, states[k])
+        for name in names:
+            value = getattr(single, name)
+            assert type(value) is float, name
+            assert_same_bits(bits(report, name)[k], np.float64(value))
+    for form in _other_forms(states):
+        given = evaluate_eur(q, r, form)
+        copy = evaluate_eur(q, r, np.array(form, dtype=states.dtype))
+        for name in names:
+            assert_same_bits(np.asarray(getattr(given, name)), np.asarray(getattr(copy, name)))
+    assert_same_bits(report.holevo_bound, report.berta_bound + np.maximum(0.0, report.delta))
+    for name, o in (("i_qb", q), ("i_rb", r)):
+        alone = evaluate_eur(o, o, states)
+        assert_same_bits(alone.i_qb, getattr(report, name))
+        assert_same_bits(alone.i_rb, getattr(report, name))
+    expected = reference.reports(q.basis, r.basis, states)
+    bad = reference.report_outside_budget(report, expected)
+    assert not bad, bad
+    for name in names:
+        zeros = [v for v, rep in zip(np.ravel(bits(report, name)), expected) if rep[name] == 0]
+        assert_same_bits(np.array(zeros), np.zeros(len(zeros)))

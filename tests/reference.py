@@ -82,7 +82,7 @@ def report_outside_budget(eur_report, expected) -> dict:
     `expected`, one per state; empty when all pass."""
     failures = {}
     for field in dataclasses.fields(eur_report):
-        values = np.broadcast_to(getattr(eur_report, field.name), (len(expected),))
+        values = np.broadcast_to(np.ravel(getattr(eur_report, field.name)), (len(expected),))
         bad = outside_budget(values, [rep[field.name] for rep in expected])
         if bad:
             failures[field.name] = bad

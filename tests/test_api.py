@@ -86,6 +86,27 @@ def test_no_test_module_hard_codes_a_roundoff_tolerance():
     assert not offenders, f"bare roundoff tolerances: {offenders}"
 
 
+def _redefined_names(source) -> list:
+    """(line, name) for every top-level function or class whose name an
+    earlier one in the same module already took."""
+    seen, found = set(), []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if node.name in seen:
+                found.append((node.lineno, node.name))
+            seen.add(node.name)
+    return found
+
+
+def test_no_module_defines_a_top_level_name_twice():
+    # a second `def test_x` silently replaces the first, and pytest never runs it
+    assert _redefined_names("def f(): pass\nclass g: pass\ndef f(): pass\n") == [(3, "f")]
+    offenders = [f"{path.relative_to(ROOT)}:{line}: {name}"
+                 for path in sorted([*ROOT.glob("tests/*.py"), *ROOT.glob("scripts/**/*.py")])
+                 for line, name in _redefined_names(path.read_text(encoding="utf-8"))]
+    assert not offenders, f"defined twice: {offenders}"
+
+
 def _bad_basis(x):
     basis = np.eye(2, dtype=complex)
     basis[0, 0] = x

@@ -1,9 +1,10 @@
 """Stacked evaluation: a (N, 4, 4) stack gives exactly the per-state results,
 and a real (float64) input gives exactly the bits of the complex path where
-its kernels must agree."""
+its kernels must agree. Every contract of the `evaluate_eur` report is
+`helpers.check_eur_report`, run on a table of named stacks and on drawn
+ones."""
 
 import dataclasses
-import math
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eur.cli as cli
+import eur.states
 import reference
+from eur import bounds, linalg
 from eur.bounds import _conditioned, evaluate_eur
 from eur.channels import (
     R_MAX,
@@ -30,20 +33,20 @@ from eur.states import (
     bell_diagonal_state,
     from_pure,
     rindler_tripartite_state,
-    vn_entropy,
     x_state,
 )
 from helpers import (
     assert_same_bits,
+    check_eur_report,
     random_complex,
     random_cptp_kraus,
     random_density_matrix,
+    random_observable,
+    random_states,
     random_unitary,
 )
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
-
-STACK = 6
 
 
 def random_channel(rng):
@@ -52,121 +55,93 @@ def random_channel(rng):
     return ops + [np.zeros((2, 2), dtype=complex)] * (4 - len(ops))
 
 
-@given(seeds)
-@settings(max_examples=30, deadline=None)
-def test_stack_equals_per_state_evaluation(seed):
-    rng = np.random.default_rng(seed)
-    q = ProjectiveObservable("q", random_unitary(rng, 2))
-    o = ProjectiveObservable("o", random_unitary(rng, 2))
-    states = np.stack([random_density_matrix(rng, 4) for _ in range(STACK)])
-    channels = [random_channel(rng) for _ in range(STACK)]
-
-    evolved = apply_to_memory(np.stack(channels, axis=1), states)
-    singles = [apply_to_memory(ch, rho) for ch, rho in zip(channels, states)]
-    assert np.array_equal(evolved, singles)
-
-    stacked = evaluate_eur(q, o, evolved)
-    per_state = [evaluate_eur(q, o, rho) for rho in singles]
-    for field in dataclasses.fields(stacked):
-        got = getattr(stacked, field.name)
-        expected = [getattr(report, field.name) for report in per_state]
-        if field.name in ("mu_bound", "c"):
-            assert all(got == value for value in expected)  # observables only
-        else:
-            assert got.shape == (STACK,)
-            assert np.array_equal(got, expected), field.name
+def sweep_states():
+    """x_state(0) and bell_diagonal_p(0.5) through the channel at four angles."""
+    channels = unruh_channel(np.linspace(0.0, R_MAX, 4))
+    return np.concatenate([apply_to_memory(channels, x_state(0.0)),
+                           apply_to_memory(channels, bell_diagonal_p(0.5))])
 
 
-def test_zero_probability_outcome_is_masked_in_a_stack():
-    # x_state(0) = |11><11|: sigma_z outcome 0 has probability exactly 0
-    z = pauli_observable("z")
-    x = pauli_observable("x")
-    states = np.stack([x_state(0.0), x_state(0.5)] + [
-        apply_to_memory(unruh_channel(r), x_state(0.0)) for r in (0.2, np.pi / 4)])
-    for pair in ((z, x), (z, z)):
-        stacked = evaluate_eur(*pair, states)
-        per_state = [evaluate_eur(*pair, rho) for rho in states]
-        for field in ("lhs", "berta_bound", "holevo_bound", "delta", "i_qb", "i_rb"):
-            assert np.array_equal(getattr(stacked, field), [getattr(p, field) for p in per_state])
-    info = evaluate_eur(z, x, states).i_qb
-    assert np.isfinite(info).all()
-    assert info[0] == 0.0  # a product state stores nothing about the outcome
+# x_state(0) = |11><11|: the sigma_z outcome 0 has probability exactly 0,
+# and the state holds no correlation; int64 holds it, |00><00| and
+# |01><01| exactly, and float32 those and bell_diagonal_p(0)
+CONTRACT_STACKS = {
+    "families": lambda: np.stack([x_state(0.0), x_state(1.0), x_state(0.3),
+                                  bell_diagonal_p(0.0), bell_diagonal_p(0.7),
+                                  np.diag([1.0, 0.0, 0.0, 0.0]), np.diag([0.0, 1.0, 0.0, 0.0])]),
+    "zero_probability": lambda: np.stack([x_state(0.0), x_state(0.5)] + [
+        apply_to_memory(unruh_channel(r), x_state(0.0)) for r in (0.2, np.pi / 4)]),
+    "sweep": sweep_states,
+    "random": lambda: random_states(np.random.default_rng(53), (2, 3)),
+    "empty": lambda: np.zeros((0, 4, 4)),
+}
 
 
-def test_single_state_gives_floats_and_stack_gives_arrays():
-    rho = x_state(0.5)
-    assert type(vn_entropy(rho)) is float
-    assert vn_entropy(np.stack([rho, rho])).shape == (2,)
-    x, y = pauli_observable("x"), pauli_observable("y")
-    report = evaluate_eur(x, y, rho)
-    assert all(type(getattr(report, f.name)) is float for f in dataclasses.fields(report))
-    # an empty stack and a 2-D stack: every state-dependent field takes the
-    # stack's shape, and the two observable-only fields stay floats
-    for stack in (np.zeros((0, 4, 4)), np.broadcast_to(rho, (2, 3, 4, 4))):
-        report = evaluate_eur(x, y, stack)
-        for field in dataclasses.fields(report):
-            value = getattr(report, field.name)
-            if field.name in ("mu_bound", "c"):
-                assert type(value) is float, field.name
-            else:
-                assert isinstance(value, np.ndarray) and value.shape == stack.shape[:-2], field.name
+def observable_pair(pair):
+    """Two Pauli observables, "zx" for z then x, or a fixed random pair."""
+    if pair == "random":
+        rng = np.random.default_rng(43)
+        return random_observable(rng), random_observable(rng)
+    return pauli_observable(pair[0]), pauli_observable(pair[1])
 
 
-@pytest.mark.parametrize("pair", ["zz", "zx", "xy"])
+@pytest.mark.parametrize("stack", CONTRACT_STACKS)
+@pytest.mark.parametrize("pair", ["zz", "zx", "xy", "xz", "xx", "yz", "random"])
 @pytest.mark.parametrize("real", [False, True], ids=["complex", "float64"])
-def test_one_state_report_has_the_bits_of_its_stack_element(pair, real):
-    rng = np.random.default_rng(53)
-    states = [x_state(0.0), x_state(1.0), x_state(0.3), bell_diagonal_p(0.0), bell_diagonal_p(0.7)]
-    states += [random_density_matrix(rng, 4) for _ in range(4)]
-    states = np.stack([rho.real if real else rho for rho in states])
-    q, r = pauli_observable(pair[0]), pauli_observable(pair[1])
-    stacked = evaluate_eur(q, r, states)
-    for k, rho in enumerate(states):
-        single = evaluate_eur(q, r, rho)
-        for field in dataclasses.fields(single):
-            value, column = getattr(single, field.name), getattr(stacked, field.name)
-            assert type(value) is float, field.name
-            if field.name in ("mu_bound", "c"):  # the observables' own, a float for stacks too
-                assert type(column) is float and column == value
-            else:
-                assert isinstance(column, np.ndarray) and column.shape == (len(states),)
-                assert_same_bits(column[k], np.float64(value))
-        assert_same_bits(np.float64(single.holevo_bound),
-                         np.float64(single.berta_bound) + np.maximum(0.0, single.delta))
-    # |11><11| (x_state(0)) gives +0.0 in i_qb and i_rb on both paths: the
-    # comparison above tells it from -0.0
-    assert_same_bits(np.array([stacked.i_qb[0], stacked.i_rb[0]]), np.zeros(2))
+def test_evaluate_eur_keeps_the_report_contract(real, pair, stack):
+    states = CONTRACT_STACKS[stack]()
+    states = np.ascontiguousarray(states.real) if real else states.astype(complex)
+    check_eur_report(*observable_pair(pair), states)
 
 
-@pytest.mark.parametrize("pair", ["zz", "zx", "xy", "xx"])
-def test_a_zero_quantity_of_a_pure_product_state_is_positive_zero(pair):
-    # |11><11| holds no correlation: every zero field is +0.0, never -0.0,
-    # for one state and for each state of a stack
-    q, r = pauli_observable(pair[0]), pauli_observable(pair[1])
-    single = evaluate_eur(q, r, x_state(0.0))
-    stacked = evaluate_eur(q, r, np.stack([x_state(0.0), x_state(0.3), x_state(0.0)]))
-    for name in ("s_cond", "i_ab", "i_qb", "i_rb", "delta"):
-        assert getattr(single, name) == 0.0 and math.copysign(1.0, getattr(single, name)) == 1.0
-        assert_same_bits(getattr(stacked, name)[::2], np.zeros(2))
+@given(seeds, st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=6))
+@settings(max_examples=30, deadline=None)
+def test_evaluate_eur_keeps_the_report_contract_on_drawn_states(seed, rank, size):
+    rng = np.random.default_rng(seed)
+    q, r = random_observable(rng), random_observable(rng)
+    states = random_states(rng, (size,), rank)
+    channels = [random_channel(rng) for _ in range(size)]
+    evolved = apply_to_memory(np.stack(channels, axis=1), states)
+    assert_same_bits(evolved, np.stack([apply_to_memory(ch, rho) for ch, rho in zip(channels, states)]))
+    check_eur_report(q, r, np.concatenate([states, evolved]))
 
 
-def test_checks_cover_every_matrix_of_a_stack():
-    rng = np.random.default_rng(3)
-    good = random_density_matrix(rng, 4)
-    not_hermitian = good.copy()
-    not_hermitian[0, 1] += 1e-6
-    with pytest.raises(ValueError, match="not Hermitian"):
-        vn_entropy(np.stack([good, good, not_hermitian]))
-    negative = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
-    with pytest.raises(ValueError, match="eigenvalue"):
-        vn_entropy(np.stack([good, good, negative]))
-    # an eigenvalue above 1 is not clipped away: 2x2 (closed form) and 4x4 (LAPACK)
-    above_one = np.diag([1.01, 0.0]).astype(complex)
-    good_2x2 = partial_trace(good, keep=[1], dims=[2, 2])
-    with pytest.raises(ValueError, match="eigenvalue 1.01 above 1"):
-        vn_entropy(np.stack([good_2x2, good_2x2, above_one]))
-    with pytest.raises(ValueError, match="eigenvalue 1.01 above 1"):
-        vn_entropy(np.stack([good, good, np.kron(above_one, np.diag([1.0, 0.0]))]))
+@pytest.mark.parametrize("stack", [(), (7,)], ids=["one", "seven"])
+@pytest.mark.parametrize("real", [True, False], ids=["float64", "complex128"])
+def test_evaluate_eur_takes_each_spectrum_once(monkeypatch, real, stack):
+    # one LAPACK spectrum, of rho, checked once, in rho's own dtype (a real
+    # state is never made complex); both marginals and the four conditional
+    # memory states are 2x2, derived from the checked rho, and solved
+    # unchecked in closed form as one stack
+    rho = random_states(np.random.default_rng(36), stack, real=real)
+    solved, spectra, checked = [], [], []
+
+    def counted(name):
+        solver = getattr(np.linalg, name)
+
+        def call(a, *args, **kwargs):
+            solved.append((name, np.shape(a), np.asarray(a).dtype))
+            return solver(a, *args, **kwargs)
+
+        return call
+
+    def eigenvalues(m):
+        spectra.append(np.shape(m))
+        return linalg._eigenvalues(m)
+
+    def hermitian_part(m, *args):
+        checked.append(np.shape(m))
+        return linalg._hermitian_part(m, *args)
+
+    for name in ("eigh", "eigvalsh", "eig", "eigvals"):
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    for module in (eur.states, bounds):
+        monkeypatch.setattr(module, "_eigenvalues", eigenvalues)
+        monkeypatch.setattr(module, "_hermitian_part", hermitian_part)
+    evaluate_eur(pauli_observable("x"), pauli_observable("y"), rho)
+    assert solved == [("eigvalsh", stack + (4, 4), rho.dtype)]
+    assert spectra == [stack + (4, 4), (6,) + stack + (2, 2)]
+    assert checked == [stack + (4, 4)]
 
 
 @pytest.mark.parametrize("flags", [
@@ -199,12 +174,6 @@ def test_sweep_chunk_seams_do_not_change_rows(monkeypatch, tmp_path, flags):
     assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
 
 
-def random_states(rng, stack):
-    """Random two-qubit density matrices, shape stack + (4, 4)."""
-    states = [random_density_matrix(rng, 4) for _ in range(int(np.prod(stack)))]
-    return np.array(states, dtype=complex).reshape(stack + (4, 4))
-
-
 @pytest.mark.parametrize("stack", [(), (7,), (2, 3), (0,)], ids=str)
 @pytest.mark.parametrize("real", [False, True], ids=["complex", "float64"])
 def test_conditioned_states_are_both_marginals_then_the_conditional_states(stack, real):
@@ -224,68 +193,13 @@ def test_conditioned_states_are_both_marginals_then_the_conditional_states(stack
     expected = np.concatenate([marginals, np.moveaxis(blocks, -3, 0)])
     assert states.dtype == np.complex128 and states.flags.c_contiguous
     assert_same_bits(states, expected)
+    # with the rows on the left, each block is its own row's product: the
+    # same bits beside any partner and in either place of the pair
+    assert_same_bits(_conditioned(rho, q, q)[1][2:4], states[2:4])
+    assert_same_bits(_conditioned(rho, r, q)[1][4:6], states[2:4])
     # rho_A and rho_B in that order, each the partial trace
     assert not reference.outside_budget(states[0], partial_trace(rho, 0, (2, 2)))
     assert not reference.outside_budget(states[1], partial_trace(rho, 1, (2, 2)))
-
-
-@pytest.mark.parametrize("stack", [(), (5,), (2, 3)], ids=str)
-def test_blocks_of_one_observable_do_not_depend_on_its_partner(stack):
-    rng = np.random.default_rng(23 + len(stack))
-    q, r, s = (ProjectiveObservable(name, random_unitary(rng, 2)) for name in "qrs")
-    rho = random_states(rng, stack)
-    blocks = _conditioned(rho, q, r)[1][2:4]
-    # with the rows on the left, each block is its own row's product: the
-    # same bits beside any partner and in either place of the pair
-    assert_same_bits(_conditioned(rho, q, s)[1][2:4], blocks)
-    assert_same_bits(_conditioned(rho, s, q)[1][4:6], blocks)
-    i_qb = np.asarray(evaluate_eur(q, r, rho).i_qb)
-    assert_same_bits(np.asarray(evaluate_eur(q, q, rho).i_qb), i_qb)
-    assert_same_bits(np.asarray(evaluate_eur(s, q, rho).i_rb), i_qb)
-
-
-def as_given(rho, layout):
-    """rho, (6, 4, 4), handed over in another memory layout, dtype or type."""
-    return {
-        "fortran": lambda: np.asfortranarray(rho),
-        "strided": lambda: np.repeat(rho, 2, axis=0)[::2],
-        "negative_strides": lambda: rho[::-1, ::-1, ::-1].copy()[::-1, ::-1, ::-1],
-        "read_only": lambda: np.frombuffer(rho.tobytes(), dtype=rho.dtype).reshape(rho.shape),
-        "broadcast": lambda: np.broadcast_to(rho[:1], rho.shape),
-        "nested_list": lambda: rho.tolist(),
-    }[layout]()
-
-
-@pytest.mark.parametrize("layout", ["fortran", "strided", "negative_strides", "read_only",
-                                    "broadcast", "nested_list"])
-def test_evaluate_eur_gives_the_bits_of_a_contiguous_copy(layout):
-    rng = np.random.default_rng(29)
-    q, r = (ProjectiveObservable(name, random_unitary(rng, 2)) for name in "qr")
-    rho = random_states(rng, (6,))
-    given_rho = as_given(rho, layout)
-    contiguous = np.array(given_rho, dtype=complex, order="C")
-    report, expected = evaluate_eur(q, r, given_rho), evaluate_eur(q, r, contiguous)
-    for field in dataclasses.fields(report):
-        got, want = (np.asarray(getattr(x, field.name)) for x in (report, expected))
-        assert got.tobytes() == want.tobytes(), field.name
-
-
-@pytest.mark.parametrize("dtype", [np.int64, np.float32], ids=["int", "float32"])
-def test_evaluate_eur_takes_a_real_state_of_another_dtype_as_float64(dtype):
-    rng = np.random.default_rng(31)
-    q, r = (ProjectiveObservable(name, random_unitary(rng, 2)) for name in "qr")
-    # |00><00|, |11><11| and, for float32, an entangled state that it holds exactly
-    rho = np.zeros((3, 4, 4))
-    rho[0, 0, 0] = rho[1, 3, 3] = 1.0
-    if dtype is np.float32:
-        rho[2, [0, 0, 3, 3], [0, 3, 0, 3]] = 0.5, 0.25, 0.25, 0.5
-    else:
-        rho[2, 1, 1] = 1.0
-    given_rho = rho.astype(dtype)
-    report, expected = evaluate_eur(q, r, given_rho), evaluate_eur(q, r, given_rho.astype(float))
-    for field in dataclasses.fields(report):
-        got, want = (np.asarray(getattr(x, field.name)) for x in (report, expected))
-        assert got.tobytes() == want.tobytes(), field.name
 
 
 @pytest.mark.parametrize("stack", [(), (5,), (2, 3)], ids=str)
@@ -403,19 +317,12 @@ def test_sweep_gives_the_bits_of_the_library_on_the_same_objects(flags):
         assert value.tobytes() == getattr(sweep, name).tobytes(), name
 
 
-def random_real_state(rng):
-    """A random real two-qubit density matrix, G G^T / tr for a real Gaussian G."""
-    g = rng.normal(size=(4, 4))
-    m = g @ g.T
-    return m / np.trace(m)
-
-
 @pytest.mark.parametrize("r", [0.3, np.linspace(0.0, R_MAX, 7), np.full((2, 3), 0.2)],
                          ids=["one", "seven", "2x3"])
 def test_real_apply_to_memory_equals_the_complex_path(r):
     rng = np.random.default_rng(41)
     kraus = unruh_channel(r)
-    for rho in (x_state(0.4), bell_diagonal_p(0.5), random_real_state(rng)):
+    for rho in (x_state(0.4), bell_diagonal_p(0.5), random_states(rng, real=True)):
         real = apply_to_memory(kraus, rho)
         full = apply_to_memory(kraus.astype(complex), rho.astype(complex))
         assert real.dtype == np.float64 and full.dtype == np.complex128
@@ -424,47 +331,3 @@ def test_real_apply_to_memory_equals_the_complex_path(r):
         # one complex side takes the complex path, bit for bit
         assert_same_bits(apply_to_memory(kraus, rho.astype(complex)), full)
         assert_same_bits(apply_to_memory(kraus.astype(complex), rho), full)
-
-
-@pytest.mark.parametrize("pair", [("x", "y"), ("x", "z"), ("z", "z")], ids="".join)
-def test_real_stack_equals_per_state_real_evaluation_and_the_reference(pair):
-    rng = np.random.default_rng(43)
-    q, o = (pauli_observable(axis) for axis in pair)
-    channels = unruh_channel(np.linspace(0.0, R_MAX, 4))
-    states = np.concatenate([apply_to_memory(channels, x_state(0.0)),
-                             apply_to_memory(channels, bell_diagonal_p(0.5)),
-                             [random_real_state(rng) for _ in range(2)]])
-    assert states.dtype == np.float64
-
-    stacked = evaluate_eur(q, o, states)
-    per_state = [evaluate_eur(q, o, rho) for rho in states]
-    for field in dataclasses.fields(stacked):
-        got = np.broadcast_to(getattr(stacked, field.name), (len(states),))
-        expected = np.array([getattr(report, field.name) for report in per_state])
-        assert got.tobytes() == expected.tobytes(), field.name
-    expected = reference.reports(q.basis, o.basis, states)
-    assert not reference.report_outside_budget(stacked, expected)
-
-
-def test_evaluate_eur_takes_one_real_spectrum_of_a_real_state(monkeypatch):
-    rng = np.random.default_rng(47)
-    solved = []
-
-    def counted(name):
-        solver = getattr(np.linalg, name)
-
-        def call(a, *args, **kwargs):
-            solved.append((name, np.shape(a), np.asarray(a).dtype))
-            return solver(a, *args, **kwargs)
-
-        return call
-
-    one = apply_to_memory(unruh_channel(0.3), bell_diagonal_p(0.5))
-    stack = np.stack([random_real_state(rng) for _ in range(7)])
-    for name in ("eigh", "eigvalsh", "eig", "eigvals"):
-        monkeypatch.setattr(np.linalg, name, counted(name))
-    x, y = pauli_observable("x"), pauli_observable("y")
-    for rho, lead in ((one, ()), (stack, (7,))):
-        solved.clear()
-        evaluate_eur(x, y, rho)
-        assert solved == [("eigvalsh", lead + (4, 4), np.dtype(np.float64))]

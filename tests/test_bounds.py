@@ -2,7 +2,6 @@
 
 import dataclasses
 import math
-import re
 
 import numpy as np
 import pytest
@@ -10,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from eur import bounds, linalg, states
 from eur.bounds import bound_violations, evaluate_eur, robertson_bound
 from eur.channels import R_MAX, amplitude_damping, apply_to_memory, unruh_channel
 from eur.cli import parse_args, run_sweep
@@ -127,123 +125,54 @@ def test_report_is_consistent_on_the_two_experiment_states():
                   holevo_bound=0.0)
 
 
-def test_report_matches_standalone_operations_exactly():
-    rng = np.random.default_rng(34)
-    # x_state(0) = |11><11|: sigma_z outcome 0 has probability exactly 0
-    masked = np.stack([x_state(0.0), x_state(0.5)] + [
-        apply_to_memory(unruh_channel(r), x_state(0.0)) for r in (0.2, np.pi / 4)])
-    cases = (
-        (X_OBS, Y_OBS, random_density_matrix(rng, 4)),
-        (random_observable(rng), random_observable(rng),
-         np.stack([random_density_matrix(rng, 4) for _ in range(64)])),
-        (Z_OBS, Z_OBS, masked),
-    )
-    for q, r, rho in cases:
-        both = evaluate_eur(q, r, rho)
-        assert not reference.report_outside_budget(both, reference.reports(q.basis, r.basis, rho))
-        # each Holevo quantity is the one its observable gives paired with itself
-        assert np.array_equal(evaluate_eur(q, q, rho).i_qb, both.i_qb)
-        assert np.array_equal(evaluate_eur(r, r, rho).i_rb, both.i_rb)
-        assert np.array_equal(both.holevo_bound, both.berta_bound + np.maximum(0.0, both.delta))
+NOT_TWO_QUBITS = "expected a 4x4 two-qubit state, got shape {shape}"
+ABOVE_ONE = "not a density matrix: eigenvalue 1.01 above 1"
 
-
-def test_evaluate_eur_takes_each_spectrum_once(monkeypatch):
-    # one LAPACK spectrum, of rho, checked once, in rho's own dtype (a real
-    # state is never made complex); both marginals and the four conditional
-    # memory states are 2x2, derived from the checked rho, and solved
-    # unchecked in closed form as one stack
-    rng = np.random.default_rng(36)
-    solved, spectra, checked = [], [], []
-
-    def counted(name):
-        solver = getattr(np.linalg, name)
-
-        def call(a, *args, **kwargs):
-            solved.append((name, np.shape(a), np.asarray(a).dtype))
-            return solver(a, *args, **kwargs)
-
-        return call
-
-    def eigenvalues(m):
-        spectra.append(("_eigenvalues", np.shape(m)))
-        return linalg._eigenvalues(m)
-
-    def hermitian_part(m, *args):
-        checked.append(np.shape(m))
-        return linalg._hermitian_part(m, *args)
-
-    one = apply_to_memory(unruh_channel(0.3), bell_diagonal_p(0.5))
-    stack = np.stack([random_density_matrix(rng, 4) for _ in range(7)])
-    for name in ("eigh", "eigvalsh", "eig", "eigvals"):
-        monkeypatch.setattr(np.linalg, name, counted(name))
-    monkeypatch.setattr(states, "_eigenvalues", eigenvalues)
-    monkeypatch.setattr(bounds, "_eigenvalues", eigenvalues)
-    monkeypatch.setattr(states, "_hermitian_part", hermitian_part)
-    for rho, lead, dtype in ((one, (), np.float64), (stack, (7,), np.complex128)):
-        solved.clear()
-        spectra.clear()
-        checked.clear()
-        evaluate_eur(X_OBS, Y_OBS, rho)
-        assert solved == [("eigvalsh", lead + (4, 4), np.dtype(dtype))]
-        assert spectra == [("_eigenvalues", lead + (4, 4)), ("_eigenvalues", (6,) + lead + (2, 2))]
-        assert checked == [lead + (4, 4)]
-
-
-@pytest.mark.parametrize("bad, message", [
-    (np.diag([0.4, 0.3, 0.2, 0.1]) + np.triu(np.full((4, 4), 1e-3), 1), "not Hermitian"),
-    (np.diag([0.6, 0.5, 0.1, -0.2]), "below tolerance"),
-    (np.diag([1.01, 0.0, 0.0, 0.0]), "eigenvalue 1.01 above 1"),
-], ids=["non_hermitian", "negative_eigenvalue", "eigenvalue_above_one"])
-def test_evaluate_eur_rejects_one_bad_state_in_a_stack(bad, message):
-    rng = np.random.default_rng(37)
-    stack = np.stack([random_density_matrix(rng, 4) for _ in range(5)])
-    stack[2] = bad
-    with pytest.raises(ValueError, match=message):
-        evaluate_eur(X_OBS, Y_OBS, stack)
-    # one state is checked the same way
-    with pytest.raises(ValueError, match=message):
-        evaluate_eur(X_OBS, Y_OBS, bad)
-
-
-@pytest.mark.parametrize("scale", [2.0, 1.0 + 1e-9], ids=["trace_two", "trace_just_above_one"])
-def test_evaluate_eur_rejects_an_unnormalized_state(scale):
-    rho = scale * bell_diagonal_p(0.5)
-    with pytest.raises(ValueError, match=f"state has trace {scale:.12g}, expected 1"):
-        evaluate_eur(X_OBS, Y_OBS, rho)
-
-
-def test_every_state_reader_rejects_an_unnormalized_state():
-    stack = np.stack([np.eye(4) / 4, bell_diagonal_p(0.5), np.eye(4) / 2])
-    with pytest.raises(ValueError, match="state has trace 2, expected 1"):
-        evaluate_eur(X_OBS, Y_OBS, stack)
-    with pytest.raises(ValueError, match="state has trace 0, expected 1"):
-        evaluate_eur(X_OBS, Y_OBS, np.zeros((4, 4)))
-    with pytest.raises(ValueError, match="state has trace 0.5, expected 1"):
-        evaluate_eur(X_OBS, Y_OBS, np.eye(4) / 8)
-    with pytest.raises(ValueError, match="state has trace 2, expected 1"):
-        vn_entropy(np.eye(2))
-    with pytest.raises(ValueError, match="state has trace 0.5, expected 1"):
-        vn_entropy(np.stack([np.eye(4) / 4, np.eye(4) / 8]))
-
-
-def test_evaluate_eur_names_the_shape_of_a_non_two_qubit_input():
-    with pytest.raises(ValueError, match=r"\(2, 2\)"):
-        evaluate_eur(X_OBS, Y_OBS, np.eye(2) / 2)
-
-
-STATE_READERS = {
-    "evaluate_eur": lambda rho: evaluate_eur(X_OBS, Y_OBS, rho),
+# (reader, input that is not a state, exact message); {shape} is the input's shape
+NOT_STATES = {
+    "vector": (xy_report, np.full(4, 0.25), NOT_TWO_QUBITS),
+    "one_qubit": (xy_report, np.eye(2) / 2, NOT_TWO_QUBITS),
+    "empty": (xy_report, np.zeros((0, 0)), NOT_TWO_QUBITS),
+    "non_hermitian_3x3": (xy_report, np.triu(np.ones((3, 3))) / 3, NOT_TWO_QUBITS),
+    "nan_4x2": (xy_report, np.full((4, 2), np.nan), NOT_TWO_QUBITS),
+    "non_hermitian": (xy_report, np.diag([0.4, 0.3, 0.2, 0.1]) + np.triu(np.full((4, 4), 1e-3), 1),
+                      "matrix is not Hermitian: max |M - M^dag| = 1.000e-03"),
+    "negative_eigenvalue": (xy_report, np.diag([0.6, 0.5, 0.1, -0.2]),
+                            "not a density matrix: eigenvalue -2.000e-01 below tolerance"),
+    "eigenvalue_above_one": (xy_report, np.diag([1.01, 0.0, 0.0, 0.0]), ABOVE_ONE),
+    "trace_two": (xy_report, 2.0 * bell_diagonal_p(0.5), "state has trace 2, expected 1"),
+    "trace_just_above_one": (xy_report, (1.0 + 1e-9) * bell_diagonal_p(0.5),
+                             "state has trace 1.000000001, expected 1"),
+    "trace_zero": (xy_report, np.zeros((4, 4)), "state has trace 0, expected 1"),
+    "trace_half": (xy_report, np.eye(4) / 8, "state has trace 0.5, expected 1"),
+    "entropy_non_hermitian": (vn_entropy, np.eye(4) / 4 + np.triu(np.full((4, 4), 1e-6), 1),
+                              "matrix is not Hermitian: max |M - M^dag| = 1.000e-06"),
+    "entropy_negative_eigenvalue": (vn_entropy, np.diag([1.5, -0.5, 0.0, 0.0]),
+                                    "not a density matrix: eigenvalue -5.000e-01 below tolerance"),
+    # closed form (2x2) and LAPACK (4x4): an eigenvalue above 1 is not clipped away
+    "entropy_qubit_above_one": (vn_entropy, np.diag([1.01, 0.0]), ABOVE_ONE),
+    "entropy_above_one": (vn_entropy, np.diag([1.01, 0.0, 0.0, 0.0]), ABOVE_ONE),
+    "entropy_qubit_trace_two": (vn_entropy, np.eye(2), "state has trace 2, expected 1"),
+    "entropy_trace_half": (vn_entropy, np.eye(4) / 8, "state has trace 0.5, expected 1"),
 }
 
 
-@pytest.mark.parametrize("rho", [
-    np.full(4, 0.25), np.eye(2) / 2, np.zeros((0, 0)), np.triu(np.ones((3, 3))) / 3,
-    np.stack([np.eye(2) / 2] * 3), np.full((4, 2), np.nan),
-], ids=["vector", "one_qubit", "empty", "non_hermitian_3x3", "stack_of_one_qubit", "nan_4x2"])
-@pytest.mark.parametrize("reader", STATE_READERS)
-def test_every_state_reader_names_the_shape_first(reader, rho):
-    with pytest.raises(ValueError, match=re.escape(f"4x4 two-qubit state, got shape {rho.shape}")):
-        STATE_READERS[reader](rho)
+def in_a_stack(bad):
+    """`bad` at index 1 of a stack of three: between random states of its
+    size when it is a square matrix, otherwise between copies of itself."""
+    rng = np.random.default_rng(37)
+    n = bad.shape[-1]
+    good = [random_density_matrix(rng, n) if bad.shape == (n, n) and n else bad for _ in range(2)]
+    return np.stack([good[0], bad, good[1]])
+
+
+@pytest.mark.parametrize("case", NOT_STATES)
+def test_every_state_reader_rejects_what_is_not_a_state_alone_and_in_a_stack(case):
+    read, bad, message = NOT_STATES[case]
+    for rho in (bad, in_a_stack(bad)):
+        with pytest.raises(ValueError) as raised:
+            read(rho)
+        assert str(raised.value) == message.format(shape=rho.shape)
 
 
 def test_report_ordering_at_maximal_mixing():

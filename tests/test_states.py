@@ -181,7 +181,7 @@ def test_vn_entropy_of_a_pure_state_is_positive_zero():
     # 0.0 minus a sum of 0 log 0 and 1 log 1 terms: +0.0, never -0.0
     for psi in ([1, 0], [0, 1], [1, 0, 0, 0], [0, 0, 0, 1]):
         entropy = vn_entropy(from_pure(psi))
-        assert entropy == 0.0 and math.copysign(1.0, entropy) == 1.0
+        assert type(entropy) is float and entropy == 0.0 and math.copysign(1.0, entropy) == 1.0
     stack = vn_entropy(np.stack([from_pure([1, 0]), from_pure([0, 1])]))
     assert stack.tolist() == [0.0, 0.0] and not np.signbit(stack).any()
 
