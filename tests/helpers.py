@@ -52,26 +52,20 @@ def random_complex(rng, shape):
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
 
-def random_density_matrix(rng, dim):
-    g = random_complex(rng, (dim, dim))
+def random_density_matrix(rng, dim, rank=None, real=False):
+    """A random state G G^dag / tr(G G^dag) of `dim` levels, for a Gaussian
+    G of shape (dim, rank), complex, or float64 with `real`: rank-deficient
+    below `dim`, which is the default rank."""
+    shape = (dim, dim if rank is None else rank)
+    g = rng.normal(size=shape) if real else random_complex(rng, shape)
     m = g @ g.conj().T
     return m / np.trace(m).real
 
 
-def random_states(rng, stack=(), rank=4, real=False):
-    """Random two-qubit states G G^dag / tr(G G^dag), shape stack + (4, 4),
-    for a Gaussian G of shape (4, rank), complex, or float64 with `real`:
-    rank-deficient below 4. The states are drawn one at a time, in order."""
-    def draw():
-        if real:
-            g = rng.normal(size=(4, rank))
-            m = g @ g.T
-        else:
-            g = random_complex(rng, (4, rank))
-            m = g @ g.conj().T
-        return m / np.trace(m).real
-
-    states = [draw() for _ in range(math.prod(stack))]
+def random_states(rng, stack, rank=None, real=False):
+    """Two-qubit `random_density_matrix` states in a stack, shape
+    stack + (4, 4), drawn one at a time, in order."""
+    states = [random_density_matrix(rng, 4, rank, real) for _ in range(math.prod(stack))]
     return np.array(states, dtype=float if real else complex).reshape(stack + (4, 4))
 
 
@@ -233,10 +227,9 @@ def _other_forms(states) -> list:
         np.repeat(states, 2, axis=0)[::2],
         np.flip(np.flip(states).copy()),
         np.lib.stride_tricks.as_strided(states, writeable=False),
-        np.broadcast_to(states[:1], states.shape),
     ]
-    if states.size:  # an empty stack's nested list loses its shape
-        forms.append(states.tolist())
+    if states.size:  # an empty stack has no first state, and its nested list loses its shape
+        forms += [np.broadcast_to(states[(0,) * (states.ndim - 2)], states.shape), states.tolist()]
     if states.dtype == np.float64:
         for dtype in (np.int64, np.float32):
             held = (states.astype(dtype) == states).all(axis=(-2, -1))
@@ -246,7 +239,9 @@ def _other_forms(states) -> list:
 
 def check_eur_report(q, r, states):
     """Check the report of `evaluate_eur(q, r, states)` on a float64 or
-    complex128 stack of states, shape (..., 4, 4), of any stack shape:
+    complex128 stack of states, shape (..., 4, 4) with at least one stack
+    axis, empty and 2-D stacks included (a one-state report is checked as
+    each stack element's own, in 2):
 
     1. the state-dependent fields are float64 arrays of the stack's shape,
        and `mu_bound` and `c` are floats;
@@ -259,8 +254,9 @@ def check_eur_report(q, r, states):
     5. every field lies within `reference.budget` of `reference.reports`,
        and is +0.0 where the reference is exactly 0.
     """
-    report = evaluate_eur(q, r, states)
     stack = states.shape[:-2]
+    assert stack, "a stack needs at least one axis"
+    report = evaluate_eur(q, r, states)
     names = [field.name for field in dataclasses.fields(report)]
 
     def bits(rep, name):

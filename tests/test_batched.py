@@ -56,19 +56,24 @@ def random_channel(rng):
 
 
 def sweep_states():
-    """x_state(0) and bell_diagonal_p(0.5) through the channel at four angles."""
+    """x_state(0) and bell_diagonal_p(0.5) through the channel at four
+    angles, then two random real states."""
     channels = unruh_channel(np.linspace(0.0, R_MAX, 4))
     return np.concatenate([apply_to_memory(channels, x_state(0.0)),
-                           apply_to_memory(channels, bell_diagonal_p(0.5))])
+                           apply_to_memory(channels, bell_diagonal_p(0.5)),
+                           random_states(np.random.default_rng(43), (2,), real=True)])
 
 
 # x_state(0) = |11><11|: the sigma_z outcome 0 has probability exactly 0,
 # and the state holds no correlation; int64 holds it, |00><00| and
-# |01><01| exactly, and float32 those and bell_diagonal_p(0)
+# |01><01| exactly, and float32 those and bell_diagonal_p(0). The families
+# and sweep stacks hold X and non-X states together, so a form chosen per
+# stack instead of per state changes the bits of their X states.
 CONTRACT_STACKS = {
-    "families": lambda: np.stack([x_state(0.0), x_state(1.0), x_state(0.3),
-                                  bell_diagonal_p(0.0), bell_diagonal_p(0.7),
-                                  np.diag([1.0, 0.0, 0.0, 0.0]), np.diag([0.0, 1.0, 0.0, 0.0])]),
+    "families": lambda: np.concatenate([np.stack([
+        x_state(0.0), x_state(1.0), x_state(0.3), bell_diagonal_p(0.0), bell_diagonal_p(0.7),
+        np.diag([1.0, 0.0, 0.0, 0.0]), np.diag([0.0, 1.0, 0.0, 0.0])]),
+        random_states(np.random.default_rng(53), (4,))]),
     "zero_probability": lambda: np.stack([x_state(0.0), x_state(0.5)] + [
         apply_to_memory(unruh_channel(r), x_state(0.0)) for r in (0.2, np.pi / 4)]),
     "sweep": sweep_states,
@@ -112,8 +117,10 @@ def test_evaluate_eur_takes_each_spectrum_once(monkeypatch, real, stack):
     # one LAPACK spectrum, of rho, checked once, in rho's own dtype (a real
     # state is never made complex); both marginals and the four conditional
     # memory states are 2x2, derived from the checked rho, and solved
-    # unchecked in closed form as one stack
-    rho = random_states(np.random.default_rng(36), stack, real=real)
+    # unchecked in closed form as one stack. rho is an X state, alone or
+    # ahead of six random states, so a spectrum taken per X block shows.
+    x = apply_to_memory(unruh_channel(0.3), bell_diagonal_p(0.5)).astype(float if real else complex)
+    rho = np.concatenate([[x], random_states(np.random.default_rng(36), (6,), real=real)]) if stack else x
     solved, spectra, checked = [], [], []
 
     def counted(name):
@@ -322,7 +329,7 @@ def test_sweep_gives_the_bits_of_the_library_on_the_same_objects(flags):
 def test_real_apply_to_memory_equals_the_complex_path(r):
     rng = np.random.default_rng(41)
     kraus = unruh_channel(r)
-    for rho in (x_state(0.4), bell_diagonal_p(0.5), random_states(rng, real=True)):
+    for rho in (x_state(0.4), bell_diagonal_p(0.5), random_density_matrix(rng, 4, real=True)):
         real = apply_to_memory(kraus, rho)
         full = apply_to_memory(kraus.astype(complex), rho.astype(complex))
         assert real.dtype == np.float64 and full.dtype == np.complex128

@@ -25,6 +25,7 @@ from helpers import (
     random_density_matrix,
     random_observable,
     random_pure_state,
+    random_states,
     reference_bound_violations,
     shannon_bits,
     steps_down,
@@ -234,7 +235,7 @@ def test_swapping_the_pair_swaps_the_holevo_quantities_bit_for_bit(pair):
         q, r = random_observable(rng), random_observable(rng)
     else:
         q, r = (pauli_observable(axis) for axis in pair)
-    rho = np.stack([random_density_matrix(rng, 4) for _ in range(64)])
+    rho = random_states(rng, (64,))
     report, swapped = evaluate_eur(q, r, rho), evaluate_eur(r, q, rho)
     # each observable's blocks keep their bits in either place, and lhs is
     # a sum of two terms: these fields keep or swap their bits

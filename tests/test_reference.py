@@ -17,7 +17,8 @@ from eur.bounds import evaluate_eur
 from eur.channels import apply_to_memory, unruh_channel
 from eur.measurement import ProjectiveObservable, pauli_observable
 from eur.states import bell_diagonal_p, from_pure, x_state
-from helpers import cli_flags, random_pure_state, random_states, random_unitary, shannon_bits, sweep_argv_of
+from helpers import (cli_flags, random_density_matrix, random_pure_state, random_unitary, shannon_bits,
+                     sweep_argv_of)
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -166,7 +167,7 @@ DRAWN_STATES = {"complex": {}, "real": {"real": True}, "rank-one": {"rank": 1}}
 def test_lhs_exceeds_holevo_by_the_marginal_gap_on_drawn_states(kind, seed):
     # rho = G G^dag / tr, under a Haar pair of observables
     rng = np.random.default_rng(seed)
-    rho = random_states(rng, **DRAWN_STATES[kind])
+    rho = random_density_matrix(rng, 4, **DRAWN_STATES[kind])
     q_basis, r_basis = random_unitary(rng, 2), random_unitary(rng, 2)
     report = evaluate_eur(ProjectiveObservable("q", q_basis), ProjectiveObservable("r", r_basis), rho)
     gap = _marginal_gap(rho.reshape(2, 2, 2, 2).trace(axis1=1, axis2=3), q_basis, r_basis)
