@@ -110,7 +110,9 @@ def evaluate_eur(
     entropy of O's four block eigenvalues, with no division by p_i, and
     I(O;B) = S(B) + H(p) - S(OB), S(O|B) = H(p) - I(O;B). Every entropy,
     of a spectrum or of the outcome probabilities H(p), is
-    `states._entropy_bits`.
+    `states._entropy_bits`, which clips each weight to [0, 1]: p_i = tr B_i
+    is at most 1 for a state, so a p_i = 1 + d from roundoff or from trace
+    slack within TRACE_ATOL gives a term of 0 rather than about -d / ln 2.
 
     For one state, S(AB), the six entropies, both H(p) and both I(O;B)
     are turned into Python floats once, and the fields are combined from
@@ -123,7 +125,7 @@ def evaluate_eur(
     pairs = (2, 2) + p.shape[1:]  # (observable, outcome, ...)
     s_ab = _entropy_bits(spectrum)
     s = _entropy_bits(_eigenvalues(states))
-    h = _entropy_bits(p.reshape(pairs), axis=1, upper=None)
+    h = _entropy_bits(p.reshape(pairs), axis=1)
     i_ob = s[1] + h - s[2:].reshape(pairs).sum(axis=1)
     one_state = s_ab.ndim == 0
     if one_state:

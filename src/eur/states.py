@@ -148,10 +148,12 @@ def _checked_spectrum(rho: np.ndarray) -> np.ndarray:
     return eigenvalues
 
 
-def _entropy_bits(weights: np.ndarray, axis: int = -1, upper: float | None = 1.0) -> np.ndarray:
+def _entropy_bits(weights: np.ndarray, axis: int = -1) -> np.ndarray:
     """-sum w log2 w along `axis`, in bits, of float64 weights clipped to
-    [0, upper] (no upper limit for None), with 0 log 0 = 0: the log is
-    taken into a new float64 array of zeros. The sum is subtracted from
-    0.0 rather than negated, so a zero entropy is +0.0, not -0.0."""
-    w = weights.clip(0.0, upper)
+    [0, 1], with 0 log 0 = 0: the log is taken into a new float64 array of
+    zeros. Every weight it takes is an eigenvalue or an outcome
+    probability of a checked state, so a weight past 1 is roundoff or
+    the state's trace slack within TRACE_ATOL, and its term is 0, as at 1. The sum is subtracted from 0.0 rather than negated, so
+    a zero entropy is +0.0, not -0.0."""
+    w = weights.clip(0.0, 1.0)
     return 0.0 - (w * np.log2(w, out=np.zeros(w.shape), where=w > 0.0)).sum(axis=axis)

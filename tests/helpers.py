@@ -3,7 +3,8 @@
 The constants, generators and reference checks are built with raw numpy,
 never with package code, so the tests keep an independent route to the
 objects they check; `random_observable` only wraps such a basis in the
-package's type. `check_eur_report` is the one exception: it states the
+package's type, and `perturbed` only reads the package's
+HERMITICITY_ATOL. `check_eur_report` is the one exception: it states the
 contract of `evaluate_eur`'s report, so it calls `evaluate_eur` by design.
 """
 
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 import reference
 from eur.bounds import evaluate_eur
+from eur.linalg import HERMITICITY_ATOL
 from eur.measurement import ProjectiveObservable
 
 I2 = np.eye(2, dtype=complex)
@@ -88,6 +90,18 @@ def random_hermitian(rng, dim):
     """Hermitian matrix with real and imaginary parts drawn in [-1, 1]."""
     g = rng.uniform(-1.0, 1.0, size=(dim, dim)) + 1j * rng.uniform(-1.0, 1.0, size=(dim, dim))
     return (g + g.conj().T) / 2
+
+
+def perturbed(rng, h, real):
+    """`h` plus an anti-Hermitian part of about 1e-12, real for a real
+    perturbation, and (that matrix, its Hermitian part (M + M^dag)/2),
+    both as numpy forms it; the matrix is within HERMITICITY_ATOL of
+    Hermitian but not Hermitian."""
+    g = rng.normal(size=h.shape) if real else random_complex(rng, h.shape)
+    m = h + 1e-12 * (g - np.conj(np.swapaxes(g, -1, -2))) / 2
+    adjoint = np.conj(np.swapaxes(m, -1, -2))
+    assert 0.0 < np.abs(m - adjoint).max() <= HERMITICITY_ATOL
+    return m, (m + adjoint) / 2
 
 
 def random_choi(rng):

@@ -2,7 +2,8 @@
 and a real (float64) input gives exactly the bits of the complex path where
 its kernels must agree. Every contract of the `evaluate_eur` report is
 `helpers.check_eur_report`, run on a table of named stacks and on drawn
-ones."""
+ones; the bit contracts of `apply_to_memory` and `choi` are in
+`test_channels.py`."""
 
 import dataclasses
 
@@ -22,9 +23,7 @@ from eur.channels import (
     apply,
     apply_to_memory,
     choi,
-    kraus_from_choi,
     unruh_channel,
-    validate_kraus,
 )
 from eur.linalg import _eigenvalues, partial_trace
 from eur.measurement import ProjectiveObservable, pauli_observable
@@ -38,9 +37,7 @@ from eur.states import (
 from helpers import (
     assert_same_bits,
     check_eur_report,
-    random_complex,
     random_cptp_kraus,
-    random_density_matrix,
     random_observable,
     random_states,
     random_unitary,
@@ -64,11 +61,24 @@ def sweep_states():
                            random_states(np.random.default_rng(43), (2,), real=True)])
 
 
+def preset_states():
+    """The states of the fig1 and fig2 sweeps at 33 grid points, in that
+    order: X states, each evolved by the channel at its own angle."""
+    stacks = []
+    for preset in ("fig1", "fig2"):
+        cfg = cli.parse_args(["sweep", "--preset", preset, "--steps", "33"])
+        family = bell_diagonal_p if cfg.state == "bell" else x_state
+        stacks.append(apply_to_memory(unruh_channel(cli.run_sweep(cfg).r), family(cfg.p)))
+    return np.concatenate(stacks)
+
+
 # x_state(0) = |11><11|: the sigma_z outcome 0 has probability exactly 0,
 # and the state holds no correlation; int64 holds it, |00><00| and
 # |01><01| exactly, and float32 those and bell_diagonal_p(0). The families
 # and sweep stacks hold X and non-X states together, so a form chosen per
-# stack instead of per state changes the bits of their X states.
+# stack instead of per state changes the bits of their X states; the
+# presets stack holds X states alone, so a form chosen for a stack of X
+# states only changes the bits of its elements against their own reports.
 CONTRACT_STACKS = {
     "families": lambda: np.concatenate([np.stack([
         x_state(0.0), x_state(1.0), x_state(0.3), bell_diagonal_p(0.0), bell_diagonal_p(0.7),
@@ -77,6 +87,7 @@ CONTRACT_STACKS = {
     "zero_probability": lambda: np.stack([x_state(0.0), x_state(0.5)] + [
         apply_to_memory(unruh_channel(r), x_state(0.0)) for r in (0.2, np.pi / 4)]),
     "sweep": sweep_states,
+    "presets": preset_states,
     "random": lambda: random_states(np.random.default_rng(53), (2, 3)),
     "empty": lambda: np.zeros((0, 4, 4)),
 }
@@ -228,62 +239,6 @@ def test_2x2_spectrum_is_one_new_float64_array_of_both_roots(stack, real):
     assert not reference.outside_budget(got, np.linalg.eigvalsh(m))
 
 
-@pytest.mark.parametrize("channel", ["real", "complex"])
-def test_choi_is_a_new_writable_array_on_every_call(channel):
-    kraus = unruh_channel(0.3)
-    if channel == "complex":
-        kraus = kraus_from_choi(choi(kraus))
-    first = choi(kraus)
-    expected = first.copy()
-    assert first.flags.writeable
-    first[...] = np.nan
-    assert_same_bits(choi(kraus), expected)
-    assert np.isnan(first).all()  # the second call wrote into a new array
-
-
-@pytest.mark.parametrize("complex_kraus", [False, True], ids=["float64 kraus", "complex kraus"])
-@pytest.mark.parametrize("complex_rho", [False, True], ids=["float64 rho", "complex rho"])
-def test_apply_to_memory_and_validate_kraus_take_read_only_inputs(complex_kraus, complex_rho):
-    rng = np.random.default_rng(47)
-    kraus = unruh_channel(np.full(3, 0.4))
-    if complex_kraus:
-        kraus = kraus_from_choi(choi(unruh_channel(0.4)))
-    rho = random_density_matrix(rng, 4)
-    if not complex_rho:
-        rho = np.ascontiguousarray(rho.real)
-    expected = apply_to_memory(kraus.copy(), rho.copy())
-    kraus.flags.writeable = rho.flags.writeable = False
-    validate_kraus(kraus)
-    assert_same_bits(apply_to_memory(kraus, rho), expected)
-
-
-def lifted_reference(kraus, rho):
-    """sum_j (I (x) K_j) rho (I (x) K_j)^dag with one product per matrix,
-    in float64 when both sides are real and in complex128 otherwise."""
-    lifted = np.zeros(kraus.shape[:-2] + (4, 4), dtype=np.result_type(kraus, rho))
-    lifted[..., :2, :2] = lifted[..., 2:, 2:] = kraus
-    return (lifted @ rho @ lifted.conj().swapaxes(-1, -2)).sum(0)
-
-
-@pytest.mark.parametrize("r", [0.3, np.linspace(0.0, R_MAX, 7), np.full((2, 3), 0.2)],
-                         ids=["one", "seven", "2x3"])
-def test_apply_to_memory_on_a_shared_state_equals_the_per_matrix_product(r):
-    rng = np.random.default_rng(29)
-    kraus = unruh_channel(r)
-    for rho in (x_state(0.4), random_density_matrix(rng, 4)):
-        assert_same_bits(apply_to_memory(kraus, rho), lifted_reference(kraus, rho))
-
-
-@pytest.mark.parametrize("stack", [(), (5,), (2, 3)], ids=str)
-@pytest.mark.parametrize("operators", [1, 2, 3, 4])
-def test_apply_to_memory_of_complex_families_equals_the_per_matrix_product(stack, operators):
-    rng = np.random.default_rng(31 + operators + 10 * len(stack))
-    for _ in range(5):
-        kraus = random_complex(rng, (operators,) + stack + (2, 2))
-        rho = random_density_matrix(rng, 4)
-        assert_same_bits(apply_to_memory(kraus, rho), lifted_reference(kraus, rho))
-
-
 @pytest.mark.parametrize("steps", [4, 5, 11])
 @pytest.mark.parametrize("flags", [
     ["--preset", "fig1"],
@@ -322,19 +277,3 @@ def test_sweep_gives_the_bits_of_the_library_on_the_same_objects(flags):
     for name, value in (("lhs", report.lhs), ("berta", report.berta_bound),
                         ("holevo", report.holevo_bound), ("delta", report.delta)):
         assert value.tobytes() == getattr(sweep, name).tobytes(), name
-
-
-@pytest.mark.parametrize("r", [0.3, np.linspace(0.0, R_MAX, 7), np.full((2, 3), 0.2)],
-                         ids=["one", "seven", "2x3"])
-def test_real_apply_to_memory_equals_the_complex_path(r):
-    rng = np.random.default_rng(41)
-    kraus = unruh_channel(r)
-    for rho in (x_state(0.4), bell_diagonal_p(0.5), random_density_matrix(rng, 4, real=True)):
-        real = apply_to_memory(kraus, rho)
-        full = apply_to_memory(kraus.astype(complex), rho.astype(complex))
-        assert real.dtype == np.float64 and full.dtype == np.complex128
-        assert_same_bits(real, full.real)
-        assert not full.imag.any() and not np.signbit(full.imag).any()  # every one +0
-        # one complex side takes the complex path, bit for bit
-        assert_same_bits(apply_to_memory(kraus, rho.astype(complex)), full)
-        assert_same_bits(apply_to_memory(kraus.astype(complex), rho), full)

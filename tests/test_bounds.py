@@ -118,6 +118,19 @@ def test_holevo_bound_values():
     assert_fields(product, holevo_bound=product.berta_bound)
 
 
+def test_an_outcome_probability_past_one_counts_as_one():
+    # |00><00| at trace 1 + 5e-11, within TRACE_ATOL: sigma_z's outcome 0
+    # has p = 1 + 5e-11, and H(p) takes it as 1, so every entropy is +0.0
+    # and so is every field but c and mu (a weight p log2 p would leave
+    # about -7.2e-11 in i_qb and i_rb, and 1.4e-10 in delta)
+    rho = np.diag([1 + 5e-11, 0.0, 0.0, 0.0])
+    for state in (rho, np.stack([rho, rho])):
+        report = evaluate_eur(Z_OBS, Z_OBS, state)
+        for name in ("lhs", "berta_bound", "holevo_bound", "delta", "s_cond", "i_ab", "i_qb", "i_rb"):
+            value = np.asarray(getattr(report, name))
+            assert not value.any() and not np.signbit(value).any(), name
+
+
 def test_report_is_consistent_on_the_two_experiment_states():
     assert_fields(evaluate_eur(X_OBS, Y_OBS, bell_diagonal_p(0.5)), c=0.5, mu_bound=1.0,
                   s_cond=0.5, i_ab=0.5, i_qb=0.0, i_rb=1 - H_QUARTER, lhs=LHS_BD_HALF,

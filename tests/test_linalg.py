@@ -6,15 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from eur.channels import choi, kraus_from_choi, unruh_channel
-from eur.linalg import HERMITICITY_ATOL, partial_trace
+from eur.linalg import partial_trace
 from eur.states import _checked_spectrum, vn_entropy
 from helpers import (
     I2,
     PHI_PLUS,
     assert_same_bits,
+    perturbed,
     proj,
-    random_choi,
     random_complex,
     random_density_matrix,
 )
@@ -106,37 +105,11 @@ def test_partial_trace_takes_numpy_and_integral_float_keep():
             assert np.array_equal(partial_trace(rho, keep=same, dims=[2, 2]), expected)
 
 
-def test_eigensystem_of_acceleration_choi_block():
-    # the channel's Choi matrix is [[cos^2 r, 0, 0, cos r], [0, sin^2 r, 0, 0],
-    # [0, 0, 0, 0], [cos r, 0, 0, 1]]; its block [[cos^2 r, cos r], [cos r, 1]]
-    # on indices {0, 3} has determinant 0, so the spectrum is
-    # {0, 0, sin^2 r, 1 + cos^2 r}, and each Kraus operator that
-    # `kraus_from_choi` reads is sqrt(lam) times a unit eigenvector, of
-    # squared Frobenius norm lam
-    r = np.pi / 6
-    c, s = np.cos(r), np.sin(r)
-    kraus = kraus_from_choi(choi(unruh_channel(r)))
-    norms = np.sort((abs(kraus) ** 2).sum(axis=(-2, -1)))
-    assert not reference.outside_budget(norms, [s * s, 1 + c * c])
-
-
 def test_eigensystem_rejects_non_hermitian():
     with pytest.raises(ValueError, match="not Hermitian"):
         vn_entropy(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError, match=r"expected matrix to be a square matrix, got shape \(2, 3\)"):
         vn_entropy(np.ones((2, 3)))
-
-
-def perturbed(rng, h, real):
-    """`h` plus an anti-Hermitian part of about 1e-12, real for a real
-    perturbation, and (that matrix, its Hermitian part (M + M^dag)/2),
-    both as numpy forms it; the matrix is within HERMITICITY_ATOL of
-    Hermitian but not Hermitian."""
-    g = rng.normal(size=h.shape) if real else random_complex(rng, h.shape)
-    m = h + 1e-12 * (g - np.conj(np.swapaxes(g, -1, -2))) / 2
-    adjoint = np.conj(np.swapaxes(m, -1, -2))
-    assert 0.0 < np.abs(m - adjoint).max() <= HERMITICITY_ATOL
-    return m, (m + adjoint) / 2
 
 
 # The solvers take a checked matrix's Hermitian part: a matrix within
@@ -151,12 +124,3 @@ def test_state_check_takes_the_hermitian_part(dim, real):
         rho = np.ascontiguousarray(rho.real)  # a real state: symmetric, PSD, trace 1
     m, part = perturbed(rng, rho, real)
     assert_same_bits(_checked_spectrum(m), _checked_spectrum(part))
-
-
-@pytest.mark.parametrize("real", [False, True], ids=["complex", "float64"])
-@pytest.mark.parametrize("family", ["unruh", "random"])
-def test_kraus_from_choi_takes_the_hermitian_part(family, real):
-    rng = np.random.default_rng(47 + real)
-    c = choi(unruh_channel(0.3)) if family == "unruh" else random_choi(rng)
-    m, part = perturbed(rng, c, real)
-    assert_same_bits(kraus_from_choi(m), kraus_from_choi(part))
