@@ -24,8 +24,14 @@ from .linalg import (
 
 
 def from_pure(v: np.ndarray) -> np.ndarray:
-    """Rank-1 projector |v><v| of a normalized state vector."""
-    v = _real_or_complex(v).reshape(-1)
+    """Rank-1 projector |v><v| of a normalized state vector.
+
+    `v` must be one-dimensional: a density matrix, whose Frobenius norm
+    is 1 when it is pure, is rejected rather than flattened.
+    """
+    v = _real_or_complex(v)
+    if v.ndim != 1:
+        raise ValueError(f"expected a state vector, got shape {v.shape}")
     norm = float(np.linalg.norm(v))
     if not abs(norm - 1.0) <= NORM_ATOL:
         raise ValueError(f"state vector has norm {norm:.12g}, expected 1")

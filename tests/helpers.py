@@ -12,6 +12,7 @@ import dataclasses
 import math
 
 import numpy as np
+import pytest
 from hypothesis import strategies as st
 
 import reference
@@ -25,8 +26,6 @@ SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
 PHI_PLUS = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
-PSI_PLUS = np.array([0, 1, 1, 0], dtype=complex) / np.sqrt(2)
-PSI_MINUS = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
 
 # Tomographically complete single-qubit inputs: identity plus the three
 # states whose Bloch vectors point along z, x and y.
@@ -43,6 +42,11 @@ def assert_same_bits(got, expected):
     for every zero."""
     assert (got.dtype, got.shape) == (expected.dtype, expected.shape)
     assert got.tobytes() == expected.tobytes()
+
+
+def near(x):
+    """A value within `reference.budget` of x, for `==`."""
+    return pytest.approx(x, abs=reference.budget(x))
 
 
 def proj(v):

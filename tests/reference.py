@@ -170,9 +170,20 @@ def report(q_basis, r_basis, rho) -> dict:
             "s_cond": s_ab - s_b, "i_ab": i_ab, "i_qb": i_qb, "i_rb": i_rb}
 
 
+_REPORTS = {}
+
+
 def reports(q_basis, r_basis, states) -> list:
-    """`report` of each state of a (4, 4) state or a (N, 4, 4) stack."""
-    return [report(q_basis, r_basis, rho) for rho in np.reshape(states, (-1, 4, 4))]
+    """`report` of each state of a (4, 4) state or a (..., 4, 4) stack,
+    given as numpy arrays. `matrix` casts every input to complex, so the
+    reports are cached on the bytes of the complex-cast bases and stack: a
+    float64 stack and its complex copy are computed once. Each call gets
+    its own dicts of the cached, immutable mpf values."""
+    states = np.reshape(np.asarray(states, dtype=complex), (-1, 4, 4))
+    key = tuple(np.asarray(m, dtype=complex).tobytes() for m in (q_basis, r_basis, states))
+    if key not in _REPORTS:
+        _REPORTS[key] = [report(q_basis, r_basis, rho) for rho in states]
+    return [dict(rep) for rep in _REPORTS[key]]
 
 
 def pauli_basis(axis: str):

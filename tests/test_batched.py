@@ -3,7 +3,8 @@ and a real (float64) input gives exactly the bits of the complex path where
 its kernels must agree. Every contract of the `evaluate_eur` report is
 `helpers.check_eur_report`, run on a table of named stacks and on drawn
 ones; the bit contracts of `apply_to_memory` and `choi` are in
-`test_channels.py`."""
+`test_channels.py`, and those of the state check and the 2x2 solver in
+`test_linalg.py`."""
 
 import dataclasses
 
@@ -25,7 +26,7 @@ from eur.channels import (
     choi,
     unruh_channel,
 )
-from eur.linalg import _eigenvalues, partial_trace
+from eur.linalg import partial_trace
 from eur.measurement import ProjectiveObservable, pauli_observable
 from eur.states import (
     bell_diagonal_p,
@@ -218,25 +219,6 @@ def test_conditioned_states_are_both_marginals_then_the_conditional_states(stack
     # rho_A and rho_B in that order, each the partial trace
     assert not reference.outside_budget(states[0], partial_trace(rho, 0, (2, 2)))
     assert not reference.outside_budget(states[1], partial_trace(rho, 1, (2, 2)))
-
-
-@pytest.mark.parametrize("stack", [(), (5,), (2, 3)], ids=str)
-@pytest.mark.parametrize("real", [False, True], ids=["complex", "float64"])
-def test_2x2_spectrum_is_one_new_float64_array_of_both_roots(stack, real):
-    rng = np.random.default_rng(37 + len(stack))
-    m = np.ascontiguousarray(random_states(rng, stack)[..., :2, :2])  # Hermitian blocks
-    if real:
-        m = np.ascontiguousarray(m.real)
-    got = _eigenvalues(m)
-    # both roots stacked along a new last axis, as a reference formula
-    a, d = m[..., 0, 0].real, m[..., 1, 1].real
-    b = (m[..., 0, 1] + m[..., 1, 0].conj()) / 2.0
-    mean = (a + d) / 2.0
-    radius = np.hypot((a - d) / 2.0, np.hypot(b.real, b.imag))
-    expected = np.stack([mean - radius, mean + radius], axis=-1)
-    assert got.dtype == np.float64 and got.flags.writeable and got.flags.c_contiguous
-    assert_same_bits(got, expected)
-    assert not reference.outside_budget(got, np.linalg.eigvalsh(m))
 
 
 @pytest.mark.parametrize("steps", [4, 5, 11])
