@@ -177,13 +177,15 @@ def robertson_bound(q_op: np.ndarray, r_op: np.ndarray, psi: np.ndarray):
 
     Returns (DeltaQ * DeltaR, |<[Q, R]>| / 2) for Hermitian operators and
     a normalized pure state, with DeltaX = sqrt(<X^2> - <X>^2). The first
-    element is never below the second (up to roundoff).
+    element is never below the second (up to roundoff). `psi` must have
+    shape (2,): a column, a row or a density matrix is rejected rather
+    than flattened.
     """
     q_op = _hermitian_part(q_op, "Q")
     r_op = _hermitian_part(r_op, "R")
     if q_op.shape != (2, 2) or r_op.shape != (2, 2):
         raise ValueError(f"Q and R must be 2x2 operators, got shapes {q_op.shape} and {r_op.shape}")
-    psi = _real_or_complex(psi).reshape(-1)
+    psi = _real_or_complex(psi)
     if psi.shape != (2,):
         raise ValueError(f"expected a single-qubit state vector, got shape {psi.shape}")
     rho = from_pure(psi)

@@ -148,42 +148,40 @@ def _outcome_terms(m, basis):
     return entropy(dephased), mixed
 
 
+_REPORTS = {}
+
+
 def report(q_basis, r_basis, rho) -> dict:
     """Every `EurReport` field, as mpf, for one 4x4 state and two observables
     given by their eigenbases (columns); each argument is a numpy array or an
-    mpmath matrix."""
-    m = rho if isinstance(rho, MP.matrix) else matrix(rho)
-    q = q_basis if isinstance(q_basis, MP.matrix) else matrix(q_basis)
-    r = r_basis if isinstance(r_basis, MP.matrix) else matrix(r_basis)
-    s_ab = entropy(m)
-    s_a, s_b = entropy(_probe_marginal(m)), entropy(_memory_marginal(m))
-    s_qb, mixed_q = _outcome_terms(m, q)
-    s_rb, mixed_r = _outcome_terms(m, r)
-    c = max(abs(sum(MP.conj(q[k, i]) * r[k, j] for k in range(2))) ** 2
-            for i in range(2) for j in range(2))
-    mu = MP.log(1 / c, 2)
-    i_ab = s_a + s_b - s_ab
-    i_qb, i_rb = s_b - mixed_q, s_b - mixed_r
-    d = i_ab - i_qb - i_rb
-    return {"lhs": s_qb + s_rb - 2 * s_b, "mu_bound": mu, "berta_bound": mu + s_ab - s_b,
+    mpmath matrix. Reports are cached on the exact entries of the three
+    matrices, so a state that a sweep, a table or a drawn example meets
+    again is computed once; each call gets its own dict of the cached,
+    immutable mpf values."""
+    m, q, r = (x if isinstance(x, MP.matrix) else matrix(x) for x in (rho, q_basis, r_basis))
+    key = tuple(tuple(x) for x in (q, r, m))
+    if key not in _REPORTS:
+        s_ab = entropy(m)
+        s_a, s_b = entropy(_probe_marginal(m)), entropy(_memory_marginal(m))
+        s_qb, mixed_q = _outcome_terms(m, q)
+        s_rb, mixed_r = (s_qb, mixed_q) if key[1] == key[0] else _outcome_terms(m, r)
+        c = max(abs(sum(MP.conj(q[k, i]) * r[k, j] for k in range(2))) ** 2
+                for i in range(2) for j in range(2))
+        mu = MP.log(1 / c, 2)
+        i_ab = s_a + s_b - s_ab
+        i_qb, i_rb = s_b - mixed_q, s_b - mixed_r
+        d = i_ab - i_qb - i_rb
+        _REPORTS[key] = {
+            "lhs": s_qb + s_rb - 2 * s_b, "mu_bound": mu, "berta_bound": mu + s_ab - s_b,
             "holevo_bound": mu + s_ab - s_b + max(0, d), "delta": d, "c": c,
             "s_cond": s_ab - s_b, "i_ab": i_ab, "i_qb": i_qb, "i_rb": i_rb}
-
-
-_REPORTS = {}
+    return dict(_REPORTS[key])
 
 
 def reports(q_basis, r_basis, states) -> list:
     """`report` of each state of a (4, 4) state or a (..., 4, 4) stack,
-    given as numpy arrays. `matrix` casts every input to complex, so the
-    reports are cached on the bytes of the complex-cast bases and stack: a
-    float64 stack and its complex copy are computed once. Each call gets
-    its own dicts of the cached, immutable mpf values."""
-    states = np.reshape(np.asarray(states, dtype=complex), (-1, 4, 4))
-    key = tuple(np.asarray(m, dtype=complex).tobytes() for m in (q_basis, r_basis, states))
-    if key not in _REPORTS:
-        _REPORTS[key] = [report(q_basis, r_basis, rho) for rho in states]
-    return [dict(rep) for rep in _REPORTS[key]]
+    given as numpy arrays."""
+    return [report(q_basis, r_basis, rho) for rho in np.reshape(states, (-1, 4, 4))]
 
 
 def pauli_basis(axis: str):

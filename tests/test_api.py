@@ -1,4 +1,15 @@
-"""Top-level package surface."""
+"""The package surface, and the rules the test sources keep.
+
+Each contract has one test:
+
+1. `test_every_exported_name_resolves_and_has_a_user`: `__version__` is
+   three numbers, and every name in `eur.__all__`, and every public method
+   of an exported class, resolves and is read by code;
+2. `test_sources_keep_the_suite_rules`: one table of (rule, AST check,
+   the sources it covers, an example and what the check finds in it);
+3. `test_checks_reject_non_finite_input`: every entry point rejects NaN
+   and inf with a `ValueError` of its exact message.
+"""
 
 import ast
 import inspect
@@ -11,16 +22,6 @@ import pytest
 import eur
 
 ROOT = Path(__file__).resolve().parent.parent
-
-
-def test_every_exported_name_resolves():
-    for name in eur.__all__:
-        assert getattr(eur, name) is not None
-
-
-def test_version_string():
-    major, minor, patch = eur.__version__.split(".")
-    assert all(part.isdigit() for part in (major, minor, patch))
 
 
 def _code_references(sources) -> set:
@@ -44,7 +45,9 @@ def _public_methods(cls) -> list:
             and (inspect.isfunction(value) or isinstance(value, (staticmethod, classmethod, property)))]
 
 
-def test_every_exported_name_has_a_user():
+def test_every_exported_name_resolves_and_has_a_user():
+    assert re.fullmatch(r"\d+\.\d+\.\d+", eur.__version__)
+    assert all(getattr(eur, name) is not None for name in eur.__all__)
     # an export, or a public method of an exported class, stays only if
     # code reads it: another package module, a script, the benchmark (not
     # its tests), an acceptance test or a README example
@@ -75,17 +78,6 @@ def _bare_tolerances(source) -> list:
     return sorted(found)
 
 
-def test_no_test_module_hard_codes_a_roundoff_tolerance():
-    # roundoff is held to `reference.budget`, and any other tolerance has a
-    # named constant; the acceptance tests keep the spec's tolerances,
-    # reference.py states the budget and helpers.py restates the package's
-    exempt = {"test_acceptance.py", "reference.py", "helpers.py"}
-    offenders = [f"{path.name}:{line}: {keyword}={value!r}"
-                 for path in sorted((ROOT / "tests").glob("*.py")) if path.name not in exempt
-                 for line, keyword, value in _bare_tolerances(path.read_text(encoding="utf-8"))]
-    assert not offenders, f"bare roundoff tolerances: {offenders}"
-
-
 def _redefined_names(source) -> list:
     """(line, name) for every top-level function or class whose name an
     earlier one in the same module already took."""
@@ -98,13 +90,32 @@ def _redefined_names(source) -> list:
     return found
 
 
-def test_no_module_defines_a_top_level_name_twice():
+# roundoff is held to `reference.budget`, and any other tolerance has a
+# named constant; the acceptance tests keep the spec's tolerances,
+# reference.py states the budget and helpers.py restates the package's
+TOLERANCE_EXEMPT = {"test_acceptance.py", "reference.py", "helpers.py"}
+
+# a check, the sources it reads, an example source and what the check finds in it
+RULES = {
+    "no-bare-roundoff-tolerance": (
+        _bare_tolerances,
+        [path for path in ROOT.glob("tests/*.py") if path.name not in TOLERANCE_EXEMPT],
+        "approx(x, abs=1e-9)\nisclose(x, y, rtol=-2e-7, atol=1)\n",
+        [(1, "abs", 1e-9), (2, "rtol", 2e-7)]),
     # a second `def test_x` silently replaces the first, and pytest never runs it
-    assert _redefined_names("def f(): pass\nclass g: pass\ndef f(): pass\n") == [(3, "f")]
-    offenders = [f"{path.relative_to(ROOT)}:{line}: {name}"
-                 for path in sorted([*ROOT.glob("tests/*.py"), *ROOT.glob("scripts/**/*.py")])
-                 for line, name in _redefined_names(path.read_text(encoding="utf-8"))]
-    assert not offenders, f"defined twice: {offenders}"
+    "no-top-level-name-defined-twice": (
+        _redefined_names, [*ROOT.glob("tests/*.py"), *ROOT.glob("scripts/**/*.py")],
+        "def f(): pass\nclass g: pass\ndef f(): pass\n", [(3, "f")]),
+}
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_sources_keep_the_suite_rules(rule):
+    check, paths, source, found = RULES[rule]
+    assert check(source) == found
+    offenders = [f"{path.relative_to(ROOT)}:{line}: {' '.join(map(str, detail))}"
+                 for path in sorted(paths) for line, *detail in check(path.read_text(encoding="utf-8"))]
+    assert not offenders, offenders
 
 
 def _bad_basis(x):
@@ -119,23 +130,29 @@ def _bad_state(x):
     return rho
 
 
-NON_FINITE_ENTRY_POINTS = {
-    "ProjectiveObservable": lambda x: eur.ProjectiveObservable("q", _bad_basis(x)),
-    "validate_kraus": lambda x: eur.validate_kraus(_bad_basis(x)[None]),
-    "from_pure": lambda x: eur.from_pure([x, 0.0]),
-    "bell_diagonal_state": lambda x: eur.bell_diagonal_state(x, 0.0, 0.0),
-    "kraus_from_choi": lambda x: eur.kraus_from_choi(np.full((4, 4), x)),
-    "evaluate_eur": lambda x: eur.evaluate_eur(
-        eur.pauli_observable("x"), eur.pauli_observable("y"), _bad_state(x)),
+# an entry point fed a NaN or inf, and its message, with {x} the value
+NON_FINITE = {
+    "ProjectiveObservable": (lambda x: eur.ProjectiveObservable("q", _bad_basis(x)),
+                             "basis of 'q' is not finite: it holds NaN or inf"),
+    "validate_kraus": (lambda x: eur.validate_kraus(_bad_basis(x)[None]),
+                       "Kraus family is not finite: it holds NaN or inf"),
+    # from_pure names the non-finite norm; every other check names the input
+    "from_pure": (lambda x: eur.from_pure([x, 0.0]), "state vector has norm {x}, expected 1"),
+    "bell_diagonal_state": (lambda x: eur.bell_diagonal_state(x, 0.0, 0.0),
+                            "correlation vector ({x}, 0.0, 0.0) is not finite"),
+    "kraus_from_choi": (lambda x: eur.kraus_from_choi(np.full((4, 4), x)),
+                        "Choi matrix is not finite: it holds NaN or inf"),
+    "evaluate_eur": (lambda x: eur.evaluate_eur(eur.pauli_observable("x"),
+                                                eur.pauli_observable("y"), _bad_state(x)),
+                     "matrix is not finite: it holds NaN or inf"),
 }
-
-# from_pure names the non-finite norm; every other check names the input
-NON_FINITE_MESSAGES = {"from_pure": r"state vector has norm (nan|inf), expected 1"}
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
-@pytest.mark.parametrize("entry_point", NON_FINITE_ENTRY_POINTS)
+@pytest.mark.parametrize("entry_point", NON_FINITE)
 def test_checks_reject_non_finite_input(entry_point, value):
-    with pytest.raises(ValueError, match=NON_FINITE_MESSAGES.get(entry_point, "is not finite")) as raised:
-        NON_FINITE_ENTRY_POINTS[entry_point](value)
+    call, message = NON_FINITE[entry_point]
+    with pytest.raises(ValueError) as raised:
+        call(value)
     assert raised.type is ValueError  # not numpy's LinAlgError subclass
+    assert str(raised.value) == message.format(x=value)

@@ -431,6 +431,8 @@ ROBERTSON_REJECTIONS = {
     "unnormalized": (SX, SY, [1.0, 1.0], "state vector has norm 1.41421356237, expected 1"),
     "3x3": (SX, np.eye(3), [1.0, 0.0], "Q and R must be 2x2 operators, got shapes (2, 2) and (3, 3)"),
     "qutrit": (SX, SY, [1.0, 0.0, 0.0], "expected a single-qubit state vector, got shape (3,)"),
+    "column": (SX, SY, [[1.0], [0.0]], "expected a single-qubit state vector, got shape (2, 1)"),
+    "density-matrix": (SX, SY, np.diag([1.0, 0.0]), "expected a single-qubit state vector, got shape (2, 2)"),
 }
 
 

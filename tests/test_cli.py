@@ -1,18 +1,43 @@
-"""Argument parsing, sweeps, CSV emission and exit codes."""
+"""The `eur sweep` command: parsing, the sweep, CSV emission and exit codes.
+
+Each contract of `eur.cli` has one table-driven test:
+
+1. parsing: `test_parse_args_resolves_flags_preset_and_defaults`, a flag
+   given explicitly wins on either side of --preset, no call keeps another
+   call's preset, and each call parses once and reads the terminal at most
+   once;
+2. help: `test_help_names_each_default_at_the_terminal_width`, one text
+   for both forms, wrapped at the terminal's width;
+3. rejections: `test_cli_rejects_bad_input_by_name`, one table of (call,
+   exact `eur: error: ...` line or `ValueError` text);
+4. the sweep: `test_run_sweep_columns`, an ascending grid, the closed
+   forms at its first row and bound columns that never step down;
+5. the CSV: `test_emit_csv_writes_its_rows`, exact bytes over whatever the
+   path held;
+6. exit codes: `test_main_exit_codes`, 0 with the CSV, 3 and 4 with their
+   stderr lines;
+7. the module: `test_python_dash_m_eur_writes_the_bytes_main_writes`;
+8. no traceback: `test_main_never_shows_a_traceback`, over `cli_flags`
+   draws with hostile values.
+"""
 
 import argparse
+import collections
 import contextlib
 import io
 import math
 import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import reference
+import eur.cli as cli
 from eur.bounds import bound_violations
 from eur.cli import (
     CSV_HEADER,
@@ -27,7 +52,7 @@ from eur.cli import (
     parse_args,
     run_sweep,
 )
-from helpers import cli_flags, steps_down, sweep_argv_of
+from helpers import cli_flags, near, steps_down, sweep_argv_of
 
 FIELDS = ("a", "r", "lhs", "berta", "holevo", "delta")
 
@@ -55,388 +80,270 @@ def read_sweep(path):
     ))
 
 
-def test_parse_preset_fig1_defaults():
-    cfg = parse_args(["sweep", "--preset", "fig1"])
-    assert cfg.state == "bell"
-    assert cfg.p == 0.5
-    assert cfg.obs == ("x", "y")
-    assert cfg.omega == 0.1
-    assert cfg.a_min == 0.0
-    assert not reference.outside_budget(cfg.a_max, 20 * 0.1 * 2 * math.pi)
-    assert cfg.steps == 101
-    assert cfg.sweep_var == "a"
+FIG1 = {"state": "bell", "p": 0.5, "obs": ("x", "y"), "omega": 0.1, "a_min": 0.0,
+        "a_max": near(20 * 0.1 * 2 * math.pi), "steps": 101, "sweep_var": "a",
+        "out_path": "eur_sweep.csv"}
+FIG2 = {**FIG1, "state": "x", "p": 1.0}
+
+# flags after `eur sweep`, and the config they give; each runs with its
+# --preset pair where it stands and moved to the front
+PARSED = {
+    "no-flags": ([], FIG1),
+    "fig1": (["--preset", "fig1"], FIG1),
+    "fig2": (["--preset", "fig2"], FIG2),
+    "fig1-with-flags": (["--a-max", "10", "--steps", "200", "--preset", "fig1"],
+                        {**FIG1, "a_max": 10.0, "steps": 200}),
+    # a flag at the base default wins only by being explicit
+    "state-bell-over-fig2": (["--state", "bell", "--preset", "fig2"], {**FIG2, "state": "bell"}),
+    "p-0.5-over-fig2": (["--p", "0.5", "--preset", "fig2"], {**FIG2, "p": 0.5}),
+    "p-over-fig2": (["--p", "0.25", "--preset", "fig2"], {**FIG2, "p": 0.25}),
+    "obs-over-fig2": (["--obs", "x,z", "--preset", "fig2"], {**FIG2, "obs": ("x", "z")}),
+    # axes are stripped and lower-cased
+    "obs-spelled": (["--obs", " Y , z", "--preset", "fig2"], {**FIG2, "obs": ("y", "z")}),
+    "omega-over-fig2": (["--omega", "0.2", "--preset", "fig2"],
+                        {**FIG2, "omega": 0.2, "a_max": near(20 * 0.2 * 2 * math.pi)}),
+    "r-sweep-bounds": (["--sweep-var", "r", "--a-min", "0", "--a-max", "0.785398"],
+                       {**FIG1, "sweep_var": "r", "a_max": 0.785398}),
+    "r-sweep-default": (["--sweep-var", "r"],
+                        {**FIG1, "sweep_var": "r", "a_max": near(math.pi / 4)}),
+    "steps-at-the-cap": (["--steps", str(MAX_STEPS)], {**FIG1, "steps": MAX_STEPS}),
+    "a-min-and-out": (["--a-min=1e-3", "--out", "x.csv"],
+                      {**FIG1, "a_min": 0.001, "out_path": "x.csv"}),
+}
 
 
-def test_parse_preset_fig2():
-    cfg = parse_args(["sweep", "--preset", "fig2"])
-    assert cfg.state == "x"
-    assert cfg.p == 1.0
-    assert cfg.obs == ("x", "y")
+@pytest.mark.parametrize("case", PARSED)
+def test_parse_args_resolves_flags_preset_and_defaults(monkeypatch, case):
+    flags, expected = PARSED[case]
+    calls = collections.Counter()
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args",
+                        counted("parse", argparse.ArgumentParser.parse_known_args))
+    monkeypatch.setattr(shutil, "get_terminal_size", counted("terminal", shutil.get_terminal_size))
+    orders = [flags]
+    if "--preset" in flags:
+        k = flags.index("--preset")
+        orders.append(flags[k:k + 2] + flags[:k] + flags[k + 2:])
+    for before in (["sweep"], ["sweep", "--preset", "fig2"]):
+        for argv in orders:
+            parse_args(before)
+            calls.clear()
+            cfg = parse_args(["sweep", *argv])
+            assert vars(cfg) == expected, (before, argv)
+            assert calls["parse"] == 1 and calls["terminal"] <= 1, (argv, calls)
 
 
-def test_explicit_flags_override_preset():
-    cfg = parse_args(["sweep", "--preset", "fig1", "--a-max", "10", "--steps", "200"])
-    assert cfg.state == "bell" and cfg.p == 0.5
-    assert cfg.a_max == 10.0
-    assert cfg.steps == 200
-    # --p 0.5 equals the base default: only its being explicit keeps it over fig2's p = 1
-    for argv in (["sweep", "--p", "0.5", "--preset", "fig2"],
-                 ["sweep", "--preset", "fig2", "--p", "0.5"]):
-        cfg = parse_args(argv)
-        assert cfg.state == "x"
-        assert cfg.p == 0.5
-
-
-FIG2 = {"state": "x", "p": 1.0, "obs": ("x", "y"), "omega": 0.1}
-
-
-@pytest.mark.parametrize("field, given, expected", [
-    ("state", "bell", "bell"),  # the base default: only its being explicit beats fig2's x
-    ("p", "0.25", 0.25),
-    ("obs", "x,z", ("x", "z")),
-    ("omega", "0.2", 0.2),
-    pytest.param("obs", " Y , z", ("y", "z"), id="obs-spelled"),  # axes are stripped and lower-cased
-])
-def test_each_preset_flag_given_explicitly_wins(field, given, expected):
-    # the given flag wins on either side of --preset; the three omitted take fig2's values
-    for argv in (["sweep", f"--{field}", given, "--preset", "fig2"],
-                 ["sweep", "--preset", "fig2", f"--{field}", given]):
-        cfg = parse_args(argv)
-        assert {name: getattr(cfg, name) for name in FIG2} == {**FIG2, field: expected}, argv
-
-
-def test_parse_args_parses_once_and_reads_the_terminal_once(monkeypatch):
-    calls = {"parse": 0, "terminal": 0}
-    parse_known_args = argparse.ArgumentParser.parse_known_args
-    get_terminal_size = shutil.get_terminal_size
-
-    def counted_parse(self, *args, **kwargs):
-        calls["parse"] += 1
-        return parse_known_args(self, *args, **kwargs)
-
-    def counted_terminal(*args, **kwargs):
-        calls["terminal"] += 1
-        return get_terminal_size(*args, **kwargs)
-
-    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted_parse)
-    monkeypatch.setattr(shutil, "get_terminal_size", counted_terminal)
-    for argv in (["sweep", "--preset", "fig2", "--steps", "3"],
-                 ["sweep", "--p", "0.3", "--obs", "z,x", "--steps", "3"]):
-        calls.update(parse=0, terminal=0)
-        parse_args(argv)
-        assert calls["parse"] == 1, argv
-        assert calls["terminal"] <= 1, argv
-
-
-def test_help_follows_the_terminal_width(monkeypatch, capsys):
-    for columns, wide in (("60", False), ("100", True)):
-        monkeypatch.setenv("COLUMNS", columns)
-        for argv in (["--help"], ["sweep", "--help"]):
-            with pytest.raises(SystemExit) as exc:
-                parse_args(argv)
-            assert exc.value.code == 0
-            widest = max(map(len, capsys.readouterr().out.splitlines()))
-            assert (widest > 58) == wide, (columns, argv, widest)
-
-
-def test_parse_args_keeps_no_preset_between_calls():
-    fig1, fig2 = ("bell", 0.5, ("x", "y"), 0.1), ("x", 1.0, ("x", "y"), 0.1)
-    for first, second, expected in ((["sweep", "--preset", "fig2"], ["sweep"], fig1),
-                                    (["sweep"], ["sweep", "--preset", "fig2"], fig2)):
-        parse_args(first)
-        cfg = parse_args(second)
-        assert (cfg.state, cfg.p, cfg.obs, cfg.omega) == expected, (first, second)
-
-
-def test_parse_rejects_out_of_range_p(capsys):
-    with pytest.raises(SystemExit) as exc:
-        parse_args(["sweep", "--state", "x", "--p", "1.5"])
-    assert exc.value.code == 2
-    assert "p must lie in [0, 1]" in capsys.readouterr().err
-
-
-def test_parse_rejects_unknown_flag():
-    with pytest.raises(SystemExit) as exc:
-        parse_args(["sweep", "--nope", "1"])
-    assert exc.value.code == 2
-
-
-def test_parse_rejects_malformed_number():
-    with pytest.raises(SystemExit) as exc:
-        parse_args(["sweep", "--omega", "abc"])
-    assert exc.value.code == 2
-
-
-def test_sweep_help_lists_each_default(capsys):
+@pytest.mark.parametrize("columns", ["60", "100"])
+def test_help_names_each_default_at_the_terminal_width(monkeypatch, capsys, columns):
+    monkeypatch.setenv("COLUMNS", columns)
     texts = []
     for argv in (["--help"], ["sweep", "--help"]):
         with pytest.raises(SystemExit) as exc:
             parse_args(argv)
         assert exc.value.code == 0
         texts.append(capsys.readouterr().out)
-        text = " ".join(texts[-1].split())
-        for default in ("bell", "0.5", "x,y", "0.1", "0.0", "101", "a", "eur_sweep.csv"):
-            assert f"(default {default})" in text, argv
     assert texts[0] == texts[1]
+    assert (max(map(len, texts[0].splitlines())) > 58) == (columns == "100")
+    words = " ".join(texts[0].split())
+    for default in ("bell", "0.5", "x,y", "0.1", "0.0", "101", "a", "eur_sweep.csv"):
+        assert f"(default {default})" in words
+    # argparse reads -1e-3 after a space as a flag; help names the = form
+    assert "--a-min=-1e-3" in "".join(texts[0].split())
 
 
-def test_parse_rejects_bad_ranges(capsys):
-    for argv, start in (
-        (["sweep", "--steps", "1"], "steps "),
-        (["sweep", "--a-min", "-1"], "a-min "),
-        (["sweep", "--a-min", "5", "--a-max", "1"], "a-max "),
-        (["sweep", "--omega", "0"], "omega "),
-        (["sweep", "--obs", "x,q"], "obs "),
-        (["sweep", "--sweep-var", "r", "--a-max", "1.0"], "r "),
-        # a default a-max that fails is blamed on the flag the user set
-        (["sweep", "--omega", "1e307"],
-         "omega 1e+307 overflows the default a-max 20*omega*2pi; set --a-max"),
-        (["sweep", "--a-min", "200"],
-         "a-min 200.0 exceeds the default a-max 12.566370614359172; set --a-max"),
-        # an r-sweep's a-min above pi/4 is named, whatever --a-max says
-        (["sweep", "--sweep-var", "r", "--a-min", "0.9"],
-         "r sweep bound must lie in [0, pi/4], got a-min 0.9"),
-        (["sweep", "--sweep-var", "r", "--a-min", "0.9", "--a-max", "1"],
-         "r sweep bound must lie in [0, pi/4], got a-min 0.9"),
-        (["sweep", "--sweep-var", "r", "--a-min", "0.9", "--a-max", "0.5"],
-         "r sweep bound must lie in [0, pi/4], got a-min 0.9"),
-    ):
-        with pytest.raises(SystemExit) as exc:
-            parse_args(argv)
-        assert exc.value.code == 2
-        message = capsys.readouterr().err.splitlines()[-1]
-        assert message.startswith(f"eur: error: {start}"), argv
+def usage(*flags):
+    return lambda: parse_args(["sweep", *flags])
 
 
-def test_negative_exponent_form_exits_with_one_line_error(capsys):
-    # argparse reads -1e-3 after a space as a flag; --help names the = form
-    for argv, last in (
-        (["sweep", "--a-min", "-1e-3"], "eur: error: argument --a-min: expected one argument"),
-        (["sweep", "--a-min=-1e-3"], "eur: error: a-min must be finite and >= 0, got -0.001"),
-    ):
-        with pytest.raises(SystemExit) as exc:
-            parse_args(argv)
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert err.splitlines()[-1] == last
-        assert err.count("error:") == 1
-    with pytest.raises(SystemExit):
-        parse_args(["sweep", "--help"])
-    assert "--a-min=-1e-3" in "".join(capsys.readouterr().out.split())
+def config(**fields):
+    valid = dict(state="bell", p=0.5, obs=("x", "y"), omega=0.1, a_min=0.0, a_max=1.0,
+                 steps=5, sweep_var="a", out_path="out.csv")
+    return lambda: SweepConfig(**{**valid, **fields})
 
 
-def test_parse_rejects_steps_above_the_cap(capsys):
+R_A_MIN = "eur: error: r sweep bound must lie in [0, pi/4], got a-min 0.9"
+
+# a call and its exact message: a usage error's last stderr line, or the
+# text of the ValueError that SweepConfig or emit_csv raises
+REJECTIONS = {
+    "p-above-one": (usage("--state", "x", "--p", "1.5"),
+                    "eur: error: p must lie in [0, 1], got 1.5"),
+    "unknown-flag": (usage("--nope", "1"), "eur: error: unrecognized arguments: --nope 1"),
+    "malformed-number": (usage("--omega", "abc"),
+                         "eur: error: argument --omega: invalid float value: 'abc'"),
+    "steps-1": (usage("--steps", "1"), "eur: error: steps must lie in [2, 10000000], got 1"),
     # a rejected config allocates nothing, so the extreme value is safe here
-    with pytest.raises(SystemExit) as exc:
-        parse_args(["sweep", "--steps", str(10**12)])
-    assert exc.value.code == 2
-    assert "steps must lie in [2, 10000000]" in capsys.readouterr().err
-    assert parse_args(["sweep", "--steps", str(MAX_STEPS)]).steps == MAX_STEPS
+    "steps-above-the-cap": (usage("--steps", str(10**12)),
+                            "eur: error: steps must lie in [2, 10000000], got 1000000000000"),
+    "a-min-negative": (usage("--a-min", "-1"),
+                       "eur: error: a-min must be finite and >= 0, got -1.0"),
+    "a-max-below-a-min": (usage("--a-min", "5", "--a-max", "1"),
+                          "eur: error: a-max must be finite and >= a-min, got 1.0"),
+    "omega-zero": (usage("--omega", "0"), "eur: error: omega must be finite and > 0, got 0.0"),
+    "obs-axis": (usage("--obs", "x,q"), "eur: error: obs must be two of x, y, z, got ('x', 'q')"),
+    "r-a-max-above-pi/4": (usage("--sweep-var", "r", "--a-max", "1.0"),
+                           "eur: error: r sweep bound must lie in [0, pi/4], got a-max 1.0"),
+    # a default a-max that fails is blamed on the flag the user set
+    "omega-overflows-the-default-a-max": (
+        usage("--omega", "1e307"),
+        "eur: error: omega 1e+307 overflows the default a-max 20*omega*2pi; set --a-max"),
+    "a-min-above-the-default-a-max": (
+        usage("--a-min", "200"),
+        "eur: error: a-min 200.0 exceeds the default a-max 12.566370614359172; set --a-max"),
+    # an r-sweep's a-min above pi/4 is named, whatever --a-max says
+    "r-a-min-above-pi/4": (usage("--sweep-var", "r", "--a-min", "0.9"), R_A_MIN),
+    "r-a-min-above-pi/4-and-a-max": (usage("--sweep-var", "r", "--a-min", "0.9", "--a-max", "1"),
+                                     R_A_MIN),
+    "r-a-min-above-a-max": (usage("--sweep-var", "r", "--a-min", "0.9", "--a-max", "0.5"), R_A_MIN),
+    # argparse reads -1e-3 after a space as a flag; the = form reaches the check
+    "negative-exponent-after-a-space": (usage("--a-min", "-1e-3"),
+                                        "eur: error: argument --a-min: expected one argument"),
+    "negative-exponent-in-=-form": (usage("--a-min=-1e-3"),
+                                    "eur: error: a-min must be finite and >= 0, got -0.001"),
+    "config-steps-1": (config(steps=1), "steps must lie in [2, 10000000], got 1"),
+    "config-steps-above-the-cap": (config(steps=10**12),
+                                   "steps must lie in [2, 10000000], got 1000000000000"),
+    # the grid's np.linspace takes an integer
+    "config-steps-not-integral": (config(steps=10.5), "steps must be an integer, got 10.5"),
+    "config-state": (config(state="ghz"), "state must be 'bell' or 'x', got 'ghz'"),
+    "config-sweep-var": (config(sweep_var="omega"), "sweep-var must be 'a' or 'r', got 'omega'"),
+    "emit-no-rows": (lambda: emit_csv(Sweep(*(np.empty(0) for _ in FIELDS)), os.devnull),
+                     "no rows to write"),
+}
 
 
-def test_r_sweep_mode_parses_bounds_as_angles():
-    cfg = parse_args(["sweep", "--sweep-var", "r", "--a-min", "0", "--a-max", "0.785398"])
-    assert cfg.sweep_var == "r"
-    assert cfg.a_max == 0.785398
+@pytest.mark.parametrize("case", REJECTIONS)
+def test_cli_rejects_bad_input_by_name(capsys, case):
+    call, message = REJECTIONS[case]
+    if message.startswith("eur: error: "):  # exit 2, one error line, last
+        with pytest.raises(SystemExit) as exc:
+            call()
+        err = capsys.readouterr().err
+        assert (exc.value.code, err.splitlines()[-1], err.count("error:")) == (2, message, 1)
+    else:
+        with pytest.raises(ValueError) as raised:
+            call()
+        assert str(raised.value) == message
 
 
-def test_r_sweep_mode_defaults_to_full_angle_range():
-    cfg = parse_args(["sweep", "--sweep-var", "r"])
-    assert cfg.a_min == 0.0
-    assert not reference.outside_budget(cfg.a_max, math.pi / 4)
+# a sweep's flags after `eur sweep` or a thunk giving its SweepConfig,
+# and its first row: a grid that starts at a = 0 or r = 0 exactly, and
+# closed forms within the budget, berta = 1.5 and holevo = 1 + h(1/4) on
+# the p = 1/2 Bell-diagonal state, and zero on fig2's |psi+>
+FIG1_FIRST = {"r": 0.0, "berta": near(1.5), "holevo": near(1.8112781244591328)}
+SWEEPS = {
+    "fig1": (["--preset", "fig1", "--steps", "21"], {"a": 0.0, **FIG1_FIRST}),
+    "fig2": (["--preset", "fig2", "--steps", "21"],
+             {"a": 0.0, "r": 0.0, "lhs": near(0.0), "berta": near(0.0), "holevo": near(0.0)}),
+    "r-sweep": (["--sweep-var", "r", "--a-min", "0", "--a-max", "0.785398", "--steps", "5"],
+                FIG1_FIRST),
+    "int64-steps": (config(steps=np.int64(5)), {"a": 0.0, **FIG1_FIRST}),
+}
 
 
-def test_run_sweep_row_grid():
-    cfg = parse_args(["sweep", "--preset", "fig2", "--steps", "11"])
+@pytest.mark.parametrize("case", SWEEPS)
+def test_run_sweep_columns(case):
+    given, first = SWEEPS[case]
+    cfg = given() if callable(given) else parse_args(["sweep", *given])
     sweep = run_sweep(cfg)
-    for field in FIELDS:
-        assert getattr(sweep, field).shape == (11,)
-    assert np.all(np.diff(sweep.a) > 0)
-    assert sweep.a[0] == 0.0
-    assert not reference.outside_budget(sweep.a[-1], cfg.a_max)
-    assert bound_violations(sweep.lhs, sweep.berta, sweep.holevo) == []
-
-
-def test_run_sweep_fig2_anchor_is_zero():
-    sweep = run_sweep(parse_args(["sweep", "--preset", "fig2", "--steps", "2"]))
-    assert sweep.r[0] == 0.0
-    assert not reference.outside_budget([sweep.lhs[0], sweep.berta[0], sweep.holevo[0]], [0.0] * 3)
-
-
-def test_run_sweep_fig1_anchor_values():
-    sweep = run_sweep(parse_args(["sweep", "--preset", "fig1", "--steps", "2"]))
-    # berta = 1.5 and holevo = 1 + h(1/4) on the p = 1/2 Bell-diagonal state
-    assert not reference.outside_budget([sweep.berta[0], sweep.holevo[0]], [1.5, 1.8112781244591328])
-
-
-def test_run_sweep_r_mode_has_blank_acceleration():
-    cfg = parse_args(
-        ["sweep", "--sweep-var", "r", "--a-min", "0", "--a-max", "0.785398", "--steps", "5"]
-    )
-    sweep = run_sweep(cfg)
-    assert sweep.a is None
-    assert sweep.r.shape == (5,)
-    assert not reference.outside_budget(sweep.r[-1], 0.785398)
-
-
-@pytest.mark.parametrize("preset", ["fig1", "fig2"])
-def test_bound_columns_are_monotone(preset):
-    sweep = run_sweep(parse_args(["sweep", "--preset", preset, "--steps", "21"]))
-    assert not steps_down(sweep.berta)
-    assert not steps_down(sweep.holevo)
+    assert (sweep.a is None) == (cfg.sweep_var == "r")
+    grid = sweep.r if sweep.a is None else sweep.a
+    for field in FIELDS[1:]:
+        assert getattr(sweep, field).shape == (cfg.steps,)
+    assert grid[0] == cfg.a_min and grid[-1] == near(cfg.a_max) and np.all(np.diff(grid) > 0)
+    assert {name: getattr(sweep, name)[0] for name in first} == first
+    assert not steps_down(sweep.berta) and not steps_down(sweep.holevo)
     assert np.all(sweep.holevo >= sweep.berta)
-
-
-def test_emit_csv_layout(tmp_path):
-    sweep = sweep_of(
-        (0.0, 0.0, 1.0, 0.5, 0.75, 0.25),
-        (1.5, 0.25, 1.25, 0.5, 0.8, 0.3),
-    )
-    out = tmp_path / "rows.csv"
-    emit_csv(sweep, str(out))
-    text = out.read_text(encoding="ascii")
-    assert text.count("\n") == 3
-    assert "\r" not in text
-    assert text.split("\n")[0] == CSV_HEADER
-
-
-def test_emit_csv_uses_twelve_significant_digits(tmp_path):
-    value = 1.2345678901234567
-    out = tmp_path / "digits.csv"
-    emit_csv(sweep_of((value,) * 6), str(out))
-    body = out.read_text(encoding="ascii").split("\n")[1]
-    assert body == ",".join(["1.23456789012"] * 6)
-
-
-def test_emit_csv_round_trips_within_tolerance(tmp_path):
-    cfg = parse_args(["sweep", "--preset", "fig1", "--steps", "7"])
-    sweep = run_sweep(cfg)
-    out = tmp_path / "round.csv"
-    emit_csv(sweep, str(out))
-    parsed = read_sweep(out)
-    for field in FIELDS:
-        value = getattr(sweep, field)
-        assert np.all(np.abs(getattr(parsed, field) - value) <= CSV_RTOL * np.abs(value)), field
-
-
-def test_emit_csv_blank_field_when_sweeping_r(tmp_path):
-    cfg = parse_args(
-        ["sweep", "--sweep-var", "r", "--a-min", "0", "--a-max", "0.5", "--steps", "3"]
-    )
-    out = tmp_path / "rmode.csv"
-    emit_csv(run_sweep(cfg), str(out))
-    for line in out.read_text(encoding="ascii").split("\n")[1:-1]:
-        assert line.startswith(",")
-
-
-def test_emit_csv_rejects_empty_rows(tmp_path):
-    empty = Sweep(*(np.empty(0) for _ in FIELDS))
-    with pytest.raises(ValueError, match="no rows"):
-        emit_csv(empty, str(tmp_path / "empty.csv"))
-
-
-def test_emit_csv_overwrites_idempotently(tmp_path):
-    sweep = run_sweep(parse_args(["sweep", "--preset", "fig2", "--steps", "3"]))
-    out = tmp_path / "twice.csv"
-    emit_csv(sweep, str(out))
-    first = out.read_text(encoding="ascii")
-    emit_csv(sweep, str(out))
-    assert out.read_text(encoding="ascii") == first
-
-
-@pytest.mark.parametrize("flags, last_r", [
-    (["--preset", "fig2"], math.acos((1.0 + math.exp(-2.0 * math.pi * 0.1 / (4.0 * math.pi))) ** -0.5)),
-    # omega/a far below 1e-16: r must land on pi/4, never one ulp past it
-    (["--a-min", "1e-300", "--a-max", "1e300"], math.pi / 4),
-], ids=["fig2", "extreme-a"])
-def test_main_writes_file_and_returns_zero(tmp_path, flags, last_r):
-    out = tmp_path / "sweep.csv"
-    code = main(["sweep", *flags, "--steps", "5", "--out", str(out)])
-    assert code == EXIT_OK
-    sweep = read_sweep(out)
-    assert sweep.r.shape == (5,)
-    assert abs(sweep.r[-1] - last_r) <= CSV_RTOL * last_r
     assert bound_violations(sweep.lhs, sweep.berta, sweep.holevo) == []
 
 
-@pytest.mark.parametrize("target", ["missing/deep/sweep.csv", ".", "", "/dev/full"],
-                         ids=["missing-parent", "directory", "empty", "dev-full"])
-def test_main_returns_io_error_for_unwritable_path(tmp_path, capsys, target):
+# a sweep, and the CSV body that emit_csv writes for it
+EMITTED = {
+    "rows": (sweep_of((0.0, 0.0, 1.0, 0.5, 0.75, 0.25), (1.5, 0.25, 1.25, 0.5, 0.8, 0.3)),
+             "0,0,1,0.5,0.75,0.25\n1.5,0.25,1.25,0.5,0.8,0.3\n"),
+    "twelve-digits": (sweep_of((1.2345678901234567,) * 6), ",".join(["1.23456789012"] * 6) + "\n"),
+    "r-sweep": (sweep_of((None, 0.25, 1.0, 0.5, 0.75, -2.5e-13)), ",0.25,1,0.5,0.75,-2.5e-13\n"),
+    # three chunks of at most 1024 rows
+    "chunks": (sweep_of(*((k,) * 6 for k in range(2050))),
+               "".join(",".join([str(k)] * 6) + "\n" for k in range(2050))),
+}
+
+
+@pytest.mark.parametrize("case", EMITTED)
+def test_emit_csv_writes_its_rows(tmp_path, case):
+    sweep, body = EMITTED[case]
+    out = tmp_path / "sweep.csv"
+    out.write_bytes(b"x\r\n" * 50_000)  # emit_csv replaces what the path held
+    emit_csv(sweep, str(out))
+    assert out.read_bytes() == (CSV_HEADER + "\n" + body).encode("ascii")
+
+
+BAD_SWEEP = sweep_of(
+    (0.0, 0.0, 0.0, 1.0, 1.0, 0.0),
+    (0.0, 0.0, 1.0, 0.5, 0.6, 0.1),
+    (1.0, 0.1, 0.5, 0.1, 0.9, 0.8),
+)
+
+# flags after `eur sweep` (or the Sweep that run_sweep is made to return),
+# --out under tmp_path, the exit code, and then the last r of the CSV for
+# exit 0 or the stderr lines, formatted with the --out value, otherwise
+MAIN_CASES = {
+    "fig2": (["--preset", "fig2"], "sweep.csv", EXIT_OK,
+             math.acos((1.0 + math.exp(-2.0 * math.pi * 0.1 / (4.0 * math.pi))) ** -0.5)),
+    # omega/a far below 1e-16: r must land on pi/4, never one ulp past it
+    "extreme-a": (["--a-min", "1e-300", "--a-max", "1e300"], "sweep.csv", EXIT_OK, math.pi / 4),
+    "invariant": (BAD_SWEEP, "never.csv", EXIT_INVARIANT,
+                  ["error: row 0: lhs 0 below berta 1", "error: row 2: lhs 0.5 below holevo 0.9"]),
+    "missing-parent": (["--preset", "fig2"], "missing/deep/sweep.csv", EXIT_IO,
+                       ["error: cannot write {out}: [Errno 2] No such file or directory: {out!r}"]),
+    "directory": (["--preset", "fig2"], ".", EXIT_IO,
+                  ["error: cannot write {out}: [Errno 21] Is a directory: {out!r}"]),
+    "empty": (["--preset", "fig2"], "", EXIT_IO,
+              ["error: cannot write : [Errno 2] No such file or directory: ''"]),
     # /dev/full opens, and its ENOSPC is raised when emit_csv's file closes
+    "dev-full": (["--preset", "fig2"], "/dev/full", EXIT_IO,
+                 ["error: cannot write /dev/full: [Errno 28] No space left on device"]),
+}
+
+
+@pytest.mark.parametrize("case", MAIN_CASES)
+def test_main_exit_codes(tmp_path, monkeypatch, capsys, case):
+    flags, target, code, expected = MAIN_CASES[case]
     if target == "/dev/full" and not os.path.exists(target):
         pytest.skip("no /dev/full")
+    if isinstance(flags, Sweep):
+        monkeypatch.setattr(cli, "run_sweep", lambda cfg, bad=flags: bad)
+        flags = []
     out = target and str(tmp_path / target)  # the empty path stays empty
-    code = main(["sweep", "--preset", "fig2", "--steps", "3", f"--out={out}"])
-    assert code == EXIT_IO
+    assert main(["sweep", *flags, "--steps", "5", f"--out={out}"]) == code
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith(f"error: cannot write {out}: "), err
+    if code != EXIT_OK:
+        assert err == [line.format(out=out) for line in expected]
+        assert code == EXIT_IO or not os.path.exists(out)
+        return
+    assert err == []
+    sweep = read_sweep(Path(out))
+    assert sweep.r.shape == (5,) and abs(sweep.r[-1] - expected) <= CSV_RTOL * expected
+    assert bound_violations(sweep.lhs, sweep.berta, sweep.holevo) == []
 
 
-def test_main_reports_invariant_violations(tmp_path, monkeypatch, capsys):
-    import eur.cli as cli_module
-
-    bad = sweep_of(
-        (0.0, 0.0, 0.0, 1.0, 1.0, 0.0),
-        (0.0, 0.0, 1.0, 0.5, 0.6, 0.1),
-        (1.0, 0.1, 0.5, 0.1, 0.9, 0.8),
-    )
-    monkeypatch.setattr(cli_module, "run_sweep", lambda cfg: bad)
-    out = tmp_path / "never.csv"
-    code = cli_module.main(["sweep", "--preset", "fig2", "--out", str(out)])
-    assert code == EXIT_INVARIANT
-    assert capsys.readouterr().err.splitlines() == [
-        "error: row 0: lhs 0 below berta 1",
-        "error: row 2: lhs 0.5 below holevo 0.9",
-    ]
-    assert not out.exists()
-
-
-def test_module_entry_point(tmp_path):
-    import subprocess
-    import sys
-
-    out = tmp_path / "module.csv"
-    result = subprocess.run(
-        [sys.executable, "-m", "eur", "sweep", "--preset", "fig1", "--steps", "3",
-         "--out", str(out)],
-        capture_output=True,
-        text=True,
-    )
-    assert result.returncode == EXIT_OK
-    assert out.exists()
-    assert read_sweep(out).berta[0] == pytest.approx(1.5, abs=reference.budget(1.5))
-
-
-def test_module_writes_the_file_bytes_to_dev_stdout(tmp_path):
+def test_python_dash_m_eur_writes_the_bytes_main_writes(tmp_path):
     # a non-regular --out target gets the bytes that a file gets
-    import subprocess
-    import sys
-    from pathlib import Path
-
     argv = ["sweep", "--preset", "fig1", "--steps", "5", "--out"]
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     result = subprocess.run([sys.executable, "-m", "eur", *argv, "/dev/stdout"],
                             capture_output=True, env=env)
-    assert result.returncode == EXIT_OK, result.stderr
+    assert (result.returncode, result.stderr) == (EXIT_OK, b"")
     out = tmp_path / "fig1.csv"
     assert main([*argv, str(out)]) == EXIT_OK
     assert result.stdout == out.read_bytes()
-
-
-def test_sweep_config_validates_directly():
-    valid = dict(state="bell", p=0.5, obs=("x", "y"), omega=0.1, a_min=0.0, a_max=1.0,
-                 steps=5, sweep_var="a", out_path="out.csv")
-    for field, value, match in (
-        ("steps", 1, "steps"),
-        ("steps", 10**12, "steps"),
-        ("steps", 10.5, "steps"),  # the grid's np.linspace takes an integer
-        ("state", "ghz", "state"),
-        ("sweep_var", "omega", "sweep-var must be 'a' or 'r'"),
-    ):
-        with pytest.raises(ValueError, match=match):
-            SweepConfig(**{**valid, field: value})
-    assert SweepConfig(**{**valid, "steps": np.int64(5)}).steps == 5
 
 
 # edge values for the number flags: non-finite, signed zero, subnormal,

@@ -1,8 +1,27 @@
 """Every `Sweep` column and `EurReport` field against the 40-digit reference,
-within the error budget stated in `reference.py`."""
+within the error budget stated in `reference.py`.
+
+Each contract has one test:
+
+1. `test_reference_gives_its_closed_forms`: the reference's own values on
+   states and angles with closed forms, and the budget's arithmetic;
+2. `test_reports_match_the_reference_at_small_outcome_probabilities`: an
+   outcome of probability down to the 1e-12 floor keeps S(OB) within the
+   budget;
+3. `test_eur_sweep_matches_the_reference`: what `eur sweep` writes over
+   the `cli_flags` domain, every column and report field at drawn rows
+   (both presets at every row of 101) and every CSV cell at 12
+   significant digits;
+4. `test_lhs_exceeds_holevo_by_the_marginal_gap_on_drawn_states`:
+   lhs - holevo = g + min(0, delta) on drawn states under Haar pairs;
+5. `test_lhs_exceeds_holevo_by_the_marginal_gap_over_the_cli_domain`: the
+   same at every row of `eur sweep`, and lhs == holevo where g = 0 in
+   closed form;
+6. `test_sweep_matches_the_closed_form_x_state_spectra`: every sweep
+   state is an X state, and every field has the closed form of its spectra.
+"""
 
 import contextlib
-import dataclasses
 import io
 import math
 
@@ -20,33 +39,55 @@ from eur.states import bell_diagonal_p, from_pure, x_state
 from helpers import (cli_flags, random_density_matrix, random_pure_state, random_unitary, shannon_bits,
                      sweep_argv_of)
 
+MP = reference.MP
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 # Two 40-digit routes to one value agree to mp.dps less five digits: the
 # float64 budget does not apply here, and the worst difference seen
 # between the closed forms below and the reference's is 2e-39.
-MP_ATOL = reference.MP.mpf(10) ** (5 - reference.MP.dps)
+MP_ATOL = MP.mpf(10) ** (5 - MP.dps)
+
+H_QUARTER = -(MP.log(0.25, 2) + 3 * MP.log(0.75, 2)) / 4
+X, Y = reference.pauli_basis("x"), reference.pauli_basis("y")
+FIG2_STATE = reference.initial_state("x", 1.0)
+UNIT = 2.0 ** -43  # the budget at 0: K * EPS with K = 512
 
 
-@pytest.mark.parametrize("preset", ["fig1", "fig2"])
-def test_sweep_matches_the_reference_at_every_grid_point(preset):
-    cfg = cli.parse_args(["sweep", "--preset", preset, "--steps", "101"])
-    sweep = cli.run_sweep(cfg)
-    columns, reports = reference.sweep(cfg)
-    for field in dataclasses.fields(sweep):
-        bad = reference.outside_budget(getattr(sweep, field.name), columns[field.name])
-        assert not bad, (field.name, bad[:3])
-
-    q, r = pauli_observable(cfg.obs[0]), pauli_observable(cfg.obs[1])
-    initial = bell_diagonal_p(cfg.p) if cfg.state == "bell" else x_state(cfg.p)
-    report = evaluate_eur(q, r, apply_to_memory(unruh_channel(sweep.r), initial))
-    assert not reference.report_outside_budget(report, reports)
+def flagged():
+    """How many of 1, 1 + 1e-12 and 1 + 1e-14 leave the budget of 1, and the first."""
+    bad = reference.outside_budget([1.0, 1.0 + 1e-12, 1.0 + 1e-14], [1.0, 1.0, 1.0])
+    return {"count": len(bad), "first": bad[0][0]}
 
 
-def test_small_outcome_probabilities_match_the_reference():
-    # probe sqrt(1-e)|+> + sqrt(e) e^{i theta}|->, so the sigma_x outcome "-"
-    # has probability e, and its memory block, of trace e, must still give
-    # S(XB) within the budget, not be rejected or dropped for its size
+# a thunk giving named reference values, and their closed forms
+CLOSED_FORMS = {
+    # p = 1/2 Bell-diagonal state, x/y pair: lhs = 1 + h(1/4), I(R;B) = 1 - h(1/4)
+    "bell-half-xy": (lambda: reference.report(X, Y, reference.initial_state("bell", 0.5)),
+                     {"lhs": 1 + H_QUARTER, "i_rb": 1 - H_QUARTER, "berta_bound": 1.5, "c": 0.5}),
+    # the channel is the identity at r = 0, and the fig2 anchor gives zero everywhere
+    "fig2-anchor": (lambda: reference.report(X, Y, reference.evolve(FIG2_STATE, 0)),
+                    {"lhs": 0, "berta_bound": 0, "holevo_bound": 0}),
+    # a = 2 pi omega / ln 2 makes exp(-2 pi omega / a) exactly 1/2, so cos^2 r = 2/3
+    "unruh-r": (lambda: {"cos^2 r": MP.cos(reference.unruh_r(0.2 * MP.pi / MP.log(2), 0.1)) ** 2},
+                {"cos^2 r": MP.mpf(2) / 3}),
+    "budget": (lambda: {"at 0": reference.budget(0.0), "at -3": reference.budget(-3.0)},
+               {"at 0": UNIT, "at -3": 4 * UNIT}),
+    "outside-budget": (flagged, {"count": 1, "first": 1}),
+}
+
+
+@pytest.mark.parametrize("case", CLOSED_FORMS)
+def test_reference_gives_its_closed_forms(case):
+    values, expected = CLOSED_FORMS[case]
+    got = values()
+    off = {name: got[name] for name, x in expected.items() if not abs(got[name] - x) < MP_ATOL}
+    assert not off, off
+
+
+def small_outcome_states():
+    """Probe sqrt(1-e)|+> + sqrt(e) e^{i theta}|->, so that the sigma_x
+    outcome "-" has probability e, times a random memory qubit, then the
+    channel at a random angle: ten states at each of e = 1e-7, 1e-9, 1e-11."""
     rng = np.random.default_rng(0)
     plus, minus = np.array([1.0, 1.0]) / np.sqrt(2), np.array([1.0, -1.0]) / np.sqrt(2)
     states = []
@@ -54,43 +95,33 @@ def test_small_outcome_probabilities_match_the_reference():
         probe = np.sqrt(1 - e) * plus + np.sqrt(e) * np.exp(1j * rng.uniform(0, 2 * np.pi)) * minus
         psi = np.kron(probe, random_pure_state(rng, 2))
         states.append(apply_to_memory(unruh_channel(rng.uniform(0.0, 0.78)), from_pure(psi)))
-    states = np.stack(states)
-    q, r = pauli_observable("x"), pauli_observable("y")
+    return np.stack(states)
+
+
+def at_the_floor(e):
+    """(1-e)|11><11| + e |0><0| (x) I/2: the sigma_z outcome 0 has probability
+    e, and its memory block e I/2, never divided by e, still carries entropy
+    e (1 - log2 e) into S(ZB)."""
+    return lambda: (1 - e) * np.diag([0.0, 0.0, 0.0, 1.0]) + e * np.diag([0.5, 0.5, 0.0, 0.0])
+
+
+# the observable pair, and a thunk giving the state or stack; each small
+# memory block must give S(OB) within the budget, not be rejected or
+# dropped for its size
+SMALL_OUTCOMES = {
+    "x-outcome-1e-7-to-1e-11-xy": ("xy", small_outcome_states),
+    **{f"z-outcome-{e}-{pair}": (pair, at_the_floor(e))
+       for e in (5e-13, 1e-12) for pair in ("zx", "zy", "xz")},
+}
+
+
+@pytest.mark.parametrize("case", SMALL_OUTCOMES)
+def test_reports_match_the_reference_at_small_outcome_probabilities(case):
+    pair, states = SMALL_OUTCOMES[case]
+    q, r = (pauli_observable(axis) for axis in pair)
+    states = states()
     expected = reference.reports(q.basis, r.basis, states)
     assert not reference.report_outside_budget(evaluate_eur(q, r, states), expected)
-
-
-@pytest.mark.parametrize("e", [5e-13, 1e-12])
-@pytest.mark.parametrize("pair", [("z", "x"), ("z", "y"), ("x", "z")], ids="".join)
-def test_outcomes_at_the_probability_floor_match_the_reference(e, pair):
-    # (1-e)|11><11| + e |0><0| (x) I/2: the sigma_z outcome 0 has probability
-    # e, at most 1e-12, and its memory block e I/2, never divided by e,
-    # still carries entropy e (1 - log2 e) into S(ZB)
-    rho = (1 - e) * np.diag([0.0, 0.0, 0.0, 1.0]) + e * np.diag([0.5, 0.5, 0.0, 0.0])
-    q, r = (pauli_observable(axis) for axis in pair)
-    expected = reference.reports(q.basis, r.basis, rho)
-    assert not reference.report_outside_budget(evaluate_eur(q, r, rho), expected)
-
-
-def test_reference_reproduces_closed_forms():
-    # p = 1/2 Bell-diagonal state, x/y pair: lhs = 1 + h(1/4), I(R;B) = 1 - h(1/4)
-    h_quarter = -(reference.MP.log(0.25, 2) + 3 * reference.MP.log(0.75, 2)) / 4
-    rep = reference.report(reference.pauli_basis("x"), reference.pauli_basis("y"),
-                           reference.initial_state("bell", 0.5))
-    assert abs(rep["lhs"] - (1 + h_quarter)) < MP_ATOL
-    assert abs(rep["i_rb"] - (1 - h_quarter)) < MP_ATOL
-    assert abs(rep["berta_bound"] - 1.5) < MP_ATOL and abs(rep["c"] - 0.5) < MP_ATOL
-    # a = 2 pi omega / ln 2 makes exp(-2 pi omega / a) exactly 1/2, so cos^2 r = 2/3
-    r = reference.unruh_r(reference.MP.mpf(2) * reference.MP.pi * 0.1 / reference.MP.log(2), 0.1)
-    assert abs(reference.MP.cos(r) ** 2 - reference.MP.mpf(2) / 3) < MP_ATOL
-    # the channel is the identity at r = 0, and the fig2 anchor gives zero everywhere
-    anchor = reference.report(reference.pauli_basis("x"), reference.pauli_basis("y"),
-                              reference.evolve(reference.initial_state("x", 1.0), 0))
-    assert all(abs(anchor[field]) < MP_ATOL for field in ("lhs", "berta_bound", "holevo_bound"))
-    assert reference.budget(0.0) == reference.K * 2.0 ** -52
-    bad = reference.outside_budget([1.0, 1.0 + 1e-12, 1.0 + 1e-14], [1.0, 1.0, 1.0])
-    assert [index for index, *_ in bad] == [1]
-    assert reference.budget(-3.0) == 4 * reference.budget(0.0)
 
 
 @st.composite
@@ -108,32 +139,41 @@ def sweep_csv(tmp_path_factory):
 
 
 @given(case=cli_domain_argv())
+@example(case=(["sweep", "--preset", "fig1", "--steps", "101"], list(range(101))))
+@example(case=(["sweep", "--preset", "fig2", "--steps", "101"], list(range(101))))
 @settings(max_examples=200, deadline=None)
-def test_eur_sweep_matches_the_reference_over_the_cli_domain(sweep_csv, case):
-    # what `eur sweep` writes, against the 40-digit reference at a few rows
+def test_eur_sweep_matches_the_reference(sweep_csv, case):
+    # what `eur sweep` writes, against the 40-digit reference at its rows
     argv, rows = case
-    with contextlib.redirect_stderr(io.StringIO()) as err:
+    run = {}
+
+    def run_sweep(cfg):  # the config and sweep that main writes
+        run["cfg"], run["sweep"] = cfg, sweep(cfg)
+        return run["sweep"]
+
+    sweep = cli.run_sweep
+    with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stderr(io.StringIO()) as err:
+        patch.setattr(cli, "run_sweep", run_sweep)
         code = cli.main([*argv, f"--out={sweep_csv}"])
     assert code == cli.EXIT_OK, err.getvalue()
-    cfg = cli.parse_args(argv)
-    sweep = cli.run_sweep(cfg)
-    expected, _ = reference.sweep(cfg, rows)
+    cfg, sweep = run["cfg"], run["sweep"]
+    expected, reports = reference.sweep(cfg, rows)
     for name, column in vars(sweep).items():
         if column is None:  # an r-sweep has no a column
             assert expected[name] is None
             continue
         bad = reference.outside_budget(column[rows], expected[name])
-        assert not bad, (name, bad)
+        assert not bad, (name, bad[:3])
+    q, r = pauli_observable(cfg.obs[0]), pauli_observable(cfg.obs[1])
+    initial = bell_diagonal_p(cfg.p) if cfg.state == "bell" else x_state(cfg.p)
+    report = evaluate_eur(q, r, apply_to_memory(unruh_channel(sweep.r[rows]), initial))
+    assert not reference.report_outside_budget(report, reports)
     # every cell holds its column's value at 12 significant digits
     lines = sweep_csv.read_text(encoding="ascii").splitlines()
     assert lines[0] == cli.CSV_HEADER and len(lines) == cfg.steps + 1
     for k, line in enumerate(lines[1:]):
-        for name, cell in zip(cli.CSV_HEADER.split(","), line.split(",")):
-            column = getattr(sweep, name)
-            if column is None:
-                assert cell == ""
-            else:
-                assert float(cell) == float(f"{column[k]:.12g}"), (name, k, cell)
+        cells = ["" if column is None else f"{column[k]:.12g}" for column in vars(sweep).values()]
+        assert line.split(",") == cells, k
 
 
 def _marginal_gap(rho_a, q_basis, r_basis) -> float:
@@ -199,9 +239,6 @@ def test_lhs_exceeds_holevo_by_the_marginal_gap_over_the_cli_domain(case):
     assert (off <= reference.budget(2.0)).all(), (gap, off.max())
     if cfg.obs[0] != cfg.obs[1] and (cfg.state == "bell" or "z" in cfg.obs or cfg.p == 1.0):
         assert (abs(excess) <= reference.budget(2.0)).all(), abs(excess).max()
-
-
-MP = reference.MP
 
 
 def _roots(a, d, b) -> list:

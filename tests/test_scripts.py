@@ -1,9 +1,27 @@
 """The scripts: reproduce_figures.py (both preset CSVs, its exit codes) and compare_csv.py
 (CSV bytes, library report bits, and changed sweep values against the 40-digit
-reference)."""
+reference).
 
+Each contract has one table-driven test:
+
+1. `test_reproduce_figures_writes_the_preset_csvs_or_one_error`: the bytes
+   `eur sweep` writes for each preset, or an exit code and one error line,
+   with nothing created for a rejected --steps;
+2. `test_compare_csv_names_each_difference_and_holds_the_rule`: `same`, or
+   the first difference of a CSV case or of the library case, a tree that
+   fails named once, the 40-digit reference run only for a preset with a
+   changed value, and the RULE's verdict, as exit 0 or 1;
+3. `test_csv_difference_names_the_first_line_and_counts_the_cells`.
+
+A compare_csv run of one tree under one CASES and STEPS starts one
+`python`; every test of this module shares it (`tree_runs`).
+"""
+
+import hashlib
 import importlib.util
+import re
 import shutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,10 +31,6 @@ from eur.cli import EXIT_IO, EXIT_OK, main
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 COLUMNS = ("a", "r", "lhs", "berta", "holevo", "delta")
-# compare_csv's RULE lines for two trees whose sweeps have the same bits
-RULE_HOLDS_UNCHANGED = "".join(
-    f"{preset} {column}: 0 changed\n" for preset in ("fig1", "fig2") for column in COLUMNS
-) + "all columns: 0 changed, summed |value - reference| 0 -> 0\nRULE holds\n"
 
 
 def load_script(name):
@@ -26,89 +40,171 @@ def load_script(name):
     return module
 
 
-@pytest.fixture(scope="module")
-def reproduce_figures():
-    return load_script("reproduce_figures")
+# whether a file stands at --outdir, the arguments after --outdir, the
+# exit code, and the last stderr line with {outdir} formatted in
+FIGURES = {
+    "both-presets": (False, ["--steps", "7"], EXIT_OK, None),
+    "outdir-is-a-file": (True, [], EXIT_IO,
+                         "error: cannot create {outdir}: [Errno 17] File exists: {outdir!r}"),
+    # the script's own parser rejects it, before --outdir is created
+    "bad-steps": (False, ["--steps", "1"], 2,
+                  "reproduce_figures.py: error: steps must lie in [2, 10000000], got 1"),
+}
 
 
-def test_script_writes_both_preset_csvs(tmp_path, reproduce_figures, capsys):
+@pytest.mark.parametrize("case", FIGURES)
+def test_reproduce_figures_writes_the_preset_csvs_or_one_error(tmp_path, monkeypatch, capsys,
+                                                               case):
+    blocked, argv, code, last = FIGURES[case]
+    monkeypatch.setattr(sys, "argv", ["reproduce_figures.py"])  # argparse's prog
     outdir = tmp_path / "figures" / "nested"
-    assert reproduce_figures.main(["--outdir", str(outdir), "--steps", "7"]) == EXIT_OK
+    if blocked:
+        outdir.parent.mkdir()
+        outdir.write_text("")
+    try:
+        got = load_script("reproduce_figures").main(["--outdir", str(outdir), *argv])
+    except SystemExit as exc:
+        got = exc.code
+    out, err = capsys.readouterr()
+    assert got == code
+    if code != EXIT_OK:
+        assert out == "" and err.count("error:") == 1
+        assert err.splitlines()[-1] == last.format(outdir=str(outdir))
+        assert outdir.is_file() if blocked else not outdir.exists()
+        return
+    assert (out, err) == ("".join(f"wrote {outdir / name}.csv\n" for name in ("fig1", "fig2")), "")
     for preset in ("fig1", "fig2"):
         expected = tmp_path / f"{preset}.csv"
-        assert main(["sweep", "--preset", preset, "--steps", "7", "--out", str(expected)]) == EXIT_OK
+        assert main(["sweep", "--preset", preset, "--steps", "7", f"--out={expected}"]) == EXIT_OK
         assert (outdir / f"{preset}.csv").read_bytes() == expected.read_bytes()
-    assert capsys.readouterr().out.count("wrote ") == 2
 
 
-def test_script_returns_io_error_when_outdir_is_a_file(tmp_path, reproduce_figures, capsys):
-    blocker = tmp_path / "not_a_dir"
-    blocker.write_text("")
-    assert reproduce_figures.main(["--outdir", str(blocker)]) == EXIT_IO
-    err = capsys.readouterr().err
-    assert err.startswith("error: cannot create") and err.count("\n") == 1
-
-
-def test_script_rejects_bad_steps_before_creating_outdir(tmp_path, reproduce_figures, capsys):
-    outdir = tmp_path / "fresh"
-    with pytest.raises(SystemExit) as exc:
-        reproduce_figures.main(["--outdir", str(outdir), "--steps", "1"])
-    assert exc.value.code == 2
-    assert not outdir.exists()
-    err = capsys.readouterr().err
-    assert "usage: eur" not in err
-    assert "steps must lie in [2, " in err
+@pytest.fixture(scope="module")
+def tree_runs():
+    """{(digest of a tree's files, CASES, STEPS): `tree_results`}, for every test of this module."""
+    return {}
 
 
 @pytest.fixture
-def compare_csv(monkeypatch):
-    """compare_csv.py, its RULE sweeps at 3 grid points."""
+def compare_csv(monkeypatch, tree_runs):
+    """compare_csv.py, its RULE sweeps at 3 grid points, running each
+    (tree, CASES, STEPS) once in this module."""
     module = load_script("compare_csv")
     monkeypatch.setattr(module, "STEPS", 3)
+    run = module.tree_results
+
+    def shared(src):
+        digest = hashlib.sha256()
+        for path in sorted(src.rglob("*")):
+            if path.is_file() and "__pycache__" not in path.parts:
+                digest.update(path.relative_to(src).as_posix().encode() + b"\0" + path.read_bytes())
+        key = (digest.hexdigest(), repr(module.CASES), module.STEPS)
+        if key not in tree_runs:
+            tree_runs[key] = run(src)
+        return tree_runs[key]
+
+    monkeypatch.setattr(module, "tree_results", shared)
     return module
 
 
-def test_compare_csv_names_the_first_differing_line(tmp_path, monkeypatch, capsys, compare_csv):
-    monkeypatch.setattr(compare_csv, "CASES", [("--preset", "fig1", "--steps", "5")])
-    assert compare_csv.main([str(compare_csv.SRC)]) == 0
-    assert capsys.readouterr().out == (
-        "same    --preset fig1 --steps 5\nsame    library reports\n" + RULE_HOLDS_UNCHANGED)
+CSV_CASES = [("--preset", "fig1", "--steps", "5"), ("--p", "2")]
+SAME_CASES = "same    --preset fig1 --steps 5\nsame    --p 2\n"
+SAME = "same    library reports\n"
+HEADER = "a,r,lhs,berta,holevo,delta"
 
-    changed = tmp_path / "src"
-    shutil.copytree(compare_csv.SRC, changed, ignore=shutil.ignore_patterns("__pycache__"))
-    cli = changed / "eur" / "cli.py"
-    cli.write_text(cli.read_text().replace('CSV_HEADER = "a,r,', 'CSV_HEADER = "a,angle,'))
-    assert compare_csv.main([str(changed)]) == 1
-    assert capsys.readouterr().out == (
-        "DIFFERS --preset fig1 --steps 5: line 1: "
-        "a,angle,lhs,berta,holevo,delta != a,r,lhs,berta,holevo,delta; "
-        "1 cells differ, largest |difference| 0\n"
-        "same    library reports\n" + RULE_HOLDS_UNCHANGED
-    )
 
-    # shift the delta column by 2**-20 (exact in binary): five cells, one per row
-    cli.write_text(cli.read_text().replace(
-        'CSV_HEADER = "a,angle,', 'CSV_HEADER = "a,r,').replace(
-        "report.holevo_bound, report.delta", "report.holevo_bound, report.delta - 2.0**-20"))
-    assert compare_csv.main([str(changed)]) == 1
-    out = capsys.readouterr().out
-    assert out.startswith("DIFFERS --preset fig1 --steps 5: line 2: ")
-    assert "; 5 cells differ, largest |difference| 9.54e-07\nsame    library reports\n" in out
-    # the base tree's delta is 2**-20 off the reference and this tree's is
-    # not: the RULE holds, and the differing CSV alone gives exit 1
-    assert out.count(": 3 changed, ") == 2 and "FAILS" not in out
-    assert out.endswith("\nRULE holds\n")
+def rule(changed=(), failures=""):
+    """compare_csv's RULE lines when the `changed` columns of both presets
+    move at all 3 grid points, each line with these `failures`."""
+    measured = "summed |value - reference| ~ -> ~"
+    lines = [f"{preset} {column}: 3 changed, {measured}, worst ~ of the budget{failures}\n"
+             if column in changed else f"{preset} {column}: 0 changed\n"
+             for preset in ("fig1", "fig2") for column in COLUMNS]
+    total = f"6 changed, {measured}" if changed else "0 changed, summed |value - reference| 0 -> 0"
+    return "".join(lines) + f"all columns: {total}\nRULE {'FAILS' if failures else 'holds'}\n"
 
+
+def shift_delta(shift):
+    """An edit that moves cli.py's delta column by `shift`."""
+    delta = "report.holevo_bound, report.delta"
+    return ("eur/cli.py", delta, f"{delta} + {shift}")
+
+
+# CASES; the base tree's edit and this tree's, each (file under src, old
+# text, new text), or None for this checkout's src; the exit code; and the
+# output, ~ standing for any text within a line
+COMPARED = {
+    "unchanged": (CSV_CASES, None, None, 0, SAME_CASES + SAME + rule()),
+    "csv-header": (
+        CSV_CASES, ("eur/cli.py", 'CSV_HEADER = "a,r,', 'CSV_HEADER = "a,angle,'), None, 1,
+        f"DIFFERS --preset fig1 --steps 5: line 1: a,angle,lhs,berta,holevo,delta != {HEADER}; "
+        "1 cells differ, largest |difference| 0\nsame    --p 2\n" + SAME + rule()),
+    # the base tree's delta is 2**-20 (exact in binary) off the reference,
+    # and this tree's is not: the RULE holds, and the differing CSV alone
+    # gives exit 1
+    "csv-value": (CSV_CASES, shift_delta("-2.0**-20"), None, 1,
+                  "DIFFERS --preset fig1 --steps 5: line 2: ~ != ~; 5 cells differ, "
+                  "largest |difference| 9.54e-07\nsame    --p 2\n" + SAME + rule(["delta"])),
     # a case that exits non-zero in one tree is named by its exit status and
     # last stderr line; one that exits 2 with the same message in both is the same
-    cli.write_text((compare_csv.SRC / "eur" / "cli.py").read_text().replace(
-        "MAX_STEPS = 10**7", "MAX_STEPS = 4"))
-    monkeypatch.setattr(compare_csv, "CASES", [("--preset", "fig1", "--steps", "5"), ("--p", "2")])
-    assert compare_csv.main([str(changed)]) == 1
-    assert capsys.readouterr().out == (
-        "DIFFERS --preset fig1 --steps 5: line 1: <exit 2: eur: error: steps must lie in "
-        "[2, 4], got 5> != a,r,lhs,berta,holevo,delta; 36 cells differ, largest |difference| 0\n"
-        "same    --p 2\nsame    library reports\n" + RULE_HOLDS_UNCHANGED)
+    "csv-exit": (
+        CSV_CASES, ("eur/cli.py", "MAX_STEPS = 10**7", "MAX_STEPS = 4"), None, 1,
+        "DIFFERS --preset fig1 --steps 5: line 1: <exit 2: eur: error: steps must lie in [2, 4], "
+        f"got 5> != {HEADER}; 36 cells differ, largest |difference| 0\nsame    --p 2\n"
+        + SAME + rule()),
+    # a field that no CSV column holds, shifted by 2**-20 at every input
+    "report-value": (
+        CSV_CASES, ("eur/bounds.py", "        i_ab=i_ab,\n", "        i_ab=i_ab + 2.0**-20,\n"),
+        None, 1, SAME_CASES + "DIFFERS library reports: i_ab of input 0\n" + rule()),
+    # the same value, of another type
+    "report-type": (
+        CSV_CASES, ("eur/bounds.py", "        c=c,\n", "        c=np.float64(c),\n"), None, 1,
+        SAME_CASES + "DIFFERS library reports: c of input 0\n" + rule()),
+    # a tree whose evaluation fails is named with its exit status, once: it
+    # has no CSVs to compare and no sweeps to hold to the RULE
+    "tree-fails": (CSV_CASES, ("eur/bounds.py", "        c=c,\n", "        c=1 / 0,\n"), None, 1,
+                   "DIFFERS library reports: <exit 1: ZeroDivisionError: division by zero>\n"),
+    # 3 and 4 * 2**-47 are about 96 and 128 eps: inside the budget at every
+    # delta, and far above roundoff, so the summed error goes as 3 to 4
+    "rule-holds": ([], shift_delta("4 * 2.0**-47"), shift_delta("3 * 2.0**-47"), 0,
+                   SAME + rule(["delta"])),
+    "rule-fails-as-the-error-grows": (
+        [], shift_delta("3 * 2.0**-47"), shift_delta("4 * 2.0**-47"), 1,
+        SAME + rule(["delta"], "; FAILS: summed error grows")),
+    "rule-fails-outside-the-budget": (
+        [], None, shift_delta("1e-9"), 1,
+        SAME + rule(["delta"], "; FAILS: outside the budget; FAILS: summed error grows")),
+}
+
+
+@pytest.mark.parametrize("case", COMPARED)
+def test_compare_csv_names_each_difference_and_holds_the_rule(tmp_path, monkeypatch, capsys,
+                                                              compare_csv, case):
+    cases, base_edit, this_edit, code, expected = COMPARED[case]
+    monkeypatch.setattr(compare_csv, "CASES", cases)
+
+    def tree(name, edit):
+        if edit is None:
+            return compare_csv.SRC
+        path, old, new = edit
+        shutil.copytree(compare_csv.SRC, tmp_path / name,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        source = tmp_path / name / path
+        assert source.read_text().count(old) == 1
+        source.write_text(source.read_text().replace(old, new))
+        return tmp_path / name
+
+    runs = []
+    sweep = reference.sweep
+    monkeypatch.setattr(reference, "sweep", lambda cfg: runs.append(cfg) or sweep(cfg))
+    base = tree("base", base_edit)
+    monkeypatch.setattr(compare_csv, "SRC", tree("this", this_edit))  # in place of this checkout's
+    assert compare_csv.main([str(base)]) == code
+    out = capsys.readouterr().out
+    assert re.fullmatch(re.escape(expected).replace(re.escape("~"), "[^\n]*"), out), out
+    # the reference runs once for each preset with a changed value, and never otherwise
+    assert len(runs) == len({line.split()[0] for line in out.splitlines()
+                             if re.fullmatch(r"fig[12] \w+: [1-9].*", line)})
 
 
 @pytest.mark.parametrize("base, this, text", [
@@ -120,85 +216,3 @@ def test_compare_csv_names_the_first_differing_line(tmp_path, monkeypatch, capsy
 ], ids=["shorter", "end-line", "number", "line-endings"])
 def test_csv_difference_names_the_first_line_and_counts_the_cells(base, this, text, compare_csv):
     assert compare_csv.csv_difference(base, this) == text
-
-
-def test_compare_csv_names_the_first_differing_report_field(tmp_path, monkeypatch, capsys,
-                                                           compare_csv):
-    monkeypatch.setattr(compare_csv, "CASES", [])
-    changed = tmp_path / "src"
-    shutil.copytree(compare_csv.SRC, changed, ignore=shutil.ignore_patterns("__pycache__"))
-    bounds = changed / "eur" / "bounds.py"
-    original = bounds.read_text()
-    assert original.count("        i_ab=i_ab,\n") == 1 and original.count("        c=c,\n") == 1
-
-    # a field that no CSV column holds, shifted by 2**-20 at every input
-    bounds.write_text(original.replace("        i_ab=i_ab,\n", "        i_ab=i_ab + 2.0**-20,\n"))
-    assert compare_csv.main([str(changed)]) == 1
-    assert capsys.readouterr().out == (
-        "DIFFERS library reports: i_ab of input 0\n" + RULE_HOLDS_UNCHANGED)
-
-    # the same value, of another type
-    bounds.write_text(original.replace("        c=c,\n", "        c=np.float64(c),\n"))
-    assert compare_csv.main([str(changed)]) == 1
-    assert capsys.readouterr().out == (
-        "DIFFERS library reports: c of input 0\n" + RULE_HOLDS_UNCHANGED)
-
-    # a tree whose evaluation fails is named with its exit status, once: it
-    # has no CSVs to compare and no sweeps to hold to the RULE
-    monkeypatch.setattr(compare_csv, "CASES", [("--preset", "fig1", "--steps", "5")])
-    bounds.write_text(original.replace("        c=c,\n", "        c=1 / 0,\n"))
-    assert compare_csv.main([str(changed)]) == 1
-    assert capsys.readouterr().out == (
-        "DIFFERS library reports: <exit 1: ZeroDivisionError: division by zero>\n")
-
-
-def test_compare_csv_runs_no_reference_for_an_unchanged_tree(monkeypatch, capsys, compare_csv):
-    def refuse(cfg):
-        raise AssertionError("the reference ran on an unchanged tree")
-
-    monkeypatch.setattr(reference, "sweep", refuse)
-    monkeypatch.setattr(compare_csv, "CASES", [])
-    assert compare_csv.main([str(compare_csv.SRC)]) == 0
-    assert capsys.readouterr().out == "same    library reports\n" + RULE_HOLDS_UNCHANGED
-
-
-def test_compare_csv_measures_changed_values_against_the_reference(tmp_path, monkeypatch,
-                                                                   capsys, compare_csv):
-    monkeypatch.setattr(compare_csv, "CASES", [])
-    assert compare_csv.main([str(compare_csv.SRC)]) == 0
-    assert capsys.readouterr().out.splitlines() == ["same    library reports"] + [
-        f"{preset} {column}: 0 changed" for preset in ("fig1", "fig2") for column in COLUMNS
-    ] + ["all columns: 0 changed, summed |value - reference| 0 -> 0", "RULE holds"]
-
-    def shifted(name, shift):
-        """A copy of src whose delta column is moved by `shift`."""
-        tree = tmp_path / name
-        shutil.copytree(compare_csv.SRC, tree, ignore=shutil.ignore_patterns("__pycache__"))
-        cli = tree / "eur" / "cli.py"
-        original = cli.read_text()
-        assert original.count("report.holevo_bound, report.delta") == 1
-        cli.write_text(original.replace("report.holevo_bound, report.delta",
-                                        f"report.holevo_bound, report.delta + {shift}"))
-        return tree
-
-    # 3 and 4 * 2**-47 are about 96 and 128 eps: inside the budget at every
-    # delta, and far above roundoff, so the summed error goes as 3 to 4
-    three, four = shifted("three", "3 * 2.0**-47"), shifted("four", "4 * 2.0**-47")
-    for base, this, failures in (
-        (four, three, ""),
-        (three, four, "; FAILS: summed error grows"),
-        (compare_csv.SRC, shifted("far", "1e-9"),
-         "; FAILS: outside the budget; FAILS: summed error grows"),
-    ):
-        monkeypatch.setattr(compare_csv, "SRC", this)  # in place of this checkout's src
-        assert compare_csv.main([str(base)]) == (1 if failures else 0)
-        out = capsys.readouterr().out.splitlines()
-        assert out[-1] == ("RULE FAILS" if failures else "RULE holds")
-        assert out[-2].startswith("all columns: 6 changed, summed |value - reference| ")
-        assert out[0] == "same    library reports"
-        for line in out[1:-2]:
-            if line.split(":")[0] in ("fig1 delta", "fig2 delta"):
-                assert ": 3 changed, summed |value - reference| " in line
-                assert line.endswith(failures) and ("FAILS" in line) == bool(failures)
-            else:
-                assert line.endswith(": 0 changed")
